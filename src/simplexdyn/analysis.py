@@ -18,11 +18,11 @@ import numpy as np
 from .core import (
     CoupledState,
     Landscape,
+    Linear,
     OrthantPoint,
     SimplexPoint,
     TangentVector,
     evaluate_landscape_batch,
-    evaluate_landscape_coupled_batch,
     normalize,
 )
 from .divergence import kl_formula
@@ -33,10 +33,10 @@ from .dynamics import (
     Replicator,
     ShiftedLotkaVolterra,
     Trajectory,
+    _uniform_step,
 )
 from .errors import (
     DimensionMismatchError,
-    EmptyTrajectoryError,
     KindMismatchError,
     NotSymmetricError,
     RadiusTooLargeError,
@@ -201,8 +201,8 @@ def coupled_ess_check(
     for k in range(count):
         p_rows[k] = _tangent_ball_samples(rng, p_hat, radius, 1)[0]
         q_rows[k] = _tangent_ball_samples(rng, q_hat, radius, 1)[0]
-    fp = evaluate_landscape_coupled_batch(f, p_rows, q_rows)
-    gq = evaluate_landscape_coupled_batch(g, q_rows, p_rows)
+    fp = evaluate_landscape_batch(f, p_rows, q_rows)
+    gq = evaluate_landscape_batch(g, q_rows, p_rows)
     margins = (
         fp @ p_hat
         + gq @ q_hat
@@ -350,24 +350,15 @@ def fisher_theorem_check(traj: Trajectory) -> float:
     is recomputed pointwise, and the largest absolute mismatch over interior
     steps is returned.
     """
-    from .core import Linear  # local import to keep module deps one-way
-
     kind = traj.kind
     if not isinstance(kind, Replicator) or not isinstance(kind.f, Linear):
         raise KindMismatchError("check requires replicator dynamics with a linear payoff")
     matrix = kind.f.matrix
     if not np.allclose(matrix, matrix.T, rtol=0.0, atol=1e-12):
         raise NotSymmetricError("payoff matrix must be symmetric")
-    if len(traj) < 3:
-        raise EmptyTrajectoryError("need at least 3 states for a central difference")
-    dt_all = np.diff(traj.times)
-    dt = float(traj.times[-1] - traj.times[0]) / (len(traj) - 1)
-    # dt * arange grids carry rounding up to eps * t_max in each spacing
-    slack = 32.0 * np.finfo(float).eps * max(1.0, abs(float(traj.times[-1])))
-    if np.max(np.abs(dt_all - dt)) > slack:
-        raise ValueError("check requires a uniform time grid")
+    dt = _uniform_step(traj, "check")
     states = traj.states
-    payoff = states @ matrix.T
+    payoff = evaluate_landscape_batch(kind.f, states)
     potential = 0.5 * np.einsum("ij,ij->i", states, payoff)
     mean = np.einsum("ij,ij->i", states, payoff)
     variance = np.einsum("ij,ij->i", states, (payoff - mean[:, None]) ** 2)

@@ -29,13 +29,13 @@ import numpy as np
 from . import analysis, dynamics
 from .core import (
     CoupledState,
-    Custom,
     Landscape,
     Linear,
     LogLinear,
     OrthantPoint,
     Scaled,
     SimplexPoint,
+    evaluate_landscape,
     validate_simplex,
 )
 from .divergence import kl_formula
@@ -115,10 +115,14 @@ def _coerce_entry(value) -> float:
     return float(value)
 
 
-def _coerce_array(payload) -> np.ndarray:
+def _coerce_array(payload, field: str) -> np.ndarray:
+    """Parse a list of numbers or fraction strings; errors name the config field or option."""
     if not isinstance(payload, (list, tuple)):
-        raise ValueError(f"expected a list of numbers, got {payload!r}")
-    return np.array([_coerce_entry(v) for v in payload], dtype=float)
+        raise ConfigError(f"{field!r} must be a list of numbers, got {payload!r}")
+    try:
+        return np.array([_coerce_entry(v) for v in payload], dtype=float)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"invalid number in {field!r}: {exc}") from exc
 
 
 def _build_state(kind_name: str, payload, field: str):
@@ -127,12 +131,12 @@ def _build_state(kind_name: str, payload, field: str):
             if not isinstance(payload, dict) or "p" not in payload or "q" not in payload:
                 raise ConfigError(f"field '{field}' must be an object with 'p' and 'q'")
             return CoupledState(
-                SimplexPoint(_coerce_array(payload["p"])),
-                SimplexPoint(_coerce_array(payload["q"])),
+                SimplexPoint(_coerce_array(payload["p"], f"{field}.p")),
+                SimplexPoint(_coerce_array(payload["q"], f"{field}.q")),
             )
         if kind_name in ("lotka_volterra", "shifted_lotka_volterra"):
-            return OrthantPoint(_coerce_array(payload))
-        return SimplexPoint(_coerce_array(payload))
+            return OrthantPoint(_coerce_array(payload, field))
+        return SimplexPoint(_coerce_array(payload, field))
     except ConfigError:
         raise
     except (TypeError, ValueError, SimplexDynError) as exc:
@@ -200,6 +204,11 @@ def load_scenario(path: str) -> Scenario:
     outputs = config.get("outputs", {})
     if not isinstance(outputs, dict):
         raise ConfigError("field 'outputs' must be an object")
+    for key in outputs:
+        if key not in ("trajectory_csv", "report_json"):
+            raise ConfigError(
+                f"unknown key 'outputs.{key}' (expected 'trajectory_csv' or 'report_json')"
+            )
     trajectory_file = outputs.get("trajectory_csv", f"{name}_trajectory.csv")
     report_file = outputs.get("report_json", f"{name}_report.json")
 
@@ -283,10 +292,36 @@ def write_trajectory_json(path: str, traj: dynamics.Trajectory) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _ess_metrics(report: analysis.EssReport) -> dict:
+    metrics = {
+        "is_ess": report.is_ess,
+        "min_margin": report.min_margin,
+        "samples_tested": report.samples_tested,
+        "radius": report.radius,
+        "indeterminate": report.indeterminate,
+    }
+    if report.parallel_samples is not None:
+        metrics["parallel_samples"] = report.parallel_samples
+    return metrics
+
+
+def _localize_metrics(point: SimplexPoint, h: float, tol: float) -> tuple[bool, dict]:
+    """Localize KL at ``point``; pass when the diagonal is 1/x_i within ``tol``."""
+    report = localize_divergence(kl_formula, point, h)
+    err = float(np.max(np.abs(report.metric.diag - metric_at(point).diag)))
+    return bool(err <= tol), {
+        "diag": [float(v) for v in report.metric.diag],
+        "sign": report.sign,
+        "max_offdiag": report.max_offdiag,
+        "max_error": err,
+        "tol": tol,
+    }
+
+
 def _check_point(check: dict, scenario: Scenario, field: str) -> SimplexPoint:
     """Simplex point for a check: explicit 'point', else the scenario target/initial."""
     if "point" in check:
-        return validate_simplex(np.asarray(check["point"], dtype=float))
+        return validate_simplex(_coerce_array(check["point"], f"{field}.point"))
     state = scenario.initial
     if isinstance(state, SimplexPoint):
         return state
@@ -344,16 +379,8 @@ def _run_check(check: dict, scenario: Scenario, traj: dynamics.Trajectory) -> di
             report = analysis.denormalized_ess_check(
                 scenario.target, kind.f, radius, samples, seed
             )
-        metrics = {
-            "is_ess": report.is_ess,
-            "min_margin": report.min_margin,
-            "samples_tested": report.samples_tested,
-            "radius": report.radius,
-            "indeterminate": report.indeterminate,
-        }
-        if report.parallel_samples is not None:
-            metrics["parallel_samples"] = report.parallel_samples
-        return {"name": name, "pass": bool(report.is_ess == expect), "metrics": metrics}
+        passed = bool(report.is_ess == expect)
+        return {"name": name, "pass": passed, "metrics": _ess_metrics(report)}
 
     if name == "fisher_theorem":
         tol = float(check.get("tol", 1e-5))
@@ -370,10 +397,8 @@ def _run_check(check: dict, scenario: Scenario, traj: dynamics.Trajectory) -> di
         seed = int(check.get("seed", 0))
         point = _check_point(check, scenario, name)
         if "grad" in check:
-            grad = np.asarray(check["grad"], dtype=float)
+            grad = _coerce_array(check["grad"], f"{name}.grad")
         else:
-            from .core import evaluate_landscape
-
             land = scenario.kind.f if hasattr(scenario.kind, "f") else scenario.kind.g
             grad = evaluate_landscape(land, point.coords)
         residual = analysis.gradient_consistency_check(point, grad, probes, seed)
@@ -386,21 +411,8 @@ def _run_check(check: dict, scenario: Scenario, traj: dynamics.Trajectory) -> di
     if name == "localize":
         h = float(check.get("h", 1e-3))
         tol = float(check.get("tol", 1e-4))
-        point = _check_point(check, scenario, name)
-        report = localize_divergence(kl_formula, point, h)
-        expected = metric_at(point).diag
-        err = float(np.max(np.abs(report.metric.diag - expected)))
-        return {
-            "name": name,
-            "pass": bool(err <= tol),
-            "metrics": {
-                "diag": [float(v) for v in report.metric.diag],
-                "sign": report.sign,
-                "max_offdiag": report.max_offdiag,
-                "max_error": err,
-                "tol": tol,
-            },
-        }
+        passed, metrics = _localize_metrics(_check_point(check, scenario, name), h, tol)
+        return {"name": name, "pass": passed, "metrics": metrics}
 
     raise ConfigError(f"unknown check name {name!r}")
 
@@ -461,24 +473,6 @@ def run_scenario(
 # ---------------------------------------------------------------------------
 
 
-def _parse_vector(text: str) -> np.ndarray:
-    """Parse '0.5,0.25,0.25' (fractions like '1/3' allowed) into an array."""
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    values = []
-    try:
-        for part in parts:
-            if "/" in part:
-                num, _, den = part.partition("/")
-                values.append(float(num) / float(den))
-            else:
-                values.append(float(part))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"cannot parse vector from {text!r}: {exc}") from exc
-    if not values:
-        raise ConfigError(f"cannot parse vector from {text!r}")
-    return np.array(values)
-
-
 def _parse_matrix(text: str) -> np.ndarray:
     try:
         matrix = np.asarray(json.loads(text), dtype=float)
@@ -497,46 +491,22 @@ def _emit(report: dict, quiet: bool) -> None:
 def check_command(args: argparse.Namespace) -> int:
     """Run one inline check and print its JSON report; exit 0 iff it passed."""
     if args.check == "ess":
-        candidate = validate_simplex(_parse_vector(args.point))
+        candidate = validate_simplex(_coerce_array(args.point.split(","), "--point"))
         f = Linear(_parse_matrix(args.matrix))
         report = analysis.ess_check(candidate, f, args.radius, args.samples, args.seed)
-        payload = {
-            "check": "ess",
-            "pass": report.is_ess,
-            "report": {
-                "is_ess": report.is_ess,
-                "min_margin": report.min_margin,
-                "samples_tested": report.samples_tested,
-                "radius": report.radius,
-                "indeterminate": report.indeterminate,
-            },
-        }
+        payload = {"check": "ess", "pass": report.is_ess, "report": _ess_metrics(report)}
         _emit(payload, args.quiet)
         return 0 if report.is_ess else 2
 
     if args.check == "localize":
-        point = validate_simplex(_parse_vector(args.point))
-        report = localize_divergence(kl_formula, point, args.h)
-        expected = metric_at(point).diag
-        err = float(np.max(np.abs(report.metric.diag - expected)))
-        passed = err <= args.tol
-        payload = {
-            "check": "localize",
-            "pass": passed,
-            "report": {
-                "diag": [float(v) for v in report.metric.diag],
-                "sign": report.sign,
-                "max_offdiag": report.max_offdiag,
-                "max_error": err,
-                "tol": args.tol,
-            },
-        }
-        _emit(payload, args.quiet)
+        point = validate_simplex(_coerce_array(args.point.split(","), "--point"))
+        passed, metrics = _localize_metrics(point, args.h, args.tol)
+        _emit({"check": "localize", "pass": passed, "report": metrics}, args.quiet)
         return 0 if passed else 2
 
     if args.check == "gradient":
-        point = validate_simplex(_parse_vector(args.point))
-        grad = _parse_vector(args.grad)
+        point = validate_simplex(_coerce_array(args.point.split(","), "--point"))
+        grad = _coerce_array(args.grad.split(","), "--grad")
         residual = analysis.gradient_consistency_check(point, grad, args.probes, args.seed)
         passed = residual <= args.tol
         payload = {

@@ -9,7 +9,7 @@ values can be shared freely across threads or processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -229,112 +229,54 @@ def _call_custom(evaluator: Callable, args: tuple, n: int) -> np.ndarray:
     return out
 
 
-def evaluate_landscape(f: Landscape, x: np.ndarray) -> np.ndarray:
-    """Evaluate a single-population landscape at the raw state vector ``x``."""
+def _shape_error(f: Landscape, x: np.ndarray, src: np.ndarray) -> DimensionMismatchError:
+    return DimensionMismatchError(
+        f"{type(f).__name__} matrix shape {f.matrix.shape} does not match "
+        f"state dimensions ({x.shape[-1]}, {src.shape[-1]})"
+    )
+
+
+def evaluate_landscape(
+    f: Landscape, x: np.ndarray, other: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Payoff of ``f`` at one state ``x`` of shape (n,) or at each row of shape (T, n).
+
+    ``other`` is the opposing population's state (shape (m,) or (T, m)) in a
+    two-population context; there ``Linear`` and ``LogLinear`` matrices are
+    (n, m) and act on ``other``, and a ``Custom`` evaluator takes
+    ``(own, other)``.
+    """
     x = np.asarray(x, dtype=float)
-    n = x.size
+    src = x if other is None else np.asarray(other, dtype=float)
+    # M.dot(x) on one state and X.dot(M.T) on rows keep the bits of M @ x and
+    # X @ M.T, with less call overhead than either operator
     if isinstance(f, Linear):
-        if f.matrix.shape != (n, n):
-            raise DimensionMismatchError(
-                f"payoff matrix shape {f.matrix.shape} does not match state dimension {n}"
-            )
-        return f.matrix @ x
+        if f.matrix.shape != (x.shape[-1], src.shape[-1]):
+            raise _shape_error(f, x, src)
+        return f.matrix.dot(src) if src.ndim == 1 else src.dot(f.matrix.T)
     if isinstance(f, LogLinear):
-        if f.matrix.shape != (n, n):
-            raise DimensionMismatchError(
-                f"log-linear matrix shape {f.matrix.shape} does not match state dimension {n}"
-            )
+        if f.matrix.shape != (x.shape[-1], src.shape[-1]):
+            raise _shape_error(f, x, src)
         with np.errstate(invalid="ignore", divide="ignore"):
-            return f.matrix @ np.log(x) + f.offset
-    if isinstance(f, Scaled):
-        base = evaluate_landscape(f.base, x)
-        fbar = float(np.dot(x, base))
-        return f.factor * (base - fbar)
+            logs = np.log(src)
+        return (f.matrix.dot(logs) if logs.ndim == 1 else logs.dot(f.matrix.T)) + f.offset
     if isinstance(f, Custom):
-        return _call_custom(f.evaluator, (x,), n)
+        if x.ndim == 1:
+            return _call_custom(f.evaluator, (x,) if other is None else (x, src), x.size)
+        rows = zip(x) if other is None else zip(x, src)
+        return np.stack([_call_custom(f.evaluator, row, x.shape[1]) for row in rows])
+    if isinstance(f, Scaled):
+        base = evaluate_landscape(f.base, x, other)
+        if x.ndim == 1:
+            return f.factor * (base - float(np.dot(x, base)))
+        return f.factor * (base - np.einsum("ij,ij->i", x, base)[:, None])
     raise TypeError(f"not a landscape: {f!r}")
 
 
-def evaluate_landscape_batch(f: Landscape, states: np.ndarray) -> np.ndarray:
-    """Evaluate a landscape on each row of ``states`` (shape (T, n))."""
-    states = np.asarray(states, dtype=float)
-    n = states.shape[1]
-    if isinstance(f, Linear):
-        if f.matrix.shape != (n, n):
-            raise DimensionMismatchError(
-                f"payoff matrix shape {f.matrix.shape} does not match state dimension {n}"
-            )
-        return states @ f.matrix.T
-    if isinstance(f, LogLinear):
-        if f.matrix.shape != (n, n):
-            raise DimensionMismatchError(
-                f"log-linear matrix shape {f.matrix.shape} does not match state dimension {n}"
-            )
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.log(states) @ f.matrix.T + f.offset
-    if isinstance(f, Scaled):
-        base = evaluate_landscape_batch(f.base, states)
-        fbar = np.einsum("ij,ij->i", states, base)
-        return f.factor * (base - fbar[:, None])
-    if isinstance(f, Custom):
-        return np.stack([_call_custom(f.evaluator, (row,), n) for row in states])
-    raise TypeError(f"not a landscape: {f!r}")
-
-
-def evaluate_landscape_coupled(f: Landscape, own: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Evaluate a two-population landscape: payoff for ``own`` against ``other``."""
-    own = np.asarray(own, dtype=float)
-    other = np.asarray(other, dtype=float)
-    n, m = own.size, other.size
-    if isinstance(f, Linear):
-        if f.matrix.shape != (n, m):
-            raise DimensionMismatchError(
-                f"bimatrix shape {f.matrix.shape} does not match populations ({n}, {m})"
-            )
-        return f.matrix @ other
-    if isinstance(f, LogLinear):
-        if f.matrix.shape != (n, m):
-            raise DimensionMismatchError(
-                f"log-linear bimatrix shape {f.matrix.shape} does not match populations ({n}, {m})"
-            )
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return f.matrix @ np.log(other) + f.offset
-    if isinstance(f, Scaled):
-        base = evaluate_landscape_coupled(f.base, own, other)
-        fbar = float(np.dot(own, base))
-        return f.factor * (base - fbar)
-    if isinstance(f, Custom):
-        return _call_custom(f.evaluator, (own, other), n)
-    raise TypeError(f"not a landscape: {f!r}")
-
-
-def evaluate_landscape_coupled_batch(f: Landscape, own: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Row-wise two-population landscape evaluation (own, other have shape (T, *))."""
-    own = np.asarray(own, dtype=float)
-    other = np.asarray(other, dtype=float)
-    n, m = own.shape[1], other.shape[1]
-    if isinstance(f, Linear):
-        if f.matrix.shape != (n, m):
-            raise DimensionMismatchError(
-                f"bimatrix shape {f.matrix.shape} does not match populations ({n}, {m})"
-            )
-        return other @ f.matrix.T
-    if isinstance(f, LogLinear):
-        if f.matrix.shape != (n, m):
-            raise DimensionMismatchError(
-                f"log-linear bimatrix shape {f.matrix.shape} does not match populations ({n}, {m})"
-            )
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.log(other) @ f.matrix.T + f.offset
-    if isinstance(f, Scaled):
-        base = evaluate_landscape_coupled_batch(f.base, own, other)
-        fbar = np.einsum("ij,ij->i", own, base)
-        return f.factor * (base - fbar[:, None])
-    if isinstance(f, Custom):
-        return np.stack(
-            [_call_custom(f.evaluator, (o, p), n) for o, p in zip(own, other)]
-        )
-    raise TypeError(f"not a landscape: {f!r}")
+#: Row-wise (T, n) and two-population call sites use these names for the
+#: same evaluator.
+evaluate_landscape_batch = evaluate_landscape
+evaluate_landscape_coupled = evaluate_landscape
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,9 @@ integration, returning the partial trajectory with ``truncated=True``.
 The exponential-family solvers integrate the same flows in log-coordinates
 x_i = exp(v_i - G) with dv = f, recomputing the normalizer
 G = log sum_j exp(v_j) exactly at every step (it is never integrated).
+Both are one RK4 loop in two *charts*: the direct chart records the
+integrated coordinates (simplex blocks renormalized), the log chart records
+exp(v - G) per population block.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import (
     SIMPLEX_TOL,
+    TANGENT_TOL,
     CoupledState,
     Landscape,
     OrthantPoint,
@@ -34,11 +37,8 @@ from .core import (
     TangentVector,
     evaluate_landscape,
     evaluate_landscape_batch,
-    evaluate_landscape_coupled,
-    evaluate_landscape_coupled_batch,
     normalize,
 )
-from .core import TANGENT_TOL
 from .errors import (
     DimensionMismatchError,
     EmptyTrajectoryError,
@@ -110,43 +110,31 @@ _ORTHANT_KINDS = (LotkaVolterra, ShiftedLotkaVolterra)
 
 def replicator_field(x: SimplexPoint, f: Landscape) -> TangentVector:
     """Selection field x_i (f_i(x) - x . f(x)); always tangent to the simplex."""
-    fvec = evaluate_landscape(f, x.coords)
-    fbar = float(np.dot(x.coords, fvec))
-    return TangentVector(x.coords * (fvec - fbar))
+    return TangentVector(_make_field(Replicator(f))(x.coords))
 
 
 def ecological_field(x: SimplexPoint, g: Landscape) -> TangentVector:
     """Field x_i g_i(x); requires the aggregate-neutrality x . g(x) = 0."""
-    gvec = evaluate_landscape(g, x.coords)
-    residual = float(np.dot(x.coords, gvec))
-    if abs(residual) > TANGENT_TOL:
-        raise NotSimplexPreservingError(
-            f"x . g(x) = {residual!r} violates aggregate neutrality"
-        )
-    return TangentVector(x.coords * gvec)
+    return TangentVector(_make_field(Ecological(g))(x.coords))
 
 
 def lv_field(x: OrthantPoint, f: Landscape) -> np.ndarray:
     """Abundance growth field x_i f_i(x)."""
-    return x.coords * evaluate_landscape(f, x.coords)
+    return _make_field(LotkaVolterra(f))(x.coords)
 
 
 def shifted_lv_field(x: OrthantPoint, f: Landscape) -> np.ndarray:
     """Aggregate-slowed abundance field (x_i / |x|) f_i(x)."""
-    return x.coords * evaluate_landscape(f, x.coords) / x.total
+    return _make_field(ShiftedLotkaVolterra(f))(x.coords)
 
 
 def coupled_replicator_field(
     state: CoupledState, f: Landscape, g: Landscape
 ) -> tuple[TangentVector, TangentVector]:
     """Simultaneous selection fields for two interacting populations."""
-    p = state.pop1.coords
-    q = state.pop2.coords
-    fvec = evaluate_landscape_coupled(f, p, q)
-    gvec = evaluate_landscape_coupled(g, q, p)
-    dp = p * (fvec - float(np.dot(p, fvec)))
-    dq = q * (gvec - float(np.dot(q, gvec)))
-    return TangentVector(dp), TangentVector(dq)
+    split = state.pop1.dim
+    dz = _make_field(CoupledReplicator(f, g), split)(state.concatenated())
+    return TangentVector(dz[:split]), TangentVector(dz[split:])
 
 
 # ---------------------------------------------------------------------------
@@ -199,16 +187,12 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
         if not np.all(states > 0.0):
             raise ValueError("all recorded coordinates must be strictly positive")
-        if isinstance(self.kind, _SIMPLEX_KINDS):
-            sums = states.sum(axis=1)
-            if np.max(np.abs(sums - 1.0)) > SIMPLEX_TOL:
-                raise ValueError("simplex trajectory rows must sum to 1 within tolerance")
         if isinstance(self.kind, CoupledReplicator):
             if self.split is None or not (0 < self.split < states.shape[1]):
                 raise ValueError("coupled trajectory requires a valid split index")
-            for block in (states[:, : self.split], states[:, self.split :]):
-                if np.max(np.abs(block.sum(axis=1) - 1.0)) > SIMPLEX_TOL:
-                    raise ValueError("coupled trajectory blocks must sum to 1 within tolerance")
+        for block in _simplex_blocks(self.kind, self.split):
+            if np.max(np.abs(states[:, block].sum(axis=1) - 1.0)) > SIMPLEX_TOL:
+                raise ValueError("simplex trajectory rows must sum to 1 within tolerance")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
 
@@ -240,7 +224,22 @@ def _check_steps(dt: float, steps: int) -> None:
         raise StepSizeError(f"steps must be a positive integer, got {steps}")
 
 
-def _make_field(kind: VectorFieldKind, split: Optional[int]):
+def logsumexp(v: np.ndarray) -> float:
+    """log sum_j exp(v_j), shifted by the largest entry so no term overflows."""
+    top = v.max()
+    return float(top + np.log(np.exp(v - top).sum()))
+
+
+def _simplex_blocks(kind: VectorFieldKind, split: Optional[int]) -> tuple:
+    """Slices of the state vector that each live on a simplex."""
+    if isinstance(kind, CoupledReplicator):
+        return (slice(0, split), slice(split, None))
+    if isinstance(kind, _SIMPLEX_KINDS):
+        return (slice(None),)
+    return ()
+
+
+def _make_field(kind: VectorFieldKind, split: Optional[int] = None):
     if isinstance(kind, Replicator):
         f = kind.f
 
@@ -254,7 +253,7 @@ def _make_field(kind: VectorFieldKind, split: Optional[int]):
 
         def field(x):
             gvec = evaluate_landscape(g, x)
-            residual = np.dot(x, gvec)
+            residual = float(np.dot(x, gvec))
             if abs(residual) > TANGENT_TOL:
                 raise NotSimplexPreservingError(
                     f"x . g(x) = {residual!r} violates aggregate neutrality"
@@ -282,8 +281,8 @@ def _make_field(kind: VectorFieldKind, split: Optional[int]):
         def field(z):
             p = z[:split]
             q = z[split:]
-            fvec = evaluate_landscape_coupled(f, p, q)
-            gvec = evaluate_landscape_coupled(g, q, p)
+            fvec = evaluate_landscape(f, p, q)
+            gvec = evaluate_landscape(g, q, p)
             dp = p * (fvec - np.dot(p, fvec))
             dq = q * (gvec - np.dot(q, gvec))
             return np.concatenate([dp, dq])
@@ -292,54 +291,58 @@ def _make_field(kind: VectorFieldKind, split: Optional[int]):
     raise TypeError(f"unknown field kind: {kind!r}")
 
 
-def _initial_vector(kind: VectorFieldKind, x0) -> tuple[np.ndarray, Optional[int]]:
-    if isinstance(kind, _SIMPLEX_KINDS):
-        if not isinstance(x0, SimplexPoint):
-            raise KindMismatchError(f"{type(kind).__name__} requires a SimplexPoint start")
-        return x0.coords.copy(), None
-    if isinstance(kind, _ORTHANT_KINDS):
-        if not isinstance(x0, OrthantPoint):
-            raise KindMismatchError(f"{type(kind).__name__} requires an OrthantPoint start")
-        return x0.coords.copy(), None
-    if isinstance(kind, CoupledReplicator):
-        if not isinstance(x0, CoupledState):
-            raise KindMismatchError("CoupledReplicator requires a CoupledState start")
-        return x0.concatenated(), x0.pop1.dim
-    raise TypeError(f"unknown field kind: {kind!r}")
+def _direct_chart(blocks: tuple):
+    """Record the integrated coordinates, each simplex block renormalized in place."""
+
+    def chart(y):
+        for block in blocks:
+            view = y[block]
+            view /= view.sum()
+        return y, y, None
+
+    return chart
 
 
-def _check_target(kind: VectorFieldKind, target, dim: int, split: Optional[int]) -> None:
-    if target is None:
-        return
+def _log_chart(blocks: tuple):
+    """Record exp(v - G) per block, with G = logsumexp(v) recomputed, never integrated."""
+
+    def chart(v):
+        big_g = [logsumexp(v[block]) for block in blocks]
+        x = np.concatenate([np.exp(v[block] - g) for block, g in zip(blocks, big_g)])
+        return x, v, big_g[0] if len(big_g) == 1 else big_g
+
+    return chart
+
+
+def _log_field(kind: VectorFieldKind, chart, split: Optional[int]):
+    """dv = f(x) at the chart's state x = exp(v - G): the replicator flow in log coordinates."""
+    if split is None:
+        return lambda v: evaluate_landscape(kind.f, chart(v)[0])
+
+    def field(v):
+        x = chart(v)[0]
+        p = x[:split]
+        q = x[split:]
+        return np.concatenate([evaluate_landscape(kind.f, p, q), evaluate_landscape(kind.g, q, p)])
+
+    return field
+
+
+def _state_vector(kind: VectorFieldKind, state, role: str) -> tuple[np.ndarray, Optional[int]]:
+    """A copy of ``state`` as one vector, and the split index of a coupled state."""
     if isinstance(kind, _SIMPLEX_KINDS):
-        if not isinstance(target, SimplexPoint):
-            raise KindMismatchError("simplex dynamics take a SimplexPoint target")
-        if target.dim != dim:
-            raise DimensionMismatchError(
-                f"target dimension {target.dim} does not match state dimension {dim}"
-            )
+        state_type = SimplexPoint
     elif isinstance(kind, _ORTHANT_KINDS):
-        if not isinstance(target, OrthantPoint):
-            raise KindMismatchError("abundance dynamics take an OrthantPoint target")
-        if target.dim != dim:
-            raise DimensionMismatchError(
-                f"target dimension {target.dim} does not match state dimension {dim}"
-            )
+        state_type = OrthantPoint
+    elif isinstance(kind, CoupledReplicator):
+        state_type = CoupledState
     else:
-        if not isinstance(target, CoupledState):
-            raise KindMismatchError("coupled dynamics take a CoupledState target")
-        if target.pop1.dim + target.pop2.dim != dim or target.pop1.dim != split:
-            raise DimensionMismatchError("target dimensions do not match the coupled state")
-
-
-def _renormalize(kind: VectorFieldKind, y: np.ndarray, split: Optional[int]) -> np.ndarray:
-    if isinstance(kind, _SIMPLEX_KINDS):
-        return y / y.sum()
-    if isinstance(kind, CoupledReplicator):
-        p = y[:split]
-        q = y[split:]
-        return np.concatenate([p / p.sum(), q / q.sum()])
-    return y
+        raise TypeError(f"unknown field kind: {kind!r}")
+    if not isinstance(state, state_type):
+        raise KindMismatchError(f"{type(kind).__name__} requires a {state_type.__name__} {role}")
+    if state_type is CoupledState:
+        return state.concatenated(), state.pop1.dim
+    return state.coords.copy(), None
 
 
 def _kl_rows(target: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -374,8 +377,8 @@ def _diagnostics(
         return Diagnostics(mean, var, div, totals, normalizer)
     p = states[:, :split]
     q = states[:, split:]
-    fp = evaluate_landscape_coupled_batch(kind.f, p, q)
-    gq = evaluate_landscape_coupled_batch(kind.g, q, p)
+    fp = evaluate_landscape_batch(kind.f, p, q)
+    gq = evaluate_landscape_batch(kind.g, q, p)
     mean_p = np.einsum("ij,ij->i", p, fp)
     mean_q = np.einsum("ij,ij->i", q, gq)
     var = np.einsum("ij,ij->i", p, (fp - mean_p[:, None]) ** 2) + np.einsum(
@@ -386,6 +389,55 @@ def _diagnostics(
     else:
         div = nan
     return Diagnostics(mean_p + mean_q, var, div, states.sum(axis=1), normalizer)
+
+
+def _run(kind: VectorFieldKind, x0, dt: float, steps: int, target, log: bool) -> Trajectory:
+    """The RK4 loop shared by every integrator, in direct or log coordinates.
+
+    A chart maps an RK4 result to (recorded state, coordinates to continue
+    from, normalizers); the direct chart may renormalize its argument in
+    place.  The first recorded row is the start state exactly as given.  A
+    step whose recorded state has a coordinate at or below POS_FLOOR (or a
+    non-finite one) halts the run; the overflow and invalid-value warnings of
+    such a blow-up are silenced.
+    """
+    _check_steps(dt, steps)
+    start, split = _state_vector(kind, x0, "start")
+    if target is not None:
+        target_vector, target_split = _state_vector(kind, target, "target")
+        if (target_vector.size, target_split) != (start.size, split):
+            raise DimensionMismatchError("target dimensions do not match the start state")
+    blocks = _simplex_blocks(kind, split)
+    if log:
+        chart = _log_chart(blocks)
+        y, field = np.log(start), _log_field(kind, chart, split)
+    else:
+        chart = _direct_chart(blocks)
+        y, field = start, _make_field(kind, split)
+    states = [start]
+    normalizers = [chart(y.copy())[2]]
+    truncated = False
+    failure = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(int(steps)):
+            x, y, big_g = chart(_rk4_step(field, y, dt))
+            if not np.all(x > POS_FLOOR):
+                truncated = True
+                failure = f"positivity lost at step {k + 1} (t = {(k + 1) * dt:g})"
+                break
+            states.append(x)
+            normalizers.append(big_g)
+    states = np.array(states)
+    normalizer = None if normalizers[0] is None else np.array(normalizers)
+    return Trajectory(
+        kind=kind,
+        times=dt * np.arange(states.shape[0]),
+        states=states,
+        diagnostics=_diagnostics(kind, states, target, split, normalizer),
+        split=split,
+        truncated=truncated,
+        failure=failure,
+    )
 
 
 def integrate(
@@ -404,33 +456,7 @@ def integrate(
     positivity loss.  The optional target feeds the divergence column of the
     diagnostics and must match the kind's state type.
     """
-    _check_steps(dt, steps)
-    y, split = _initial_vector(kind, x0)
-    _check_target(kind, target, y.size, split)
-    field = _make_field(kind, split)
-    states = [y.copy()]
-    truncated = False
-    failure = None
-    for k in range(int(steps)):
-        y_next = _rk4_step(field, y, dt)
-        if not np.all(y_next > POS_FLOOR):
-            truncated = True
-            failure = f"positivity lost at step {k + 1} (t = {(k + 1) * dt:g})"
-            break
-        y = _renormalize(kind, y_next, split)
-        states.append(y.copy())
-    states = np.array(states)
-    times = dt * np.arange(states.shape[0])
-    diagnostics = _diagnostics(kind, states, target, split)
-    return Trajectory(
-        kind=kind,
-        times=times,
-        states=states,
-        diagnostics=diagnostics,
-        split=split,
-        truncated=truncated,
-        failure=failure,
-    )
+    return _run(kind, x0, dt, steps, target, log=False)
 
 
 # ---------------------------------------------------------------------------
@@ -449,42 +475,7 @@ def exp_family_solver(
     the identity dG/dt = mean fitness can be checked externally by finite
     differences.
     """
-    _check_steps(dt, steps)
-    if not isinstance(x0, SimplexPoint):
-        raise KindMismatchError("exponential-family solver requires a SimplexPoint start")
-    kind = Replicator(f)
-    _check_target(kind, target, x0.dim, None)
-    v = np.log(x0.coords)
-
-    def vfield(v_raw):
-        x = np.exp(v_raw - logsumexp(v_raw))
-        return evaluate_landscape(f, x)
-
-    states = [x0.coords.copy()]
-    normalizers = [float(logsumexp(v))]
-    truncated = False
-    failure = None
-    for k in range(int(steps)):
-        v = _rk4_step(vfield, v, dt)
-        big_g = float(logsumexp(v))
-        x = np.exp(v - big_g)
-        if not np.all(x > POS_FLOOR):
-            truncated = True
-            failure = f"positivity lost at step {k + 1} (t = {(k + 1) * dt:g})"
-            break
-        states.append(x)
-        normalizers.append(big_g)
-    states = np.array(states)
-    times = dt * np.arange(states.shape[0])
-    diagnostics = _diagnostics(kind, states, target, None, normalizer=np.array(normalizers))
-    return Trajectory(
-        kind=kind,
-        times=times,
-        states=states,
-        diagnostics=diagnostics,
-        truncated=truncated,
-        failure=failure,
-    )
+    return _run(Replicator(f), x0, dt, steps, target, log=True)
 
 
 def coupled_exp_family_solver(
@@ -501,48 +492,7 @@ def coupled_exp_family_solver(
     log-coordinates at every step and recorded as the two columns of the
     diagnostics normalizer array.
     """
-    _check_steps(dt, steps)
-    if not isinstance(state0, CoupledState):
-        raise KindMismatchError("coupled solver requires a CoupledState start")
-    kind = CoupledReplicator(f, g)
-    split = state0.pop1.dim
-    _check_target(kind, target, split + state0.pop2.dim, split)
-    z = np.log(state0.concatenated())
-
-    def zfield(z_raw):
-        p = np.exp(z_raw[:split] - logsumexp(z_raw[:split]))
-        q = np.exp(z_raw[split:] - logsumexp(z_raw[split:]))
-        return np.concatenate(
-            [evaluate_landscape_coupled(f, p, q), evaluate_landscape_coupled(g, q, p)]
-        )
-
-    states = [state0.concatenated()]
-    normalizers = [[float(logsumexp(z[:split])), float(logsumexp(z[split:]))]]
-    truncated = False
-    failure = None
-    for k in range(int(steps)):
-        z = _rk4_step(zfield, z, dt)
-        n1 = float(logsumexp(z[:split]))
-        n2 = float(logsumexp(z[split:]))
-        x = np.concatenate([np.exp(z[:split] - n1), np.exp(z[split:] - n2)])
-        if not np.all(x > POS_FLOOR):
-            truncated = True
-            failure = f"positivity lost at step {k + 1} (t = {(k + 1) * dt:g})"
-            break
-        states.append(x)
-        normalizers.append([n1, n2])
-    states = np.array(states)
-    times = dt * np.arange(states.shape[0])
-    diagnostics = _diagnostics(kind, states, target, split, normalizer=np.array(normalizers))
-    return Trajectory(
-        kind=kind,
-        times=times,
-        states=states,
-        diagnostics=diagnostics,
-        split=split,
-        truncated=truncated,
-        failure=failure,
-    )
+    return _run(CoupledReplicator(f, g), state0, dt, steps, target, log=True)
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +534,18 @@ def normalize_lv_trajectory(traj: Trajectory) -> Trajectory:
     )
 
 
+def _uniform_step(traj: Trajectory, use: str) -> float:
+    """Step of a trajectory's time grid, for central differences over >= 3 states."""
+    if len(traj) < 3:
+        raise EmptyTrajectoryError("need at least 3 states for a central difference")
+    dt = float(traj.times[-1] - traj.times[0]) / (len(traj) - 1)
+    # dt * arange grids carry rounding up to eps * t_max in each spacing
+    slack = 32.0 * np.finfo(float).eps * max(1.0, abs(float(traj.times[-1])))
+    if np.max(np.abs(np.diff(traj.times) - dt)) > slack:
+        raise ValueError(f"{use} requires a uniform time grid")
+    return dt
+
+
 def lv_correspondence_residual(traj: Trajectory) -> float:
     """Defect of the normalized abundance flow against replicator form.
 
@@ -598,14 +560,7 @@ def lv_correspondence_residual(traj: Trajectory) -> float:
         raise KindMismatchError(
             f"correspondence residual applies to abundance trajectories, got {type(traj.kind).__name__}"
         )
-    if len(traj) < 3:
-        raise EmptyTrajectoryError("need at least 3 states for a central difference")
-    dt_all = np.diff(traj.times)
-    dt = float(traj.times[-1] - traj.times[0]) / (len(traj) - 1)
-    # dt * arange grids carry rounding up to eps * t_max in each spacing
-    slack = 32.0 * np.finfo(float).eps * max(1.0, abs(float(traj.times[-1])))
-    if np.max(np.abs(dt_all - dt)) > slack:
-        raise ValueError("correspondence residual requires a uniform time grid")
+    dt = _uniform_step(traj, "correspondence residual")
     totals = traj.states.sum(axis=1)
     freqs = traj.states / totals[:, None]
     payoff = evaluate_landscape_batch(traj.kind.f, traj.states)

@@ -281,3 +281,70 @@ def test_check_gradient_subcommand_with_fractions(capsys):
 def test_check_bad_vector_exits_1(capsys):
     code = main(["check", "gradient", "--point", "what", "--grad", "1,2,3"])
     assert code == 1
+
+
+def test_zero_denominator_in_config_names_the_field(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "z.json", initial_state=["1/0", "1/2"])
+    with pytest.raises(ConfigError, match="initial_state"):
+        load_scenario(str(cfg))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "initial_state" in err
+
+
+def test_zero_denominator_in_check_option_exits_1(capsys):
+    assert main(["check", "gradient", "--point", "1/0,1", "--grad", "1,2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--point" in err
+
+
+def test_unknown_outputs_key_is_a_config_error(tmp_path):
+    # the spelling an older README documented
+    cfg = _write_config(tmp_path / "o.json", outputs={"trajectory": "hd.csv"})
+    with pytest.raises(ConfigError, match=r"outputs\.trajectory"):
+        load_scenario(str(cfg))
+    cfg = _write_config(
+        tmp_path / "o.json", outputs={"trajectory_csv": "t.csv", "report_json": "r.json"}
+    )
+    scenario = load_scenario(str(cfg))
+    assert (scenario.trajectory_file, scenario.report_file) == ("t.csv", "r.json")
+
+
+LOCALIZE_STDOUT = """{
+  "check": "localize",
+  "pass": true,
+  "report": {
+    "diag": [
+      2.000002666673138,
+      3.3333456790946188,
+      5.0000416672917005
+    ],
+    "sign": -1,
+    "max_offdiag": 1.0842021724855044e-13,
+    "max_error": 4.166729170052008e-05,
+    "tol": 0.0001
+  }
+}
+"""
+
+ESS_STDOUT = """{
+  "check": "ess",
+  "pass": true,
+  "report": {
+    "is_ess": true,
+    "min_margin": 1.0728260453340965e-06,
+    "samples_tested": 200,
+    "radius": 0.2,
+    "indeterminate": 0
+  }
+}
+"""
+
+
+def test_check_stdout_bytes_are_pinned(capsys):
+    assert main(["check", "localize", "--point", "0.5,0.3,0.2"]) == 0
+    assert capsys.readouterr().out == LOCALIZE_STDOUT
+    argv = ["check", "ess", "--matrix", "[[-1,2],[0,1]]", "--point", "1/2,1/2",
+            "--radius", "0.2", "--samples", "200", "--seed", "7"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ESS_STDOUT

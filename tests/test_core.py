@@ -240,6 +240,29 @@ def test_coupled_landscape_uses_other_population():
         evaluate_landscape_coupled(Linear(B), other, own)
 
 
+def test_one_evaluator_on_coupled_rows_matches_single_states():
+    rng = np.random.default_rng(5)
+    B = rng.standard_normal((2, 3))
+    own = rng.uniform(0.1, 1.0, size=(15, 2))
+    other = rng.uniform(0.1, 1.0, size=(15, 3))
+    landscapes = (
+        Linear(B),
+        LogLinear(B, rng.standard_normal(2)),
+        Scaled(Linear(B), 3.0),
+        Custom(lambda p, q: p * q.sum()),
+    )
+    for f in landscapes:
+        rows = evaluate_landscape(f, own, other)
+        single = np.stack([evaluate_landscape_coupled(f, p, q) for p, q in zip(own, other)])
+        assert rows.shape == (15, 2)
+        np.testing.assert_allclose(rows, single, rtol=0.0, atol=1e-14)
+    # the matrix products keep the bits of A @ x on one state and X @ A.T on rows
+    np.testing.assert_array_equal(evaluate_landscape(Linear(B), own, other), other @ B.T)
+    np.testing.assert_array_equal(evaluate_landscape(Linear(B), own[0], other[0]), B @ other[0])
+    with pytest.raises(DimensionMismatchError):
+        evaluate_landscape(Linear(B), other, own)
+
+
 # ---------------------------------------------------------------------------
 # statistics
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ Closed-form oracles used below:
   * conserved aggregate for antisymmetric payoff matrices: d|x|/dt = x.Ax = 0
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -411,3 +413,14 @@ def test_coupled_trajectory_keeps_blocks_normalized():
     assert traj.split == 2
     np.testing.assert_allclose(traj.states[:, :2].sum(axis=1), 1.0, atol=1e-9)
     np.testing.assert_allclose(traj.states[:, 2:].sum(axis=1), 1.0, atol=1e-9)
+
+
+def test_lv_blow_up_truncates_without_runtime_warnings():
+    # dx_i = x_i^2 from (1, 1) reaches infinity at t = 1; RK4 at dt = 0.1
+    # overflows a few steps later
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(LotkaVolterra(Linear(np.eye(2))), OrthantPoint(np.ones(2)), 0.1, 100)
+    assert traj.truncated
+    assert traj.failure == "positivity lost at step 13 (t = 1.3)"
+    assert len(traj) == 13
