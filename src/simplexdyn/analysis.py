@@ -11,6 +11,7 @@ than flapping on rounding noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -23,20 +24,20 @@ from .core import (
     SimplexPoint,
     TangentVector,
     evaluate_landscape_batch,
-    normalize,
 )
 from .divergence import kl_formula
 from .dynamics import (
     CoupledReplicator,
-    Ecological,
     LotkaVolterra,
     Replicator,
     ShiftedLotkaVolterra,
     Trajectory,
+    _blocks,
+    _frequencies,
+    _target_vector,
     _uniform_step,
 )
 from .errors import (
-    DimensionMismatchError,
     KindMismatchError,
     NotSymmetricError,
     RadiusTooLargeError,
@@ -86,47 +87,61 @@ class LyapunovReport:
     parallel_before_convergence: Optional[int] = None
 
 
-def _verdict(margins: np.ndarray) -> tuple[bool, int]:
+def _ess_report(
+    margins: np.ndarray, points: np.ndarray, radius: float, samples: int, parallel=None
+) -> EssReport:
     """Apply the indeterminacy-band semantics to sampled margins."""
-    indeterminate = int(np.sum(np.abs(margins) <= INDETERMINATE_BAND))
     any_negative = bool(np.any(margins < -INDETERMINATE_BAND))
     any_positive = bool(np.any(margins > INDETERMINATE_BAND))
-    return (not any_negative) and any_positive, indeterminate
+    return EssReport(
+        is_ess=(not any_negative) and any_positive,
+        min_margin=float(margins.min()),
+        samples_tested=int(samples),
+        radius=float(radius),
+        indeterminate=int(np.sum(np.abs(margins) <= INDETERMINATE_BAND)),
+        margins=margins,
+        samples=points,
+        parallel_samples=parallel,
+    )
 
 
-def _check_sampling(radius: float, samples: int) -> None:
+def _sampling_rng(radius: float, samples: int, seed: int) -> np.random.Generator:
+    """The seeded generator of a sampled check, once its radius and sample count are valid."""
     if not (float(radius) > 0.0):
         raise ValueError(f"radius must be > 0, got {radius}")
     if int(samples) != samples or samples < 1:
         raise ValueError(f"samples must be a positive integer, got {samples}")
+    return np.random.default_rng(seed)
 
 
 def _tangent_ball_samples(
-    rng: np.random.Generator, center: np.ndarray, radius: float, count: int
+    rng: np.random.Generator, centers: list, radius: float, count: int
 ) -> np.ndarray:
-    """Uniform draws from the tangent ball around ``center``, renormalized.
+    """Uniform draws from the tangent ball around each center, renormalized.
 
-    Each draw is a zero-sum direction scaled for uniformity over the
-    (n-1)-dimensional ball; the perturbed point must stay strictly positive
-    (otherwise the radius is too large for this center) and is then divided
-    by its exact coordinate sum to remove rounding drift.
+    A row holds one draw per center, in order: a zero-sum direction scaled for
+    uniformity over the (n-1)-dimensional ball.  The perturbed point must stay
+    strictly positive (otherwise the radius is too large for this center) and
+    is then divided by its exact coordinate sum to remove rounding drift.
     """
-    n = center.size
-    out = np.empty((count, n))
+    out = np.empty((count, sum(center.size for center in centers)))
     for k in range(count):
-        while True:
-            z = rng.standard_normal(n)
-            z -= z.mean()
-            norm = float(np.linalg.norm(z))
-            if norm > 1e-12:
-                break
-        u = z * (radius * rng.random() ** (1.0 / (n - 1)) / norm)
-        point = center + u
-        if not np.all(point > 0.0):
-            raise RadiusTooLargeError(
-                f"sample left the interior: radius {radius} too large around {center}"
-            )
-        out[k] = point / point.sum()
+        col = 0
+        for center in centers:
+            n = center.size
+            while True:
+                z = rng.standard_normal(n)
+                z -= z.mean()
+                norm = float(np.linalg.norm(z))
+                if norm > 1e-12:
+                    break
+            point = center + z * (radius * rng.random() ** (1.0 / (n - 1)) / norm)
+            if not np.all(point > 0.0):
+                raise RadiusTooLargeError(
+                    f"sample left the interior: radius {radius} too large around {center}"
+                )
+            out[k, col : col + n] = point / point.sum()
+            col += n
     return out
 
 
@@ -151,6 +166,26 @@ def _orthant_ball_samples(
     return out
 
 
+def _simplex_ess(
+    kind, hat: np.ndarray, split: Optional[int], radius: float, samples: int, seed: int
+) -> EssReport:
+    """Sampled stability of ``hat`` under ``kind``, one tangent-ball draw per population block.
+
+    The margin at a sample x is sum_b hat_b . f_b(x) - sum_b x_b . f_b(x).
+    """
+    blocks = _blocks(kind, split)
+    rng = _sampling_rng(radius, samples, seed)
+    points = _tangent_ball_samples(rng, [hat[own] for own, _, _ in blocks], radius, int(samples))
+    payoffs = [
+        evaluate_landscape_batch(land, points[:, own], None if other is None else points[:, other])
+        for own, land, other in blocks
+    ]
+    margins = reduce(np.add, [payoff @ hat[own] for (own, _, _), payoff in zip(blocks, payoffs)])
+    for (own, _, _), payoff in zip(blocks, payoffs):
+        margins = margins - np.einsum("ij,ij->i", points[:, own], payoff)
+    return _ess_report(margins, points, radius, samples)
+
+
 def ess_check(
     candidate: SimplexPoint, f: Landscape, radius: float, samples: int, seed: int
 ) -> EssReport:
@@ -160,21 +195,7 @@ def ess_check(
     candidate is evolutionarily stable on the sampled neighborhood when no
     margin is definitely negative and at least one is definitely positive.
     """
-    _check_sampling(radius, samples)
-    rng = np.random.default_rng(seed)
-    points = _tangent_ball_samples(rng, candidate.coords, radius, int(samples))
-    payoff = evaluate_landscape_batch(f, points)
-    margins = payoff @ candidate.coords - np.einsum("ij,ij->i", points, payoff)
-    is_ess, indeterminate = _verdict(margins)
-    return EssReport(
-        is_ess=is_ess,
-        min_margin=float(margins.min()),
-        samples_tested=int(samples),
-        radius=float(radius),
-        indeterminate=indeterminate,
-        margins=margins,
-        samples=points,
-    )
+    return _simplex_ess(Replicator(f), candidate.coords, None, radius, samples, seed)
 
 
 def coupled_ess_check(
@@ -191,34 +212,8 @@ def coupled_ess_check(
     Samples (p, q) from the product of tangent balls and evaluates the
     summed margin p_hat . f(p,q) + q_hat . g(p,q) - p . f(p,q) - q . g(p,q).
     """
-    _check_sampling(radius, samples)
-    rng = np.random.default_rng(seed)
-    p_hat = p_hat.coords
-    q_hat = q_hat.coords
-    count = int(samples)
-    p_rows = np.empty((count, p_hat.size))
-    q_rows = np.empty((count, q_hat.size))
-    for k in range(count):
-        p_rows[k] = _tangent_ball_samples(rng, p_hat, radius, 1)[0]
-        q_rows[k] = _tangent_ball_samples(rng, q_hat, radius, 1)[0]
-    fp = evaluate_landscape_batch(f, p_rows, q_rows)
-    gq = evaluate_landscape_batch(g, q_rows, p_rows)
-    margins = (
-        fp @ p_hat
-        + gq @ q_hat
-        - np.einsum("ij,ij->i", p_rows, fp)
-        - np.einsum("ij,ij->i", q_rows, gq)
-    )
-    is_ess, indeterminate = _verdict(margins)
-    return EssReport(
-        is_ess=is_ess,
-        min_margin=float(margins.min()),
-        samples_tested=count,
-        radius=float(radius),
-        indeterminate=indeterminate,
-        margins=margins,
-        samples=np.hstack([p_rows, q_rows]),
-    )
+    hat = CoupledState(p_hat, q_hat).concatenated()
+    return _simplex_ess(CoupledReplicator(f, g), hat, p_hat.dim, radius, samples, seed)
 
 
 def _sine_to_direction(states: np.ndarray, direction: np.ndarray) -> np.ndarray:
@@ -241,25 +236,14 @@ def denormalized_ess_check(
     the angle), since the denormalized divergence cannot separate a point
     from its positive multiples.
     """
-    _check_sampling(radius, samples)
-    rng = np.random.default_rng(seed)
+    rng = _sampling_rng(radius, samples, seed)
     points = _orthant_ball_samples(rng, candidate.coords, radius, int(samples))
     payoff = evaluate_landscape_batch(f, points)
     margins = payoff @ candidate.coords / candidate.total - np.einsum(
         "ij,ij->i", points, payoff
     ) / points.sum(axis=1)
-    is_ess, indeterminate = _verdict(margins)
     parallel = int(np.sum(_sine_to_direction(points, candidate.coords) <= PARALLEL_TOL))
-    return EssReport(
-        is_ess=is_ess,
-        min_margin=float(margins.min()),
-        samples_tested=int(samples),
-        radius=float(radius),
-        indeterminate=indeterminate,
-        margins=margins,
-        samples=points,
-        parallel_samples=parallel,
-    )
+    return _ess_report(margins, points, radius, samples, parallel)
 
 
 # ---------------------------------------------------------------------------
@@ -270,44 +254,19 @@ def denormalized_ess_check(
 def _divergence_series(traj: Trajectory, target) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Kind-appropriate divergence of every recorded state from the target.
 
+    The divergence is KL between frequencies, summed over population blocks.
     Returns the series and, for abundance kinds, the per-state sine of the
     angle to the target ray (None otherwise).
     """
     kind = traj.kind
-    if isinstance(kind, (Replicator, Ecological)):
-        if not isinstance(target, SimplexPoint):
-            raise KindMismatchError("simplex trajectory requires a SimplexPoint target")
-        if target.dim != traj.states.shape[1]:
-            raise DimensionMismatchError("target dimension does not match trajectory")
-        t = target.coords
-        values = np.array([max(kl_formula(t, row), 0.0) for row in traj.states])
-        return values, None
-    if isinstance(kind, (LotkaVolterra, ShiftedLotkaVolterra)):
-        if not isinstance(target, OrthantPoint):
-            raise KindMismatchError("abundance trajectory requires an OrthantPoint target")
-        if target.dim != traj.states.shape[1]:
-            raise DimensionMismatchError("target dimension does not match trajectory")
-        t = normalize(target).coords
-        totals = traj.states.sum(axis=1)
-        freqs = traj.states / totals[:, None]
-        values = np.array([max(kl_formula(t, row), 0.0) for row in freqs])
-        return values, _sine_to_direction(traj.states, target.coords)
-    if isinstance(kind, CoupledReplicator):
-        if not isinstance(target, CoupledState):
-            raise KindMismatchError("coupled trajectory requires a CoupledState target")
-        split = traj.split
-        if target.pop1.dim != split or target.pop2.dim != traj.states.shape[1] - split:
-            raise DimensionMismatchError("target dimensions do not match trajectory")
-        t1 = target.pop1.coords
-        t2 = target.pop2.coords
-        values = np.array(
-            [
-                max(kl_formula(t1, row[:split]), 0.0) + max(kl_formula(t2, row[split:]), 0.0)
-                for row in traj.states
-            ]
-        )
-        return values, None
-    raise KindMismatchError(f"unknown trajectory kind: {type(kind).__name__}")
+    t = _target_vector(kind, target, traj.states.shape[1], traj.split)
+    rows, t = _frequencies(kind, traj.states, t)
+    values = [
+        np.maximum(kl_formula(t[own], rows[:, own]), 0.0) for own, _, _ in _blocks(kind, traj.split)
+    ]
+    orthant = isinstance(kind, (LotkaVolterra, ShiftedLotkaVolterra))
+    sines = _sine_to_direction(traj.states, target.coords) if orthant else None
+    return reduce(np.add, values), sines
 
 
 def lyapunov_monitor(traj: Trajectory, target) -> LyapunovReport:

@@ -50,15 +50,19 @@ _KIND_NAMES = {
     "coupled_replicator": dynamics.CoupledReplicator,
 }
 
-_CHECK_NAMES = (
-    "ess",
-    "coupled_ess",
-    "denorm_ess",
-    "lyapunov",
-    "fisher_theorem",
-    "gradient_consistency",
-    "localize",
-)
+_ESS_KEYS = {"radius": 0.05, "samples": 500, "seed": 0, "expect": True}
+
+#: The keys each check accepts besides 'name', with their defaults (None: no
+#: default, the key is optional).  Any other key is a configuration error.
+_CHECK_KEYS = {
+    "ess": _ESS_KEYS,
+    "coupled_ess": _ESS_KEYS,
+    "denorm_ess": _ESS_KEYS,
+    "lyapunov": {"require_converged": False, "max_drift": None},
+    "fisher_theorem": {"tol": 1e-5},
+    "gradient_consistency": {"point": None, "grad": None, "probes": 100, "seed": 0, "tol": 1e-10},
+    "localize": {"point": None, "h": 1e-3, "tol": 1e-4},
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,11 +199,19 @@ def load_scenario(path: str) -> Scenario:
     checks = config.get("checks", [])
     if not isinstance(checks, list):
         raise ConfigError("field 'checks' must be a list")
-    for entry in checks:
-        if not isinstance(entry, dict) or entry.get("name") not in _CHECK_NAMES:
+    for i, entry in enumerate(checks):
+        if not isinstance(entry, dict) or entry.get("name") not in _CHECK_KEYS:
             raise ConfigError(
-                f"each check must be an object whose 'name' is one of {_CHECK_NAMES}, got {entry!r}"
+                f"each check must be an object whose 'name' is one of {tuple(_CHECK_KEYS)}, "
+                f"got {entry!r}"
             )
+        keys = _CHECK_KEYS[entry["name"]]
+        for key in entry:
+            if key != "name" and key not in keys:
+                raise ConfigError(
+                    f"unknown key 'checks[{i}].{key}' "
+                    f"(check '{entry['name']}' takes {sorted(keys)})"
+                )
 
     outputs = config.get("outputs", {})
     if not isinstance(outputs, dict):
@@ -318,9 +330,17 @@ def _localize_metrics(point: SimplexPoint, h: float, tol: float) -> tuple[bool, 
     }
 
 
+def _gradient_metrics(
+    point: SimplexPoint, grad: np.ndarray, probes: int, seed: int, tol: float
+) -> tuple[bool, dict]:
+    """Metric-gradient consistency at ``point``; pass when the residual is within ``tol``."""
+    residual = analysis.gradient_consistency_check(point, grad, probes, seed)
+    return bool(residual <= tol), {"residual": residual, "tol": tol, "probes": probes}
+
+
 def _check_point(check: dict, scenario: Scenario, field: str) -> SimplexPoint:
-    """Simplex point for a check: explicit 'point', else the scenario target/initial."""
-    if "point" in check:
+    """Simplex point for a check: its 'point', else the scenario's initial state."""
+    if check["point"] is not None:
         return validate_simplex(_coerce_array(check["point"], f"{field}.point"))
     state = scenario.initial
     if isinstance(state, SimplexPoint):
@@ -330,15 +350,18 @@ def _check_point(check: dict, scenario: Scenario, field: str) -> SimplexPoint:
 
 def _run_check(check: dict, scenario: Scenario, traj: dynamics.Trajectory) -> dict:
     name = check["name"]
+    if name not in _CHECK_KEYS:
+        raise ConfigError(f"unknown check name {name!r}")
+    check = {**_CHECK_KEYS[name], **check}
     if name == "lyapunov":
         if scenario.target is None:
             raise ConfigError("lyapunov check requires the scenario to set a target")
         report = analysis.lyapunov_monitor(traj, scenario.target)
         drift = report.final_value - report.initial_value
         passed = report.monotone
-        if check.get("require_converged", False):
+        if check["require_converged"]:
             passed = passed and report.converged
-        if "max_drift" in check:
+        if check["max_drift"] is not None:
             passed = passed and abs(drift) <= float(check["max_drift"])
         metrics = {
             "monotone": report.monotone,
@@ -353,10 +376,10 @@ def _run_check(check: dict, scenario: Scenario, traj: dynamics.Trajectory) -> di
         return {"name": name, "pass": bool(passed), "metrics": metrics}
 
     if name in ("ess", "coupled_ess", "denorm_ess"):
-        radius = float(check.get("radius", 0.05))
-        samples = int(check.get("samples", 500))
-        seed = int(check.get("seed", 0))
-        expect = bool(check.get("expect", True))
+        radius = float(check["radius"])
+        samples = int(check["samples"])
+        seed = int(check["seed"])
+        expect = bool(check["expect"])
         if scenario.target is None:
             raise ConfigError(f"{name} check requires the scenario to set a target")
         kind = scenario.kind
@@ -383,7 +406,7 @@ def _run_check(check: dict, scenario: Scenario, traj: dynamics.Trajectory) -> di
         return {"name": name, "pass": passed, "metrics": _ess_metrics(report)}
 
     if name == "fisher_theorem":
-        tol = float(check.get("tol", 1e-5))
+        tol = float(check["tol"])
         residual = analysis.fisher_theorem_check(traj)
         return {
             "name": name,
@@ -392,29 +415,21 @@ def _run_check(check: dict, scenario: Scenario, traj: dynamics.Trajectory) -> di
         }
 
     if name == "gradient_consistency":
-        tol = float(check.get("tol", 1e-10))
-        probes = int(check.get("probes", 100))
-        seed = int(check.get("seed", 0))
         point = _check_point(check, scenario, name)
-        if "grad" in check:
+        if check["grad"] is not None:
             grad = _coerce_array(check["grad"], f"{name}.grad")
         else:
             land = scenario.kind.f if hasattr(scenario.kind, "f") else scenario.kind.g
             grad = evaluate_landscape(land, point.coords)
-        residual = analysis.gradient_consistency_check(point, grad, probes, seed)
-        return {
-            "name": name,
-            "pass": bool(residual <= tol),
-            "metrics": {"residual": residual, "tol": tol, "probes": probes},
-        }
-
-    if name == "localize":
-        h = float(check.get("h", 1e-3))
-        tol = float(check.get("tol", 1e-4))
-        passed, metrics = _localize_metrics(_check_point(check, scenario, name), h, tol)
+        passed, metrics = _gradient_metrics(
+            point, grad, int(check["probes"]), int(check["seed"]), float(check["tol"])
+        )
         return {"name": name, "pass": passed, "metrics": metrics}
 
-    raise ConfigError(f"unknown check name {name!r}")
+    # localize
+    h, tol = float(check["h"]), float(check["tol"])
+    passed, metrics = _localize_metrics(_check_point(check, scenario, name), h, tol)
+    return {"name": name, "pass": passed, "metrics": metrics}
 
 
 def run_scenario(
@@ -507,14 +522,8 @@ def check_command(args: argparse.Namespace) -> int:
     if args.check == "gradient":
         point = validate_simplex(_coerce_array(args.point.split(","), "--point"))
         grad = _coerce_array(args.grad.split(","), "--grad")
-        residual = analysis.gradient_consistency_check(point, grad, args.probes, args.seed)
-        passed = residual <= args.tol
-        payload = {
-            "check": "gradient",
-            "pass": passed,
-            "report": {"residual": residual, "probes": args.probes, "tol": args.tol},
-        }
-        _emit(payload, args.quiet)
+        passed, metrics = _gradient_metrics(point, grad, args.probes, args.seed, args.tol)
+        _emit({"check": "gradient", "pass": passed, "report": metrics}, args.quiet)
         return 0 if passed else 2
 
     raise ConfigError(f"unknown check {args.check!r}")
@@ -545,23 +554,27 @@ def _build_parser() -> argparse.ArgumentParser:
     ess = chk_sub.add_parser("ess", help="sampled evolutionary stability check")
     ess.add_argument("--matrix", required=True, help='payoff matrix as JSON, e.g. "[[-1,2],[0,1]]"')
     ess.add_argument("--point", required=True, help='candidate, e.g. "0.5,0.5"')
-    ess.add_argument("--radius", type=float, default=0.05)
-    ess.add_argument("--samples", type=int, default=500)
-    ess.add_argument("--seed", type=int, default=0)
+    ess.add_argument("--radius", type=float, default=_ESS_KEYS["radius"])
+    ess.add_argument("--samples", type=int, default=_ESS_KEYS["samples"])
+    ess.add_argument("--seed", type=int, default=_ESS_KEYS["seed"])
     ess.add_argument("--quiet", action="store_true")
 
     loc = chk_sub.add_parser("localize", help="localize the KL divergence at a point")
     loc.add_argument("--point", required=True, help='evaluation point, e.g. "0.5,0.5"')
-    loc.add_argument("--h", type=float, default=1e-3, help="central-difference step")
-    loc.add_argument("--tol", type=float, default=1e-4, help="allowed deviation from 1/x_i")
+    loc_keys = _CHECK_KEYS["localize"]
+    loc.add_argument("--h", type=float, default=loc_keys["h"], help="central-difference step")
+    loc.add_argument(
+        "--tol", type=float, default=loc_keys["tol"], help="allowed deviation from 1/x_i"
+    )
     loc.add_argument("--quiet", action="store_true")
 
     grad = chk_sub.add_parser("gradient", help="metric-gradient consistency check")
     grad.add_argument("--point", required=True, help='evaluation point, e.g. "1/3,1/3,1/3"')
     grad.add_argument("--grad", required=True, help='Euclidean potential gradient, e.g. "1,2,3"')
-    grad.add_argument("--probes", type=int, default=100)
-    grad.add_argument("--seed", type=int, default=0)
-    grad.add_argument("--tol", type=float, default=1e-10)
+    grad_keys = _CHECK_KEYS["gradient_consistency"]
+    grad.add_argument("--probes", type=int, default=grad_keys["probes"])
+    grad.add_argument("--seed", type=int, default=grad_keys["seed"])
+    grad.add_argument("--tol", type=float, default=grad_keys["tol"])
     grad.add_argument("--quiet", action="store_true")
 
     return parser

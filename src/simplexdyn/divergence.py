@@ -37,16 +37,18 @@ def as_report(value: float) -> DivergenceReport:
     return DivergenceReport(value=value, minimized=value <= MIN_TOL)
 
 
-def kl_formula(a, b) -> float:
+def kl_formula(a, b):
     """Raw algebraic form sum_i a_i (log a_i - log b_i) for positive vectors.
 
     This is the smooth extension used by divergence localization; it is
     deliberately not clamped, because off the simplex the expression can be
-    legitimately negative.
+    legitimately negative.  Stacked arguments of shape (..., n) broadcast and
+    sum over the last axis into an array; one pair of vectors gives a float.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return float(np.sum(a * (np.log(a) - np.log(b))))
+    value = np.sum(a * (np.log(a) - np.log(b)), axis=-1)
+    return float(value) if value.ndim == 0 else value
 
 
 def kl(target: SimplexPoint, x: SimplexPoint) -> float:

@@ -23,6 +23,7 @@ exp(v - G) per population block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Union
 
 import numpy as np
@@ -37,7 +38,6 @@ from .core import (
     TangentVector,
     evaluate_landscape,
     evaluate_landscape_batch,
-    normalize,
 )
 from .errors import (
     DimensionMismatchError,
@@ -190,9 +190,10 @@ class Trajectory:
         if isinstance(self.kind, CoupledReplicator):
             if self.split is None or not (0 < self.split < states.shape[1]):
                 raise ValueError("coupled trajectory requires a valid split index")
-        for block in _simplex_blocks(self.kind, self.split):
-            if np.max(np.abs(states[:, block].sum(axis=1) - 1.0)) > SIMPLEX_TOL:
-                raise ValueError("simplex trajectory rows must sum to 1 within tolerance")
+        if not isinstance(self.kind, _ORTHANT_KINDS):
+            for own, _, _ in _blocks(self.kind, self.split):
+                if np.max(np.abs(states[:, own].sum(axis=1) - 1.0)) > SIMPLEX_TOL:
+                    raise ValueError("simplex trajectory rows must sum to 1 within tolerance")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
 
@@ -230,13 +231,14 @@ def logsumexp(v: np.ndarray) -> float:
     return float(top + np.log(np.exp(v - top).sum()))
 
 
-def _simplex_blocks(kind: VectorFieldKind, split: Optional[int]) -> tuple:
-    """Slices of the state vector that each live on a simplex."""
+def _blocks(kind: VectorFieldKind, split: Optional[int]) -> tuple:
+    """One (slice, landscape, other population's slice or None) per population of the state."""
     if isinstance(kind, CoupledReplicator):
-        return (slice(0, split), slice(split, None))
-    if isinstance(kind, _SIMPLEX_KINDS):
-        return (slice(None),)
-    return ()
+        p, q = slice(0, split), slice(split, None)
+        return ((p, kind.f, q), (q, kind.g, p))
+    if not isinstance(kind, _SIMPLEX_KINDS + _ORTHANT_KINDS):
+        raise TypeError(f"unknown field kind: {kind!r}")
+    return ((slice(None), kind.g if isinstance(kind, Ecological) else kind.f, None),)
 
 
 def _make_field(kind: VectorFieldKind, split: Optional[int] = None):
@@ -314,16 +316,15 @@ def _log_chart(blocks: tuple):
     return chart
 
 
-def _log_field(kind: VectorFieldKind, chart, split: Optional[int]):
+def _log_field(blocks: tuple, chart):
     """dv = f(x) at the chart's state x = exp(v - G): the replicator flow in log coordinates."""
-    if split is None:
-        return lambda v: evaluate_landscape(kind.f, chart(v)[0])
 
     def field(v):
         x = chart(v)[0]
-        p = x[:split]
-        q = x[split:]
-        return np.concatenate([evaluate_landscape(kind.f, p, q), evaluate_landscape(kind.g, q, p)])
+        return np.concatenate(
+            [evaluate_landscape(land, x[own], None if other is None else x[other])
+             for own, land, other in blocks]
+        )
 
     return field
 
@@ -345,6 +346,22 @@ def _state_vector(kind: VectorFieldKind, state, role: str) -> tuple[np.ndarray, 
     return state.coords.copy(), None
 
 
+def _target_vector(kind: VectorFieldKind, target, size: int, split: Optional[int]) -> np.ndarray:
+    """``target`` as one vector, checked against states of ``size`` coordinates and ``split``."""
+    vector, target_split = _state_vector(kind, target, "target")
+    if (vector.size, target_split) != (size, split):
+        raise DimensionMismatchError("target dimensions do not match the state dimensions")
+    return vector
+
+
+def _frequencies(kind: VectorFieldKind, states: np.ndarray, target: Optional[np.ndarray]):
+    """Rows and target as population frequencies: abundance kinds divide each by its total."""
+    if isinstance(kind, _ORTHANT_KINDS):
+        states = states / states.sum(axis=1)[:, None]
+        target = None if target is None else target / target.sum()
+    return states, target
+
+
 def _kl_rows(target: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Vectorized D(target || row) over trajectory rows, floored at zero."""
     const = float(np.dot(target, np.log(target)))
@@ -355,40 +372,27 @@ def _kl_rows(target: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _diagnostics(
     kind: VectorFieldKind,
     states: np.ndarray,
-    target,
+    target: Optional[np.ndarray],
     split: Optional[int],
     normalizer: Optional[np.ndarray] = None,
 ) -> Diagnostics:
-    nan = np.full(states.shape[0], np.nan)
-    if isinstance(kind, _SIMPLEX_KINDS):
-        land = kind.f if isinstance(kind, Replicator) else kind.g
-        payoff = evaluate_landscape_batch(land, states)
-        mean = np.einsum("ij,ij->i", states, payoff)
-        var = np.einsum("ij,ij->i", states, (payoff - mean[:, None]) ** 2)
-        div = _kl_rows(target.coords, states) if target is not None else nan
-        return Diagnostics(mean, var, div, states.sum(axis=1), normalizer)
-    if isinstance(kind, _ORTHANT_KINDS):
-        totals = states.sum(axis=1)
-        freqs = states / totals[:, None]
-        payoff = evaluate_landscape_batch(kind.f, states)
-        mean = np.einsum("ij,ij->i", freqs, payoff)
-        var = np.einsum("ij,ij->i", freqs, (payoff - mean[:, None]) ** 2)
-        div = _kl_rows(normalize(target).coords, freqs) if target is not None else nan
-        return Diagnostics(mean, var, div, totals, normalizer)
-    p = states[:, :split]
-    q = states[:, split:]
-    fp = evaluate_landscape_batch(kind.f, p, q)
-    gq = evaluate_landscape_batch(kind.g, q, p)
-    mean_p = np.einsum("ij,ij->i", p, fp)
-    mean_q = np.einsum("ij,ij->i", q, gq)
-    var = np.einsum("ij,ij->i", p, (fp - mean_p[:, None]) ** 2) + np.einsum(
-        "ij,ij->i", q, (gq - mean_q[:, None]) ** 2
-    )
-    if target is not None:
-        div = _kl_rows(target.pop1.coords, p) + _kl_rows(target.pop2.coords, q)
-    else:
-        div = nan
-    return Diagnostics(mean_p + mean_q, var, div, states.sum(axis=1), normalizer)
+    """Mean fitness, variance and divergence to ``target``, each summed over population blocks."""
+    weights, target = _frequencies(kind, states, target)
+    means, variances, divergences = [], [], []
+    for own, land, other in _blocks(kind, split):
+        payoff = evaluate_landscape_batch(
+            land, states[:, own], None if other is None else states[:, other]
+        )
+        w = weights[:, own]
+        mean = np.einsum("ij,ij->i", w, payoff)
+        means.append(mean)
+        variances.append(np.einsum("ij,ij->i", w, (payoff - mean[:, None]) ** 2))
+        if target is not None:
+            divergences.append(_kl_rows(target[own], w))
+    # reduce keeps one block's bits (np.sum would turn a -0.0 into 0.0)
+    div = reduce(np.add, divergences) if divergences else np.full(states.shape[0], np.nan)
+    mean, var = reduce(np.add, means), reduce(np.add, variances)
+    return Diagnostics(mean, var, div, states.sum(axis=1), normalizer)
 
 
 def _run(kind: VectorFieldKind, x0, dt: float, steps: int, target, log: bool) -> Trajectory:
@@ -399,20 +403,20 @@ def _run(kind: VectorFieldKind, x0, dt: float, steps: int, target, log: bool) ->
     place.  The first recorded row is the start state exactly as given.  A
     step whose recorded state has a coordinate at or below POS_FLOOR (or a
     non-finite one) halts the run; the overflow and invalid-value warnings of
-    such a blow-up are silenced.
+    such a blow-up, in the loop and in the diagnostics of the rows before it,
+    are silenced.
     """
     _check_steps(dt, steps)
     start, split = _state_vector(kind, x0, "start")
     if target is not None:
-        target_vector, target_split = _state_vector(kind, target, "target")
-        if (target_vector.size, target_split) != (start.size, split):
-            raise DimensionMismatchError("target dimensions do not match the start state")
-    blocks = _simplex_blocks(kind, split)
+        target = _target_vector(kind, target, start.size, split)
+    blocks = _blocks(kind, split)
+    simplex = () if isinstance(kind, _ORTHANT_KINDS) else tuple(own for own, _, _ in blocks)
     if log:
-        chart = _log_chart(blocks)
-        y, field = np.log(start), _log_field(kind, chart, split)
+        chart = _log_chart(simplex)
+        y, field = np.log(start), _log_field(blocks, chart)
     else:
-        chart = _direct_chart(blocks)
+        chart = _direct_chart(simplex)
         y, field = start, _make_field(kind, split)
     states = [start]
     normalizers = [chart(y.copy())[2]]
@@ -421,19 +425,20 @@ def _run(kind: VectorFieldKind, x0, dt: float, steps: int, target, log: bool) ->
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(int(steps)):
             x, y, big_g = chart(_rk4_step(field, y, dt))
-            if not np.all(x > POS_FLOOR):
+            if not (x.min() > POS_FLOOR and x.max() < np.inf):
                 truncated = True
                 failure = f"positivity lost at step {k + 1} (t = {(k + 1) * dt:g})"
                 break
             states.append(x)
             normalizers.append(big_g)
-    states = np.array(states)
-    normalizer = None if normalizers[0] is None else np.array(normalizers)
+        states = np.array(states)
+        normalizer = None if normalizers[0] is None else np.array(normalizers)
+        diagnostics = _diagnostics(kind, states, target, split, normalizer)
     return Trajectory(
         kind=kind,
         times=dt * np.arange(states.shape[0]),
         states=states,
-        diagnostics=_diagnostics(kind, states, target, split, normalizer),
+        diagnostics=diagnostics,
         split=split,
         truncated=truncated,
         failure=failure,
@@ -513,8 +518,7 @@ def normalize_lv_trajectory(traj: Trajectory) -> Trajectory:
         )
     if len(traj) == 0:
         raise EmptyTrajectoryError("cannot normalize an empty trajectory")
-    totals = traj.states.sum(axis=1)
-    freqs = traj.states / totals[:, None]
+    freqs = _frequencies(traj.kind, traj.states, None)[0]
     d = traj.diagnostics
     diagnostics = Diagnostics(
         mean_fitness=d.mean_fitness.copy(),

@@ -348,3 +348,34 @@ def test_check_stdout_bytes_are_pinned(capsys):
             "--radius", "0.2", "--samples", "200", "--seed", "7"]
     assert main(argv) == 0
     assert capsys.readouterr().out == ESS_STDOUT
+
+
+GRADIENT_STDOUT = """{
+  "check": "gradient",
+  "pass": true,
+  "report": {
+    "residual": 4.440892098500626e-16,
+    "tol": 1e-10,
+    "probes": 50
+  }
+}
+"""
+
+
+def test_check_gradient_stdout_bytes_are_pinned(capsys):
+    # the metrics keep the order simulate writes: residual, tol, probes
+    argv = ["check", "gradient", "--point", "1/4,3/4", "--grad", "1,2", "--seed", "3",
+            "--probes", "50"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == GRADIENT_STDOUT
+
+
+def test_unknown_check_key_is_a_config_error(tmp_path, capsys):
+    checks = [{"name": "lyapunov"}, {"name": "ess", "sampels": 3}]
+    cfg = _write_config(tmp_path / "c.json", checks=checks)
+    with pytest.raises(ConfigError, match=r"checks\[1\]\.sampels"):
+        load_scenario(str(cfg))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    assert "checks[1].sampels" in capsys.readouterr().err
+    cfg = _write_config(tmp_path / "c.json", checks=[{"name": "ess", "samples": 3}])
+    assert load_scenario(str(cfg)).checks == [{"name": "ess", "samples": 3}]

@@ -424,3 +424,29 @@ def test_lv_blow_up_truncates_without_runtime_warnings():
     assert traj.truncated
     assert traj.failure == "positivity lost at step 13 (t = 1.3)"
     assert len(traj) == 13
+
+
+def test_lv_overflow_to_inf_halts_before_the_inf_row():
+    # dx_i = 3 x_i^2 from (1, 1) at dt = 0.05: step 9 overflows to inf, which
+    # is not a finite state and must not be recorded
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(
+            LotkaVolterra(Linear(np.diag([3.0, 3.0]))), OrthantPoint(np.ones(2)), 0.05, 100
+        )
+    assert traj.truncated
+    assert traj.failure == "positivity lost at step 9 (t = 0.45)"
+    assert np.all(np.isfinite(traj.states))
+    assert np.all(np.isfinite(traj.diagnostics.mean_fitness))
+
+
+def test_lv_blow_up_diagnostics_raise_no_runtime_warnings():
+    # the recorded rows stay finite, but squaring their payoffs in the
+    # variance overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(
+            LotkaVolterra(Linear(np.diag([1.0, 0.9]))), OrthantPoint(np.ones(2)), 0.1, 100
+        )
+    assert traj.truncated
+    assert np.all(np.isfinite(traj.states))

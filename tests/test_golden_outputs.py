@@ -153,3 +153,128 @@ def test_reports_match_pinned_values(simulated):
     for name, expected in REPORTS.items():
         got = json.loads((out / name).read_text())
         assert _mismatches(expected, got) == [], name
+
+
+# Inline configs for the paths the bundled scenarios do not reach: two
+# population blocks of different sizes, and an abundance flow with a
+# log-linear payoff, each with its Lyapunov and stability checks.
+COUPLED_CONFIG = {
+    "name": "coupled_blocks",
+    "kind": "coupled_replicator",
+    "landscape": {
+        "f": {"type": "linear", "matrix": [[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0]]},
+        "g": {"type": "linear", "matrix": [[-1.0, 1.0], [1.0, -1.0], [0.0, 0.0]]},
+    },
+    "initial_state": {"p": [0.7, 0.3], "q": [0.2, 0.5, 0.3]},
+    "target": {"p": [0.5, 0.5], "q": ["1/3", "1/3", "1/3"]},
+    "dt": 0.01,
+    "steps": 2000,
+    "checks": [
+        {"name": "lyapunov", "max_drift": 1e-9},
+        {"name": "coupled_ess", "expect": False, "radius": 0.05, "samples": 200, "seed": 5},
+    ],
+}
+
+LV_CONFIG = {
+    "name": "lv_log_linear",
+    "kind": "lotka_volterra",
+    "landscape": {
+        "type": "log_linear",
+        "matrix": [[-1.0, -0.2, 0.0], [0.0, -1.0, -0.2], [-0.2, 0.0, -1.0]],
+        "offset": [0.1, 0.2, 0.3],
+    },
+    "initial_state": [0.5, 2.0, 1.0],
+    # the interior rest point exp(-M^-1 offset)
+    "target": [1.0740414307162958, 1.1535649948951077, 1.33071219744735],
+    "dt": 0.01,
+    "steps": 1500,
+    "checks": [
+        {"name": "lyapunov"},
+        {"name": "denorm_ess", "radius": 0.1, "samples": 200, "seed": 9},
+    ],
+}
+
+INLINE_TRAJECTORY_SHA256 = {
+    ("coupled_blocks", "csv"): "0760759c6d62dc9e44fc8656b35f7fa9b0f22374bfbe4ae67108a82412169d84",
+    ("coupled_blocks", "json"): "8e2cd89f97483dc0a707b3f73173cfb29506e47ea48b6e63059e6c407acafac9",
+    ("lv_log_linear", "csv"): "ac9af31df51759be1a31a399155a1307a03b9c06a37b3149f03ba60d69b75868",
+    ("lv_log_linear", "json"): "c29b00a711c95f6b066f4fafbef143e40d9e2c1f04b1a87c64f21153a3a19458",
+}
+
+INLINE_REPORTS = {
+    "coupled_blocks": {
+        "scenario": "coupled_blocks",
+        "checks": [
+            {
+                "name": "lyapunov",
+                "pass": True,
+                "metrics": {
+                    "monotone": True,
+                    "max_increase": 9.678369217169802e-14,
+                    "initial_value": 0.1574170373442731,
+                    "final_value": 0.15741703734087067,
+                    "drift": -3.4024172368418704e-12,
+                    "converged": False,
+                },
+            },
+            {
+                "name": "coupled_ess",
+                "pass": True,
+                "metrics": {
+                    "is_ess": False,
+                    "min_margin": -4.336808689942018e-18,
+                    "samples_tested": 200,
+                    "radius": 0.05,
+                    "indeterminate": 200,
+                },
+            },
+        ],
+        "truncated": False,
+    },
+    "lv_log_linear": {
+        "scenario": "lv_log_linear",
+        "checks": [
+            {
+                "name": "lyapunov",
+                "pass": True,
+                "metrics": {
+                    "monotone": True,
+                    "max_increase": 0.0,
+                    "initial_value": 0.14270570909604127,
+                    "final_value": 2.793389278522061e-13,
+                    "drift": -0.14270570909576194,
+                    "converged": True,
+                    "parallel_before_convergence": 0,
+                },
+            },
+            {
+                "name": "denorm_ess",
+                "pass": True,
+                "metrics": {
+                    "is_ess": True,
+                    "min_margin": 3.7287701537408457e-06,
+                    "samples_tested": 200,
+                    "radius": 0.1,
+                    "indeterminate": 0,
+                    "parallel_samples": 0,
+                },
+            },
+        ],
+        "truncated": False,
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("config", [COUPLED_CONFIG, LV_CONFIG], ids=lambda c: c["name"])
+def test_inline_config_outputs_match_pinned(config, fmt, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(path), "--out", str(out), "--format", fmt, "--quiet"])
+    assert code == 0
+    name = config["name"]
+    trajectory = (out / f"{name}_trajectory.{fmt}").read_bytes()
+    assert hashlib.sha256(trajectory).hexdigest() == INLINE_TRAJECTORY_SHA256[(name, fmt)]
+    report = json.loads((out / f"{name}_report.json").read_text())
+    assert report == INLINE_REPORTS[name]
