@@ -1,8 +1,10 @@
 """Command-line interface: scenario simulation and one-shot checks.
 
-``simulate`` runs JSON-configured scenarios and writes a trajectory file
-plus a JSON check report into the output directory; ``check`` runs a single
-analysis from inline arguments and prints a JSON report on stdout.
+``simulate`` loads each JSON scenario config once (every config level rejects
+unknown keys) and writes a trajectory file plus a JSON check report into the
+output directory; ``check`` runs a single check from inline options and
+prints a JSON report on stdout.  Both run checks through ``_run_check``: a
+``check`` option is the config key of the same name.
 
 Exit codes: 0 when everything passed, 2 when a requested check failed, and
 1 for configuration or runtime errors (including integrations truncated by
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import os
 import sys
@@ -64,6 +67,17 @@ _CHECK_KEYS = {
     "localize": {"point": None, "h": 1e-3, "tol": 1e-4},
 }
 
+_ROOT_KEYS = (
+    "name", "kind", "landscape", "initial_state", "target", "dt", "steps", "checks", "outputs",
+)
+
+#: The keys each landscape type accepts ('scaled' nests another landscape in 'base').
+_LANDSCAPE_KEYS = {
+    "linear": ("type", "matrix"),
+    "log_linear": ("type", "matrix", "offset"),
+    "scaled": ("type", "base", "factor"),
+}
+
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
@@ -86,29 +100,36 @@ def _require(config: dict, field: str):
     return config[field]
 
 
+def _reject_unknown(payload: dict, allowed, path: str) -> None:
+    """Raise a ConfigError naming the key path of the first key not in ``allowed``."""
+    for key in payload:
+        if key not in allowed:
+            where = f"{path}.{key}" if path else key
+            raise ConfigError(f"unknown key '{where}' (expected one of {sorted(allowed)})")
+
+
 def _build_landscape(payload, field: str) -> Landscape:
     if not isinstance(payload, dict):
         raise ConfigError(f"field '{field}' must be an object describing a landscape")
     kind = payload.get("type")
+    if kind not in tuple(_LANDSCAPE_KEYS):  # by equality: a JSON list is not hashable
+        raise ConfigError(
+            f"field '{field}' has unknown landscape type {kind!r} "
+            "(expected 'linear', 'log_linear', or 'scaled')"
+        )
+    _reject_unknown(payload, _LANDSCAPE_KEYS[kind], field)
     try:
-        if kind == "linear":
-            return Linear(np.asarray(_require(payload, "matrix"), dtype=float))
-        if kind == "log_linear":
-            return LogLinear(
-                np.asarray(_require(payload, "matrix"), dtype=float),
-                np.asarray(_require(payload, "offset"), dtype=float),
-            )
         if kind == "scaled":
             return Scaled(
                 base=_build_landscape(_require(payload, "base"), f"{field}.base"),
                 factor=float(_require(payload, "factor")),
             )
+        matrix = np.asarray(_require(payload, "matrix"), dtype=float)
+        if kind == "linear":
+            return Linear(matrix)
+        return LogLinear(matrix, np.asarray(_require(payload, "offset"), dtype=float))
     except (TypeError, ValueError, SimplexDynError) as exc:
         raise ConfigError(f"invalid landscape in field '{field}': {exc}") from exc
-    raise ConfigError(
-        f"field '{field}' has unknown landscape type {kind!r} "
-        "(expected 'linear', 'log_linear', or 'scaled')"
-    )
 
 
 def _coerce_entry(value) -> float:
@@ -134,6 +155,7 @@ def _build_state(kind_name: str, payload, field: str):
         if kind_name == "coupled_replicator":
             if not isinstance(payload, dict) or "p" not in payload or "q" not in payload:
                 raise ConfigError(f"field '{field}' must be an object with 'p' and 'q'")
+            _reject_unknown(payload, ("p", "q"), field)
             return CoupledState(
                 SimplexPoint(_coerce_array(payload["p"], f"{field}.p")),
                 SimplexPoint(_coerce_array(payload["q"], f"{field}.q")),
@@ -158,13 +180,14 @@ def load_scenario(path: str) -> Scenario:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
+    _reject_unknown(config, _ROOT_KEYS, "")
 
     name = _require(config, "name")
     if not isinstance(name, str) or not name:
         raise ConfigError("field 'name' must be a non-empty string")
 
     kind_name = _require(config, "kind")
-    if kind_name not in _KIND_NAMES:
+    if kind_name not in tuple(_KIND_NAMES):
         raise ConfigError(
             f"field 'kind' has unknown value {kind_name!r} "
             f"(expected one of {sorted(_KIND_NAMES)})"
@@ -174,15 +197,12 @@ def load_scenario(path: str) -> Scenario:
     if kind_name == "coupled_replicator":
         if not isinstance(landscape_cfg, dict) or "f" not in landscape_cfg or "g" not in landscape_cfg:
             raise ConfigError("field 'landscape' must contain 'f' and 'g' for coupled dynamics")
+        _reject_unknown(landscape_cfg, ("f", "g"), "landscape")
         f = _build_landscape(landscape_cfg["f"], "landscape.f")
         g = _build_landscape(landscape_cfg["g"], "landscape.g")
         kind = dynamics.CoupledReplicator(f, g)
     else:
-        land = _build_landscape(landscape_cfg, "landscape")
-        if kind_name == "ecological":
-            kind = dynamics.Ecological(land)
-        else:
-            kind = _KIND_NAMES[kind_name](land)
+        kind = _KIND_NAMES[kind_name](_build_landscape(landscape_cfg, "landscape"))
 
     initial = _build_state(kind_name, _require(config, "initial_state"), "initial_state")
     target = None
@@ -200,27 +220,17 @@ def load_scenario(path: str) -> Scenario:
     if not isinstance(checks, list):
         raise ConfigError("field 'checks' must be a list")
     for i, entry in enumerate(checks):
-        if not isinstance(entry, dict) or entry.get("name") not in _CHECK_KEYS:
+        if not isinstance(entry, dict) or entry.get("name") not in tuple(_CHECK_KEYS):
             raise ConfigError(
                 f"each check must be an object whose 'name' is one of {tuple(_CHECK_KEYS)}, "
                 f"got {entry!r}"
             )
-        keys = _CHECK_KEYS[entry["name"]]
-        for key in entry:
-            if key != "name" and key not in keys:
-                raise ConfigError(
-                    f"unknown key 'checks[{i}].{key}' "
-                    f"(check '{entry['name']}' takes {sorted(keys)})"
-                )
+        _reject_unknown(entry, ("name", *_CHECK_KEYS[entry["name"]]), f"checks[{i}]")
 
     outputs = config.get("outputs", {})
     if not isinstance(outputs, dict):
         raise ConfigError("field 'outputs' must be an object")
-    for key in outputs:
-        if key not in ("trajectory_csv", "report_json"):
-            raise ConfigError(
-                f"unknown key 'outputs.{key}' (expected 'trajectory_csv' or 'report_json')"
-            )
+    _reject_unknown(outputs, ("trajectory_csv", "report_json"), "outputs")
     trajectory_file = outputs.get("trajectory_csv", f"{name}_trajectory.csv")
     report_file = outputs.get("report_json", f"{name}_report.json")
 
@@ -242,17 +252,10 @@ def load_scenario(path: str) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def _csv_header(traj: dynamics.Trajectory) -> list[str]:
     n = traj.states.shape[1]
-    if traj.split is not None:
-        cols = [f"x_{i + 1}" for i in range(traj.split)]
-        cols += [f"y_{j + 1}" for j in range(n - traj.split)]
-    else:
-        cols = [f"x_{i + 1}" for i in range(n)]
+    split = n if traj.split is None else traj.split
+    cols = [f"x_{i + 1}" for i in range(split)] + [f"y_{j + 1}" for j in range(n - split)]
     return ["t"] + cols + [
         "mean_fitness",
         "fitness_variance",
@@ -264,34 +267,26 @@ def _csv_header(traj: dynamics.Trajectory) -> list[str]:
 def write_trajectory_csv(path: str, traj: dynamics.Trajectory) -> None:
     """Write one row per recorded step with 17-significant-digit floats."""
     d = traj.diagnostics
+    table = np.column_stack(
+        (traj.times, traj.states, d.mean_fitness, d.fitness_variance, d.divergence_to_target,
+         d.state_total)
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(_csv_header(traj)) + "\n")
-        for k in range(len(traj)):
-            row = (
-                [traj.times[k]]
-                + list(traj.states[k])
-                + [
-                    d.mean_fitness[k],
-                    d.fitness_variance[k],
-                    d.divergence_to_target[k],
-                    d.state_total[k],
-                ]
-            )
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=",".join(_csv_header(traj)),
+                   comments="")
 
 
 def write_trajectory_json(path: str, traj: dynamics.Trajectory) -> None:
     d = traj.diagnostics
+    divergence = d.divergence_to_target
     payload = {
         "columns": _csv_header(traj),
-        "times": [float(t) for t in traj.times],
-        "states": [[float(v) for v in row] for row in traj.states],
-        "mean_fitness": [float(v) for v in d.mean_fitness],
-        "fitness_variance": [float(v) for v in d.fitness_variance],
-        "divergence_to_target": [
-            None if np.isnan(v) else float(v) for v in d.divergence_to_target
-        ],
-        "state_total": [float(v) for v in d.state_total],
+        "times": traj.times.tolist(),
+        "states": traj.states.tolist(),
+        "mean_fitness": d.mean_fitness.tolist(),
+        "fitness_variance": d.fitness_variance.tolist(),
+        "divergence_to_target": np.where(np.isnan(divergence), None, divergence).tolist(),
+        "state_total": d.state_total.tolist(),
         "truncated": traj.truncated,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -300,63 +295,21 @@ def write_trajectory_json(path: str, traj: dynamics.Trajectory) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Scenario checks
+# Checks
 # ---------------------------------------------------------------------------
 
 
-def _ess_metrics(report: analysis.EssReport) -> dict:
-    metrics = {
-        "is_ess": report.is_ess,
-        "min_margin": report.min_margin,
-        "samples_tested": report.samples_tested,
-        "radius": report.radius,
-        "indeterminate": report.indeterminate,
-    }
-    if report.parallel_samples is not None:
-        metrics["parallel_samples"] = report.parallel_samples
-    return metrics
+def _run_check(check: dict, kind, initial, target, traj: Optional[dynamics.Trajectory]) -> dict:
+    """One check on a scenario's parts: its ``{"name", "pass", "metrics"}`` entry.
 
-
-def _localize_metrics(point: SimplexPoint, h: float, tol: float) -> tuple[bool, dict]:
-    """Localize KL at ``point``; pass when the diagonal is 1/x_i within ``tol``."""
-    report = localize_divergence(kl_formula, point, h)
-    err = float(np.max(np.abs(report.metric.diag - metric_at(point).diag)))
-    return bool(err <= tol), {
-        "diag": [float(v) for v in report.metric.diag],
-        "sign": report.sign,
-        "max_offdiag": report.max_offdiag,
-        "max_error": err,
-        "tol": tol,
-    }
-
-
-def _gradient_metrics(
-    point: SimplexPoint, grad: np.ndarray, probes: int, seed: int, tol: float
-) -> tuple[bool, dict]:
-    """Metric-gradient consistency at ``point``; pass when the residual is within ``tol``."""
-    residual = analysis.gradient_consistency_check(point, grad, probes, seed)
-    return bool(residual <= tol), {"residual": residual, "tol": tol, "probes": probes}
-
-
-def _check_point(check: dict, scenario: Scenario, field: str) -> SimplexPoint:
-    """Simplex point for a check: its 'point', else the scenario's initial state."""
-    if check["point"] is not None:
-        return validate_simplex(_coerce_array(check["point"], f"{field}.point"))
-    state = scenario.initial
-    if isinstance(state, SimplexPoint):
-        return state
-    raise ConfigError(f"check '{field}' needs an explicit 'point' for this scenario kind")
-
-
-def _run_check(check: dict, scenario: Scenario, traj: dynamics.Trajectory) -> dict:
+    ``traj`` is None for the ``check`` subcommand, whose checks never read it.
+    """
     name = check["name"]
-    if name not in _CHECK_KEYS:
-        raise ConfigError(f"unknown check name {name!r}")
     check = {**_CHECK_KEYS[name], **check}
     if name == "lyapunov":
-        if scenario.target is None:
+        if target is None:
             raise ConfigError("lyapunov check requires the scenario to set a target")
-        report = analysis.lyapunov_monitor(traj, scenario.target)
+        report = analysis.lyapunov_monitor(traj, target)
         drift = report.final_value - report.initial_value
         passed = report.monotone
         if check["require_converged"]:
@@ -373,63 +326,80 @@ def _run_check(check: dict, scenario: Scenario, traj: dynamics.Trajectory) -> di
         }
         if report.parallel_before_convergence is not None:
             metrics["parallel_before_convergence"] = report.parallel_before_convergence
-        return {"name": name, "pass": bool(passed), "metrics": metrics}
 
-    if name in ("ess", "coupled_ess", "denorm_ess"):
+    elif name in ("ess", "coupled_ess", "denorm_ess"):
         radius = float(check["radius"])
         samples = int(check["samples"])
         seed = int(check["seed"])
         expect = bool(check["expect"])
-        if scenario.target is None:
+        if target is None:
             raise ConfigError(f"{name} check requires the scenario to set a target")
-        kind = scenario.kind
         if name == "ess":
-            if not isinstance(scenario.target, SimplexPoint):
+            if not isinstance(target, SimplexPoint):
                 raise ConfigError("ess check requires a simplex target")
-            land = kind.f if hasattr(kind, "f") else kind.g
-            report = analysis.ess_check(scenario.target, land, radius, samples, seed)
+            land = dynamics._blocks(kind, None)[0][1]
+            report = analysis.ess_check(target, land, radius, samples, seed)
         elif name == "coupled_ess":
             if not isinstance(kind, dynamics.CoupledReplicator) or not isinstance(
-                scenario.target, CoupledState
+                target, CoupledState
             ):
                 raise ConfigError("coupled_ess check requires coupled dynamics and target")
             report = analysis.coupled_ess_check(
-                scenario.target.pop1, scenario.target.pop2, kind.f, kind.g, radius, samples, seed
+                target.pop1, target.pop2, kind.f, kind.g, radius, samples, seed
             )
         else:
-            if not isinstance(scenario.target, OrthantPoint):
+            if not isinstance(target, OrthantPoint):
                 raise ConfigError("denorm_ess check requires an orthant target")
-            report = analysis.denormalized_ess_check(
-                scenario.target, kind.f, radius, samples, seed
-            )
-        passed = bool(report.is_ess == expect)
-        return {"name": name, "pass": passed, "metrics": _ess_metrics(report)}
+            report = analysis.denormalized_ess_check(target, kind.f, radius, samples, seed)
+        passed = report.is_ess == expect
+        metrics = {
+            "is_ess": report.is_ess,
+            "min_margin": report.min_margin,
+            "samples_tested": report.samples_tested,
+            "radius": report.radius,
+            "indeterminate": report.indeterminate,
+        }
+        if report.parallel_samples is not None:
+            metrics["parallel_samples"] = report.parallel_samples
 
-    if name == "fisher_theorem":
+    elif name == "fisher_theorem":
         tol = float(check["tol"])
         residual = analysis.fisher_theorem_check(traj)
-        return {
-            "name": name,
-            "pass": bool(residual <= tol),
-            "metrics": {"residual": residual, "tol": tol},
-        }
+        passed, metrics = residual <= tol, {"residual": residual, "tol": tol}
 
-    if name == "gradient_consistency":
-        point = _check_point(check, scenario, name)
-        if check["grad"] is not None:
-            grad = _coerce_array(check["grad"], f"{name}.grad")
+    else:  # gradient_consistency and localize: at the check's point, else the start state
+        if check["point"] is not None:
+            point = validate_simplex(_coerce_array(check["point"], f"{name}.point"))
+        elif isinstance(initial, SimplexPoint):
+            point = initial
         else:
-            land = scenario.kind.f if hasattr(scenario.kind, "f") else scenario.kind.g
-            grad = evaluate_landscape(land, point.coords)
-        passed, metrics = _gradient_metrics(
-            point, grad, int(check["probes"]), int(check["seed"]), float(check["tol"])
-        )
-        return {"name": name, "pass": passed, "metrics": metrics}
+            raise ConfigError(f"check '{name}' needs an explicit 'point' for this scenario kind")
+        tol = float(check["tol"])
+        if name == "gradient_consistency":
+            if check["grad"] is not None:
+                grad = _coerce_array(check["grad"], f"{name}.grad")
+            else:
+                grad = evaluate_landscape(dynamics._blocks(kind, None)[0][1], point.coords)
+            probes = int(check["probes"])
+            residual = analysis.gradient_consistency_check(point, grad, probes, int(check["seed"]))
+            passed, metrics = residual <= tol, {"residual": residual, "tol": tol, "probes": probes}
+        else:
+            # pass when the localized diagonal is 1/x_i within tol
+            report = localize_divergence(kl_formula, point, float(check["h"]))
+            err = float(np.max(np.abs(report.metric.diag - metric_at(point).diag)))
+            passed, metrics = err <= tol, {
+                "diag": report.metric.diag.tolist(),
+                "sign": report.sign,
+                "max_offdiag": report.max_offdiag,
+                "max_error": err,
+                "tol": tol,
+            }
+    return {"name": name, "pass": bool(passed), "metrics": metrics}
 
-    # localize
-    h, tol = float(check["h"]), float(check["tol"])
-    passed, metrics = _localize_metrics(_check_point(check, scenario, name), h, tol)
-    return {"name": name, "pass": passed, "metrics": metrics}
+
+# ---------------------------------------------------------------------------
+# Commands and entry point
+# ---------------------------------------------------------------------------
 
 
 def run_scenario(
@@ -441,6 +411,11 @@ def run_scenario(
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return _run_loaded(scenario, out_dir, fmt, quiet)
+
+
+def _run_loaded(scenario: Scenario, out_dir: str, fmt: str, quiet: bool) -> int:
+    """Integrate, check, and write one loaded scenario.  Returns the exit code."""
     try:
         os.makedirs(out_dir, exist_ok=True)
         traj = dynamics.integrate(
@@ -454,7 +429,10 @@ def run_scenario(
             write_trajectory_json(trajectory_path, traj)
         else:
             write_trajectory_csv(trajectory_path, traj)
-        checks = [_run_check(check, scenario, traj) for check in scenario.checks]
+        checks = [
+            _run_check(check, scenario.kind, scenario.initial, scenario.target, traj)
+            for check in scenario.checks
+        ]
         report = {
             "scenario": scenario.name,
             "checks": checks,
@@ -483,9 +461,29 @@ def run_scenario(
     return 0
 
 
-# ---------------------------------------------------------------------------
-# One-shot checks
-# ---------------------------------------------------------------------------
+def _simulate_command(args: argparse.Namespace) -> int:
+    """Load every config once, refuse colliding outputs, then run the loaded scenarios."""
+    scenarios, codes, seen = [], [], {}
+    for path in args.config:
+        try:
+            scenario = load_scenario(path)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            codes.append(1)
+            continue
+        for out in (scenario.trajectory_file, scenario.report_file):
+            if seen.setdefault(out, path) != path:
+                raise ConfigError(f"configs {seen[out]!r} and {path!r} both write output {out!r}")
+        scenarios.append(scenario)
+    run = functools.partial(_run_loaded, out_dir=args.out, fmt=args.format, quiet=args.quiet)
+    if len(scenarios) > 1 and args.jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            codes += pool.map(run, scenarios)
+    else:
+        codes += map(run, scenarios)
+    if 1 in codes:
+        return 1
+    return 2 if 2 in codes else 0
 
 
 def _parse_matrix(text: str) -> np.ndarray:
@@ -498,40 +496,26 @@ def _parse_matrix(text: str) -> np.ndarray:
     return matrix
 
 
-def _emit(report: dict, quiet: bool) -> None:
-    del quiet  # the JSON report is the only stdout payload either way
-    print(json.dumps(report, indent=2))
-
-
 def check_command(args: argparse.Namespace) -> int:
-    """Run one inline check and print its JSON report; exit 0 iff it passed."""
+    """Run one inline check through ``_run_check``; print its JSON report, exit 0 iff it passed.
+
+    Errors name the option; ``--point`` is both the start state and the target.
+    """
+    point = validate_simplex(_coerce_array(args.point.split(","), "--point"))
+    kind = None
     if args.check == "ess":
-        candidate = validate_simplex(_coerce_array(args.point.split(","), "--point"))
-        f = Linear(_parse_matrix(args.matrix))
-        report = analysis.ess_check(candidate, f, args.radius, args.samples, args.seed)
-        payload = {"check": "ess", "pass": report.is_ess, "report": _ess_metrics(report)}
-        _emit(payload, args.quiet)
-        return 0 if report.is_ess else 2
-
-    if args.check == "localize":
-        point = validate_simplex(_coerce_array(args.point.split(","), "--point"))
-        passed, metrics = _localize_metrics(point, args.h, args.tol)
-        _emit({"check": "localize", "pass": passed, "report": metrics}, args.quiet)
-        return 0 if passed else 2
-
-    if args.check == "gradient":
-        point = validate_simplex(_coerce_array(args.point.split(","), "--point"))
-        grad = _coerce_array(args.grad.split(","), "--grad")
-        passed, metrics = _gradient_metrics(point, grad, args.probes, args.seed, args.tol)
-        _emit({"check": "gradient", "pass": passed, "report": metrics}, args.quiet)
-        return 0 if passed else 2
-
-    raise ConfigError(f"unknown check {args.check!r}")
-
-
-# ---------------------------------------------------------------------------
-# Entry point
-# ---------------------------------------------------------------------------
+        check = {"name": "ess", "radius": args.radius, "samples": args.samples, "seed": args.seed}
+        kind = dynamics.Replicator(Linear(_parse_matrix(args.matrix)))
+    elif args.check == "localize":
+        check = {"name": "localize", "h": args.h, "tol": args.tol}
+    else:
+        grad = _coerce_array(args.grad.split(","), "--grad").tolist()
+        check = {"name": "gradient_consistency", "grad": grad, "probes": args.probes,
+                 "seed": args.seed, "tol": args.tol}
+    result = _run_check(check, kind, point, point, None)
+    print(json.dumps({"check": args.check, "pass": result["pass"], "report": result["metrics"]},
+                     indent=2))
+    return 0 if result["pass"] else 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -578,46 +562,6 @@ def _build_parser() -> argparse.ArgumentParser:
     grad.add_argument("--quiet", action="store_true")
 
     return parser
-
-
-def _scan_output_collisions(configs: list) -> None:
-    """Refuse to run configs whose outputs would overwrite each other."""
-    seen: dict = {}
-    for path in configs:
-        try:
-            scenario = load_scenario(path)
-        except ConfigError:
-            continue  # run_scenario will report it properly
-        for out in (scenario.trajectory_file, scenario.report_file):
-            if out in seen and seen[out] != path:
-                raise ConfigError(
-                    f"configs {seen[out]!r} and {path!r} both write output {out!r}"
-                )
-            seen[out] = path
-
-
-def _simulate_command(args: argparse.Namespace) -> int:
-    configs = list(args.config)
-    if len(configs) > 1:
-        _scan_output_collisions(configs)
-    if len(configs) > 1 and args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            codes = list(
-                pool.map(
-                    run_scenario,
-                    configs,
-                    [args.out] * len(configs),
-                    [args.format] * len(configs),
-                    [args.quiet] * len(configs),
-                )
-            )
-    else:
-        codes = [run_scenario(path, args.out, args.format, args.quiet) for path in configs]
-    if any(code == 1 for code in codes):
-        return 1
-    if any(code == 2 for code in codes):
-        return 2
-    return 0
 
 
 def main(argv=None) -> int:

@@ -7,7 +7,6 @@ abundance dynamics, and the sum form for coupled populations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -17,24 +16,6 @@ from .errors import DimensionMismatchError, LengthMismatchError
 
 #: Divergence values at or below this threshold count as minimized.
 MIN_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class DivergenceReport:
-    """A divergence value together with its minimization classification."""
-
-    value: float
-    minimized: bool
-
-    def __post_init__(self):
-        if not self.value >= 0.0:
-            raise ValueError(f"divergence must be non-negative, got {self.value}")
-
-
-def as_report(value: float) -> DivergenceReport:
-    """Classify a divergence value against MIN_TOL."""
-    value = float(value)
-    return DivergenceReport(value=value, minimized=value <= MIN_TOL)
 
 
 def kl_formula(a, b):

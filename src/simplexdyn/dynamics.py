@@ -402,9 +402,9 @@ def _run(kind: VectorFieldKind, x0, dt: float, steps: int, target, log: bool) ->
     from, normalizers); the direct chart may renormalize its argument in
     place.  The first recorded row is the start state exactly as given.  A
     step whose recorded state has a coordinate at or below POS_FLOOR (or a
-    non-finite one) halts the run; the overflow and invalid-value warnings of
-    such a blow-up, in the loop and in the diagnostics of the rows before it,
-    are silenced.
+    non-finite one) halts the run; the overflow, invalid-value and
+    divide-by-zero warnings of such a blow-up, in the loop and in the
+    diagnostics of the rows before it, are silenced.
     """
     _check_steps(dt, steps)
     start, split = _state_vector(kind, x0, "start")
@@ -422,7 +422,7 @@ def _run(kind: VectorFieldKind, x0, dt: float, steps: int, target, log: bool) ->
     normalizers = [chart(y.copy())[2]]
     truncated = False
     failure = None
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(int(steps)):
             x, y, big_g = chart(_rk4_step(field, y, dt))
             if not (x.min() > POS_FLOOR and x.max() < np.inf):

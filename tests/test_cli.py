@@ -7,10 +7,12 @@ the pass/fail plumbing without subprocess overhead.
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
+from simplexdyn import cli
 from simplexdyn.cli import load_scenario, main
 from simplexdyn.errors import ConfigError
 
@@ -379,3 +381,106 @@ def test_unknown_check_key_is_a_config_error(tmp_path, capsys):
     assert "checks[1].sampels" in capsys.readouterr().err
     cfg = _write_config(tmp_path / "c.json", checks=[{"name": "ess", "samples": 3}])
     assert load_scenario(str(cfg)).checks == [{"name": "ess", "samples": 3}]
+
+
+MP_LANDSCAPE = {
+    "f": {"type": "linear", "matrix": [[1.0, -1.0], [-1.0, 1.0]]},
+    "g": {"type": "linear", "matrix": [[-1.0, 1.0], [1.0, -1.0]]},
+}
+MP_STATE = {"p": [0.6, 0.4], "q": [0.5, 0.5]}
+LOG_LINEAR = {"type": "log_linear", "matrix": HAWK_DOVE, "offset": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize(
+    "overrides, path",
+    [
+        ({"inital_state": [0.9, 0.1]}, "inital_state"),
+        ({"landscape": {"type": "linear", "matrix": HAWK_DOVE, "matirx": HAWK_DOVE}},
+         "landscape.matirx"),
+        ({"landscape": {**LOG_LINEAR, "ofset": [0.0, 0.0]}}, "landscape.ofset"),
+        ({"landscape": {"type": "scaled", "base": {**LOG_LINEAR, "ofset": [1.0, 0.0]},
+                        "factor": 2.0}}, "landscape.base.ofset"),
+        ({"landscape": {"type": "scaled", "base": LOG_LINEAR, "factor": 2.0, "factr": 3.0}},
+         "landscape.factr"),
+        ({"kind": "coupled_replicator", "landscape": {**MP_LANDSCAPE, "h": MP_LANDSCAPE["f"]},
+          "initial_state": MP_STATE, "target": MP_STATE}, "landscape.h"),
+        ({"kind": "coupled_replicator",
+          "landscape": {**MP_LANDSCAPE, "f": {**MP_LANDSCAPE["f"], "offset": [0.0, 0.0]}},
+          "initial_state": MP_STATE, "target": MP_STATE}, "landscape.f.offset"),
+        ({"kind": "coupled_replicator", "landscape": MP_LANDSCAPE,
+          "initial_state": {**MP_STATE, "r": [0.5, 0.5]}, "target": MP_STATE}, "initial_state.r"),
+        ({"kind": "coupled_replicator", "landscape": MP_LANDSCAPE,
+          "initial_state": MP_STATE, "target": {**MP_STATE, "r": [0.5, 0.5]}}, "target.r"),
+    ],
+)
+def test_unknown_key_at_every_config_level_names_its_path(tmp_path, capsys, overrides, path):
+    cfg = _write_config(tmp_path / "k.json", checks=[], **overrides)
+    with pytest.raises(ConfigError, match=rf"unknown key '{re.escape(path)}'"):
+        load_scenario(str(cfg))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    assert f"unknown key '{path}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def _simulated_metrics(tmp_path, check, **overrides):
+    cfg = _write_config(tmp_path / "p.json", name="p", checks=[check], **overrides)
+    out = tmp_path / "out"
+    main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"])
+    return json.loads((out / "p_report.json").read_text())["checks"][0]["metrics"]
+
+
+@pytest.mark.parametrize(
+    "argv, check, overrides",
+    [
+        (["ess", "--matrix", "[[-1,2],[0,1]]", "--point", "1/2,1/2", "--radius", "0.2",
+          "--samples", "200", "--seed", "7"],
+         {"name": "ess", "radius": 0.2, "samples": 200, "seed": 7}, {"target": ["1/2", "1/2"]}),
+        (["localize", "--point", "0.5,0.3,0.2", "--h", "0.002", "--tol", "0.001"],
+         {"name": "localize", "point": [0.5, 0.3, 0.2], "h": 0.002, "tol": 0.001}, {}),
+        (["gradient", "--point", "1/4,3/4", "--grad", "1,2", "--probes", "50", "--seed", "3"],
+         {"name": "gradient_consistency", "point": ["1/4", "3/4"], "grad": [1, 2], "probes": 50,
+          "seed": 3}, {}),
+    ],
+)
+def test_check_subcommand_reports_the_metrics_simulate_writes(tmp_path, capsys, argv, check,
+                                                              overrides):
+    assert main(["check", *argv]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["report"] == _simulated_metrics(tmp_path, check, **overrides)
+
+
+def test_simulate_loads_each_config_once(tmp_path, capsys, monkeypatch):
+    a = _write_config(tmp_path / "a.json", name="a", steps=20)
+    bad = _write_config(tmp_path / "bad.json", name="bad", steps=0)
+    b = _write_config(tmp_path / "b.json", name="b", steps=20)
+    calls = []
+
+    def counting_load(path):
+        calls.append(path)
+        return load_scenario(path)
+
+    monkeypatch.setattr(cli, "load_scenario", counting_load)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(a), str(bad), str(b), "--out", str(out),
+                 "--quiet"]) == 1
+    assert sorted(calls) == sorted([str(a), str(bad), str(b)])
+    err_lines = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(err_lines) == 1 and "steps" in err_lines[0]
+    for name in ("a", "b"):
+        assert (out / f"{name}_trajectory.csv").exists() and (out / f"{name}_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"kind": ["replicator"]}, "kind"),
+        ({"landscape": {"type": ["linear"], "matrix": HAWK_DOVE}}, "landscape"),
+        ({"checks": [{"name": ["ess"]}]}, "check"),
+    ],
+)
+def test_list_where_a_name_belongs_is_a_config_error(tmp_path, capsys, overrides, field):
+    cfg = _write_config(tmp_path / "l.json", **overrides)
+    with pytest.raises(ConfigError, match=field):
+        load_scenario(str(cfg))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error:")

@@ -14,7 +14,7 @@ from simplexdyn import (
     kl_formula,
     potential_information_sum,
 )
-from simplexdyn.divergence import MIN_TOL, as_report
+from simplexdyn.divergence import MIN_TOL
 
 HALF = SimplexPoint(np.array([0.5, 0.5]))
 SKEW = SimplexPoint(np.array([0.25, 0.75]))
@@ -121,11 +121,3 @@ def test_potential_information_sum_length_checks():
         potential_information_sum([HALF], [HALF, SKEW])
     with pytest.raises(LengthMismatchError):
         potential_information_sum([], [])
-
-
-def test_report_classification():
-    assert as_report(0.0).minimized
-    assert as_report(5e-13).minimized
-    assert not as_report(1e-3).minimized
-    with pytest.raises(ValueError):
-        as_report(-1e-6)

@@ -450,3 +450,19 @@ def test_lv_blow_up_diagnostics_raise_no_runtime_warnings():
         )
     assert traj.truncated
     assert np.all(np.isfinite(traj.states))
+
+
+def test_replicator_overshoot_to_zero_sum_raises_no_runtime_warnings():
+    # one RK4 step overshoots to about (+6.2e20, -6.2e20), whose coordinates
+    # sum to exactly 0: renormalizing divides by zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(
+            Replicator(Linear(np.array([[1000.0, 0.0], [0.0, -1000.0]]))),
+            SimplexPoint(np.array([0.5, 0.5])),
+            0.1,
+            10,
+        )
+    assert traj.truncated
+    assert traj.failure == "positivity lost at step 1 (t = 0.1)"
+    assert len(traj) == 1
