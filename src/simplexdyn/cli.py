@@ -1,10 +1,11 @@
 """Command-line interface: scenario simulation and one-shot checks.
 
-``simulate`` loads each JSON scenario config once (every config level rejects
-unknown keys) and writes a trajectory file plus a JSON check report into the
-output directory; ``check`` runs a single check from inline options and
-prints a JSON report on stdout.  Both run checks through ``_run_check``: a
-``check`` option is the config key of the same name.
+``simulate`` loads each JSON scenario config once, refusing unknown keys at
+every level, bad values and bad output names before anything is written, and
+writes a trajectory file plus a JSON check report into the output directory;
+``check`` runs one check from inline options and prints its JSON report.  One
+table, ``_CHECKS``, gives each check key its type and default: a ``check``
+option is the config key of the same name, and both run through ``_run_check``.
 
 Exit codes: 0 when everything passed, 2 when a requested check failed, and
 1 for configuration or runtime errors (including integrations truncated by
@@ -39,7 +40,6 @@ from .core import (
     Scaled,
     SimplexPoint,
     evaluate_landscape,
-    validate_simplex,
 )
 from .divergence import kl_formula
 from .errors import ConfigError, SimplexDynError
@@ -53,18 +53,39 @@ _KIND_NAMES = {
     "coupled_replicator": dynamics.CoupledReplicator,
 }
 
-_ESS_KEYS = {"radius": 0.05, "samples": 500, "seed": 0, "expect": True}
+_ESS_KEYS = {"radius": ("positive", 0.05), "samples": ("count", 500), "seed": ("seed", 0),
+             "expect": ("flag", True)}
 
-#: The keys each check accepts besides 'name', with their defaults (None: no
-#: default, the key is optional).  Any other key is a configuration error.
-_CHECK_KEYS = {
-    "ess": _ESS_KEYS,
-    "coupled_ess": _ESS_KEYS,
-    "denorm_ess": _ESS_KEYS,
-    "lyapunov": {"require_converged": False, "max_drift": None},
-    "fisher_theorem": {"tol": 1e-5},
-    "gradient_consistency": {"point": None, "grad": None, "probes": 100, "seed": 0, "tol": 1e-10},
-    "localize": {"point": None, "h": 1e-3, "tol": 1e-4},
+#: Each check: the target type it needs (``object``: any; None: none) and the only keys it takes
+#: besides 'name', as ``{key: (type in _VALUE_TYPES, default)}`` (a None default: optional).
+_CHECKS = {
+    "ess": (SimplexPoint, _ESS_KEYS),
+    "coupled_ess": (CoupledState, _ESS_KEYS),
+    "denorm_ess": (OrthantPoint, _ESS_KEYS),
+    "lyapunov": (object, {"require_converged": ("flag", False), "max_drift": ("tolerance", None)}),
+    "fisher_theorem": (None, {"tol": ("tolerance", 1e-5)}),
+    "gradient_consistency": (None, {"point": ("vector", None), "grad": ("vector", None),
+                                    "probes": ("count", 100), "seed": ("seed", 0),
+                                    "tol": ("tolerance", 1e-10)}),
+    "localize": (None, {"point": ("vector", None), "h": ("positive", 1e-3),
+                        "tol": ("tolerance", 1e-4)}),
+}
+
+#: Each value type: what a value must be, its test and the parser of a ``check`` option's text.
+_VALUE_TYPES = {
+    "flag": ("true or false", lambda v: type(v) is bool, None),
+    "count": ("an integer >= 1", lambda v: type(v) is int and v >= 1, int),
+    "seed": ("an integer >= 0", lambda v: type(v) is int and v >= 0, int),
+    "positive": ("a finite number > 0", lambda v: type(v) is float and 0.0 < v < np.inf, float),
+    "tolerance": ("a finite number >= 0", lambda v: type(v) is float and 0.0 <= v < np.inf, float),
+    "vector": ("comma-separated numbers or fractions", None, lambda text: text.split(",")),
+}
+
+#: ``check`` subcommands: the check each runs, the check keys it takes as options, its help.
+_CHECK_COMMANDS = {
+    "ess": ("ess", ("radius", "samples", "seed"), "sampled evolutionary stability check"),
+    "localize": ("localize", ("h", "tol"), "localize the KL divergence at a point"),
+    "gradient": ("gradient_consistency", ("grad", "probes", "seed", "tol"), "gradient consistency"),
 }
 
 _ROOT_KEYS = (
@@ -150,6 +171,27 @@ def _coerce_array(payload, field: str) -> np.ndarray:
         raise ConfigError(f"invalid number in {field!r}: {exc}") from exc
 
 
+def _typed(value_type: str, value, field: str):
+    """``value`` as a ``value_type`` of ``_VALUE_TYPES``; errors name the config field or option."""
+    if value_type == "vector":
+        return _coerce_array(value, field)
+    if value_type in ("positive", "tolerance") and type(value) is int:
+        value = float(value) if abs(value) <= sys.float_info.max else value  # "tol": 1 is 1.0
+    text, valid, _ = _VALUE_TYPES[value_type]
+    if not valid(value):
+        raise ConfigError(f"{field!r} must be {text}, got {value!r}")
+    return value
+
+
+def _check_values(entry: dict, where: str) -> dict:
+    """``entry`` with typed values (errors name ``where`` + key); optional keys also take None."""
+    values = dict(entry)
+    for key, (value_type, default) in _CHECKS[entry["name"]][1].items():
+        if key in entry and not (entry[key] is None and default is None):
+            values[key] = _typed(value_type, entry[key], where + key)
+    return values
+
+
 def _build_state(kind_name: str, payload, field: str):
     try:
         if kind_name == "coupled_replicator":
@@ -209,41 +251,49 @@ def load_scenario(path: str) -> Scenario:
     if config.get("target") is not None:
         target = _build_state(kind_name, config["target"], "target")
 
-    dt = _require(config, "dt")
-    if not isinstance(dt, (int, float)) or not np.isfinite(dt) or dt <= 0:
-        raise ConfigError(f"field 'dt' must be a positive number, got {dt!r}")
-    steps = _require(config, "steps")
-    if not isinstance(steps, int) or steps < 1:
-        raise ConfigError(f"field 'steps' must be a positive integer, got {steps!r}")
+    dt = _typed("positive", _require(config, "dt"), "dt")
+    steps = _typed("count", _require(config, "steps"), "steps")
 
     checks = config.get("checks", [])
     if not isinstance(checks, list):
         raise ConfigError("field 'checks' must be a list")
     for i, entry in enumerate(checks):
-        if not isinstance(entry, dict) or entry.get("name") not in tuple(_CHECK_KEYS):
+        if not isinstance(entry, dict) or entry.get("name") not in tuple(_CHECKS):
             raise ConfigError(
-                f"each check must be an object whose 'name' is one of {tuple(_CHECK_KEYS)}, "
+                f"each check must be an object whose 'name' is one of {tuple(_CHECKS)}, "
                 f"got {entry!r}"
             )
-        _reject_unknown(entry, ("name", *_CHECK_KEYS[entry["name"]]), f"checks[{i}]")
+        needs, keys = _CHECKS[entry["name"]]
+        _reject_unknown(entry, ("name", *keys), f"checks[{i}]")
+        checks[i] = _check_values(entry, f"checks[{i}].")
+        if needs is not None and (target is None or not isinstance(target, needs)):
+            raise ConfigError(f"'checks[{i}]' needs a target ({needs.__name__}), got {target!r}")
+        if entry.get("point") is not None:
+            checks[i]["point"] = _build_state("replicator", entry["point"], f"checks[{i}].point")
+        elif "point" in keys and not isinstance(initial, SimplexPoint):
+            raise ConfigError(f"'checks[{i}]' needs a 'point': the start is not a simplex point")
 
     outputs = config.get("outputs", {})
     if not isinstance(outputs, dict):
         raise ConfigError("field 'outputs' must be an object")
     _reject_unknown(outputs, ("trajectory_csv", "report_json"), "outputs")
-    trajectory_file = outputs.get("trajectory_csv", f"{name}_trajectory.csv")
-    report_file = outputs.get("report_json", f"{name}_report.json")
+    files = {"trajectory_csv": f"{name}_trajectory.csv", "report_json": f"{name}_report.json",
+             **outputs}
+    for key, file in files.items():
+        if not isinstance(file, str) or file in ("", ".", "..") or file != os.path.basename(file):
+            where = f"outputs.{key}" if key in outputs else "name"
+            raise ConfigError(f"{where!r} must give a file name with no directory, got {file!r}")
 
     return Scenario(
         name=name,
         kind=kind,
         initial=initial,
         target=target,
-        dt=float(dt),
+        dt=dt,
         steps=steps,
         checks=checks,
-        trajectory_file=trajectory_file,
-        report_file=report_file,
+        trajectory_file=files["trajectory_csv"],
+        report_file=files["report_json"],
     )
 
 
@@ -302,20 +352,19 @@ def write_trajectory_json(path: str, traj: dynamics.Trajectory) -> None:
 def _run_check(check: dict, kind, initial, target, traj: Optional[dynamics.Trajectory]) -> dict:
     """One check on a scenario's parts: its ``{"name", "pass", "metrics"}`` entry.
 
-    ``traj`` is None for the ``check`` subcommand, whose checks never read it.
+    ``check`` is typed and meets the preconditions ``load_scenario`` checks; ``traj`` is None
+    for the ``check`` subcommand, whose checks never read it.
     """
     name = check["name"]
-    check = {**_CHECK_KEYS[name], **check}
+    check = {**{key: default for key, (_, default) in _CHECKS[name][1].items()}, **check}
     if name == "lyapunov":
-        if target is None:
-            raise ConfigError("lyapunov check requires the scenario to set a target")
         report = analysis.lyapunov_monitor(traj, target)
         drift = report.final_value - report.initial_value
         passed = report.monotone
         if check["require_converged"]:
             passed = passed and report.converged
         if check["max_drift"] is not None:
-            passed = passed and abs(drift) <= float(check["max_drift"])
+            passed = passed and abs(drift) <= check["max_drift"]
         metrics = {
             "monotone": report.monotone,
             "max_increase": report.max_increase,
@@ -328,30 +377,15 @@ def _run_check(check: dict, kind, initial, target, traj: Optional[dynamics.Traje
             metrics["parallel_before_convergence"] = report.parallel_before_convergence
 
     elif name in ("ess", "coupled_ess", "denorm_ess"):
-        radius = float(check["radius"])
-        samples = int(check["samples"])
-        seed = int(check["seed"])
-        expect = bool(check["expect"])
-        if target is None:
-            raise ConfigError(f"{name} check requires the scenario to set a target")
+        sampling = (check["radius"], check["samples"], check["seed"])
         if name == "ess":
-            if not isinstance(target, SimplexPoint):
-                raise ConfigError("ess check requires a simplex target")
             land = dynamics._blocks(kind, None)[0][1]
-            report = analysis.ess_check(target, land, radius, samples, seed)
+            report = analysis.ess_check(target, land, *sampling)
         elif name == "coupled_ess":
-            if not isinstance(kind, dynamics.CoupledReplicator) or not isinstance(
-                target, CoupledState
-            ):
-                raise ConfigError("coupled_ess check requires coupled dynamics and target")
-            report = analysis.coupled_ess_check(
-                target.pop1, target.pop2, kind.f, kind.g, radius, samples, seed
-            )
+            report = analysis.coupled_ess_check(target.pop1, target.pop2, kind.f, kind.g, *sampling)
         else:
-            if not isinstance(target, OrthantPoint):
-                raise ConfigError("denorm_ess check requires an orthant target")
-            report = analysis.denormalized_ess_check(target, kind.f, radius, samples, seed)
-        passed = report.is_ess == expect
+            report = analysis.denormalized_ess_check(target, kind.f, *sampling)
+        passed = report.is_ess == check["expect"]
         metrics = {
             "is_ess": report.is_ess,
             "min_margin": report.min_margin,
@@ -363,29 +397,22 @@ def _run_check(check: dict, kind, initial, target, traj: Optional[dynamics.Traje
             metrics["parallel_samples"] = report.parallel_samples
 
     elif name == "fisher_theorem":
-        tol = float(check["tol"])
         residual = analysis.fisher_theorem_check(traj)
-        passed, metrics = residual <= tol, {"residual": residual, "tol": tol}
+        passed, metrics = residual <= check["tol"], {"residual": residual, "tol": check["tol"]}
 
     else:  # gradient_consistency and localize: at the check's point, else the start state
-        if check["point"] is not None:
-            point = validate_simplex(_coerce_array(check["point"], f"{name}.point"))
-        elif isinstance(initial, SimplexPoint):
-            point = initial
-        else:
-            raise ConfigError(f"check '{name}' needs an explicit 'point' for this scenario kind")
-        tol = float(check["tol"])
+        point = initial if check["point"] is None else check["point"]
+        tol = check["tol"]
         if name == "gradient_consistency":
-            if check["grad"] is not None:
-                grad = _coerce_array(check["grad"], f"{name}.grad")
-            else:
+            grad = check["grad"]
+            if grad is None:
                 grad = evaluate_landscape(dynamics._blocks(kind, None)[0][1], point.coords)
-            probes = int(check["probes"])
-            residual = analysis.gradient_consistency_check(point, grad, probes, int(check["seed"]))
+            probes = check["probes"]
+            residual = analysis.gradient_consistency_check(point, grad, probes, check["seed"])
             passed, metrics = residual <= tol, {"residual": residual, "tol": tol, "probes": probes}
         else:
             # pass when the localized diagonal is 1/x_i within tol
-            report = localize_divergence(kl_formula, point, float(check["h"]))
+            report = localize_divergence(kl_formula, point, check["h"])
             err = float(np.max(np.abs(report.metric.diag - metric_at(point).diag)))
             passed, metrics = err <= tol, {
                 "diag": report.metric.diag.tolist(),
@@ -406,24 +433,28 @@ def run_scenario(
     config_path: str, out_dir: str, fmt: str = "csv", quiet: bool = False
 ) -> int:
     """Load, integrate, check, and write one scenario.  Returns the exit code."""
-    try:
-        scenario = load_scenario(config_path)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return _run_loaded(scenario, out_dir, fmt, quiet)
+    args = argparse.Namespace(config=[config_path], out=out_dir, format=fmt, jobs=1, quiet=quiet)
+    return _simulate_command(args)
+
+
+def _output_files(scenario: Scenario, fmt: str) -> tuple[str, str]:
+    """The two distinct file names ``scenario`` writes: its trajectory in ``fmt`` and its report."""
+    trajectory_file = scenario.trajectory_file
+    if fmt == "json" and trajectory_file.endswith(".csv"):
+        trajectory_file = trajectory_file[: -len(".csv")] + ".json"
+    if trajectory_file == scenario.report_file:
+        raise ConfigError(f"{scenario.name!r} writes trajectory and report to {trajectory_file!r}")
+    return trajectory_file, scenario.report_file
 
 
 def _run_loaded(scenario: Scenario, out_dir: str, fmt: str, quiet: bool) -> int:
     """Integrate, check, and write one loaded scenario.  Returns the exit code."""
     try:
+        trajectory_file, report_file = _output_files(scenario, fmt)
         os.makedirs(out_dir, exist_ok=True)
         traj = dynamics.integrate(
             scenario.kind, scenario.initial, scenario.dt, scenario.steps, target=scenario.target
         )
-        trajectory_file = scenario.trajectory_file
-        if fmt == "json" and trajectory_file.endswith(".csv"):
-            trajectory_file = trajectory_file[: -len(".csv")] + ".json"
         trajectory_path = os.path.join(out_dir, trajectory_file)
         if fmt == "json":
             write_trajectory_json(trajectory_path, traj)
@@ -440,11 +471,11 @@ def _run_loaded(scenario: Scenario, out_dir: str, fmt: str, quiet: bool) -> int:
         }
         if traj.failure is not None:
             report["failure"] = traj.failure
-        report_path = os.path.join(out_dir, scenario.report_file)
+        report_path = os.path.join(out_dir, report_file)
         with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
-    except SimplexDynError as exc:
+    except (SimplexDynError, OSError) as exc:  # an OSError names the path it could not write
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if not quiet:
@@ -467,13 +498,15 @@ def _simulate_command(args: argparse.Namespace) -> int:
     for path in args.config:
         try:
             scenario = load_scenario(path)
+            files = _output_files(scenario, args.format)
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             codes.append(1)
             continue
-        for out in (scenario.trajectory_file, scenario.report_file):
-            if seen.setdefault(out, path) != path:
+        for out in files:
+            if out in seen:
                 raise ConfigError(f"configs {seen[out]!r} and {path!r} both write output {out!r}")
+            seen[out] = path
         scenarios.append(scenario)
     run = functools.partial(_run_loaded, out_dir=args.out, fmt=args.format, quiet=args.quiet)
     if len(scenarios) > 1 and args.jobs > 1:
@@ -491,8 +524,6 @@ def _parse_matrix(text: str) -> np.ndarray:
         matrix = np.asarray(json.loads(text), dtype=float)
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot parse matrix from {text!r}: {exc}") from exc
-    if matrix.ndim != 2:
-        raise ConfigError(f"matrix must be 2-d, got shape {matrix.shape}")
     return matrix
 
 
@@ -501,17 +532,11 @@ def check_command(args: argparse.Namespace) -> int:
 
     Errors name the option; ``--point`` is both the start state and the target.
     """
-    point = validate_simplex(_coerce_array(args.point.split(","), "--point"))
-    kind = None
-    if args.check == "ess":
-        check = {"name": "ess", "radius": args.radius, "samples": args.samples, "seed": args.seed}
-        kind = dynamics.Replicator(Linear(_parse_matrix(args.matrix)))
-    elif args.check == "localize":
-        check = {"name": "localize", "h": args.h, "tol": args.tol}
-    else:
-        grad = _coerce_array(args.grad.split(","), "--grad").tolist()
-        check = {"name": "gradient_consistency", "grad": grad, "probes": args.probes,
-                 "seed": args.seed, "tol": args.tol}
+    name, keys, _ = _CHECK_COMMANDS[args.check]
+    point = _build_state("replicator", args.point.split(","), "--point")
+    check = _check_values({"name": name, **{key: getattr(args, key) for key in keys}}, "--")
+    matrix = getattr(args, "matrix", None)  # the linear landscape of `check ess`
+    kind = None if matrix is None else dynamics.Replicator(Linear(_parse_matrix(matrix)))
     result = _run_check(check, kind, point, point, None)
     print(json.dumps({"check": args.check, "pass": result["pass"], "report": result["metrics"]},
                      indent=2))
@@ -535,31 +560,17 @@ def _build_parser() -> argparse.ArgumentParser:
     chk = sub.add_parser("check", help="run a single inline check")
     chk_sub = chk.add_subparsers(dest="check", required=True)
 
-    ess = chk_sub.add_parser("ess", help="sampled evolutionary stability check")
-    ess.add_argument("--matrix", required=True, help='payoff matrix as JSON, e.g. "[[-1,2],[0,1]]"')
-    ess.add_argument("--point", required=True, help='candidate, e.g. "0.5,0.5"')
-    ess.add_argument("--radius", type=float, default=_ESS_KEYS["radius"])
-    ess.add_argument("--samples", type=int, default=_ESS_KEYS["samples"])
-    ess.add_argument("--seed", type=int, default=_ESS_KEYS["seed"])
-    ess.add_argument("--quiet", action="store_true")
-
-    loc = chk_sub.add_parser("localize", help="localize the KL divergence at a point")
-    loc.add_argument("--point", required=True, help='evaluation point, e.g. "0.5,0.5"')
-    loc_keys = _CHECK_KEYS["localize"]
-    loc.add_argument("--h", type=float, default=loc_keys["h"], help="central-difference step")
-    loc.add_argument(
-        "--tol", type=float, default=loc_keys["tol"], help="allowed deviation from 1/x_i"
-    )
-    loc.add_argument("--quiet", action="store_true")
-
-    grad = chk_sub.add_parser("gradient", help="metric-gradient consistency check")
-    grad.add_argument("--point", required=True, help='evaluation point, e.g. "1/3,1/3,1/3"')
-    grad.add_argument("--grad", required=True, help='Euclidean potential gradient, e.g. "1,2,3"')
-    grad_keys = _CHECK_KEYS["gradient_consistency"]
-    grad.add_argument("--probes", type=int, default=grad_keys["probes"])
-    grad.add_argument("--seed", type=int, default=grad_keys["seed"])
-    grad.add_argument("--tol", type=float, default=grad_keys["tol"])
-    grad.add_argument("--quiet", action="store_true")
+    for command, (name, keys, text) in _CHECK_COMMANDS.items():
+        cmd = chk_sub.add_parser(command, help=text)
+        cmd.add_argument("--point", required=True, help='a simplex point, e.g. "1/3,1/3,1/3"')
+        if name == "ess":
+            cmd.add_argument("--matrix", required=True, help='payoff matrix, e.g. "[[-1,2],[0,1]]"')
+        for key in keys:
+            value_type, default = _CHECKS[name][1][key]
+            text, _, parse = _VALUE_TYPES[value_type]
+            hint = "" if default is None else f" (default: {default})"
+            cmd.add_argument(f"--{key}", type=parse, default=default, required=default is None,
+                             help=f"{value_type}: {text}{hint}")
 
     return parser
 

@@ -8,9 +8,12 @@ the pass/fail plumbing without subprocess overhead.
 import csv
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from simplexdyn import cli
 from simplexdyn.cli import load_scenario, main
@@ -484,3 +487,202 @@ def test_list_where_a_name_belongs_is_a_config_error(tmp_path, capsys, overrides
         load_scenario(str(cfg))
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "check, key",
+    [
+        ({"name": "ess", "expect": "false"}, "expect"),
+        ({"name": "lyapunov", "require_converged": "no"}, "require_converged"),
+        ({"name": "ess", "samples": 2.7}, "samples"),
+        ({"name": "ess", "samples": True}, "samples"),
+        ({"name": "ess", "radius": "abc"}, "radius"),
+        ({"name": "localize", "h": None}, "h"),
+        ({"name": "lyapunov", "max_drift": "1e-3"}, "max_drift"),
+        ({"name": "fisher_theorem", "tol": True}, "tol"),
+        ({"name": "ess", "seed": -1}, "seed"),
+        ({"name": "gradient_consistency", "probes": 0}, "probes"),
+    ],
+)
+def test_bad_check_value_is_one_named_error_before_any_write(tmp_path, capsys, check, key):
+    cfg = _write_config(tmp_path / "v.json", checks=[{"name": "lyapunov"}, check])
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and f"'checks[1].{key}'" in err[0]
+    assert captured.out == "" and list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["ess", "--matrix", "[[-1,2],[0,1]]", "--point", "0.5,0.5", "--radius", "-1"], "--radius"),
+        (["gradient", "--point", "0.5,0.5", "--grad", "1,2", "--probes", "0"], "--probes"),
+        (["gradient", "--point", "0.5,0.5", "--grad", "1,2", "--seed", "-2"], "--seed"),
+        (["localize", "--point", "0.5,0.5", "--h", "nan"], "--h"),
+        (["localize", "--point", "0.5,0.5", "--tol", "-1"], "--tol"),
+    ],
+)
+def test_bad_check_option_is_an_error_naming_the_option(capsys, argv, option):
+    assert main(["check", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and f"'{option}'" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ess", "--matrix", "[[-1,2],[0,1]]", "--point", "0.5,0.5"],
+        ["localize", "--point", "0.5,0.5"],
+        ["gradient", "--point", "0.5,0.5", "--grad", "1,2"],
+    ],
+)
+def test_check_subcommands_take_no_quiet_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", *argv, "--quiet"])
+    assert exc.value.code == 2 and "--quiet" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"kind": "lotka_volterra", "initial_state": [1.0, 1.0], "target": [1.0, 1.0],
+          "checks": [{"name": "ess"}]}, "target (SimplexPoint)"),
+        ({"target": None, "checks": [{"name": "lyapunov"}]}, "target (object), got None"),
+        ({"kind": "lotka_volterra", "initial_state": [1.0, 1.0], "target": None,
+          "checks": [{"name": "localize"}]}, "needs a 'point'"),
+        ({"checks": [{"name": "localize", "point": [0.5, 0.6]}]}, "checks[0].point"),
+    ],
+)
+def test_check_preconditions_fail_at_load(tmp_path, capsys, overrides, message):
+    cfg = _write_config(tmp_path / "p.json", **overrides)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_scenario(str(cfg))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
+def test_numbers_are_stored_as_float(tmp_path):
+    cfg = _write_config(tmp_path / "f.json", checks=[{"name": "localize", "tol": 1}])
+    (check,) = load_scenario(str(cfg)).checks
+    assert check == {"name": "localize", "tol": 1.0} and type(check["tol"]) is float
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert '"tol": 1.0\n' in (out / "hd_report.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "overrides, fmt, named",
+    [
+        ({"outputs": {"trajectory_csv": 5}}, "csv", "'outputs.trajectory_csv'"),
+        ({"outputs": {"trajectory_csv": "../escape.csv"}}, "csv", "'outputs.trajectory_csv'"),
+        ({"outputs": {"report_json": "nodir/r.json"}}, "csv", "'outputs.report_json'"),
+        ({"outputs": {"report_json": ".."}}, "csv", "'outputs.report_json'"),
+        ({"name": "../escape"}, "csv", "'name'"),
+        ({"outputs": {"trajectory_csv": "same.json", "report_json": "same.json"}}, "csv",
+         "'same.json'"),
+        ({"outputs": {"trajectory_csv": "t.csv", "report_json": "t.json"}}, "json", "'t.json'"),
+        ({"steps": True}, "csv", "'steps'"),
+        ({"dt": True}, "csv", "'dt'"),
+    ],
+)
+def test_bad_output_name_or_root_value_is_one_error_before_any_write(tmp_path, capsys, overrides,
+                                                                      fmt, named):
+    cfg = _write_config(tmp_path / "c.json", **overrides)
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--format", fmt]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+    assert list(out.iterdir()) == [] and not (tmp_path / "escape.csv").exists()
+    assert cli.run_scenario(str(cfg), str(out), fmt, True) == 1
+    assert list(out.iterdir()) == []
+
+
+def test_collisions_are_found_on_the_names_written(tmp_path, capsys):
+    a = _write_config(tmp_path / "a.json", name="a", outputs={"trajectory_csv": "x.csv"})
+    b = _write_config(tmp_path / "b.json", name="b", outputs={"report_json": "x.json"})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(a), str(b), "--out", str(out), "--quiet"]) == 0
+    assert main(["simulate", "--config", str(a), str(b), "--out", str(tmp_path / "j"),
+                 "--format", "json"]) == 1
+    assert main(["simulate", "--config", str(a), str(a), "--out", str(tmp_path / "k")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all("both write output" in line for line in err)
+    assert not (tmp_path / "j").exists() and not (tmp_path / "k").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_write_error_is_an_error_line_naming_the_path(tmp_path, capfd, jobs):
+    a = _write_config(tmp_path / "a.json", name="a", steps=5)
+    b = _write_config(tmp_path / "b.json", name="b", steps=5)
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory")
+    assert main(["simulate", "--config", str(a), str(b), "--out", str(out), "--jobs", jobs,
+                 "--quiet"]) == 1
+    err = capfd.readouterr().err.splitlines()  # fd-level: --jobs 2 writes from worker processes
+    assert len(err) == 2 and all(line.startswith("error:") and str(out) in line for line in err)
+
+
+#: JSON values by type, and the types each value type accepts (a None default also takes null).
+JSON_VALUES = {
+    bool: st.booleans(),
+    int: st.integers(-1000, 1000),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    str: st.text(max_size=4),
+    list: st.lists(st.integers(0, 3), max_size=3),
+    dict: st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    type(None): st.none(),
+}
+ACCEPTED = {"flag": {bool}, "count": {int}, "seed": {int}, "positive": {int, float},
+            "tolerance": {int, float}, "vector": {list}}
+LOADS_WITH = {  # a config each check loads in; the others load in _write_config's default
+    "coupled_ess": {"kind": "coupled_replicator", "landscape": MP_LANDSCAPE,
+                    "initial_state": MP_STATE, "target": MP_STATE},
+    "denorm_ess": {"kind": "lotka_volterra", "initial_state": [1.0, 1.0], "target": [1.0, 1.0]},
+}
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_wrong_json_type_names_its_path_and_the_default_loads(tmp_path, data):
+    name = data.draw(st.sampled_from(sorted(cli._CHECKS)))
+    key = data.draw(st.sampled_from(sorted(cli._CHECKS[name][1])))
+    value_type, default = cli._CHECKS[name][1][key]
+    wrong = [t for t in JSON_VALUES
+             if t not in ACCEPTED[value_type] and not (t is type(None) and default is None)]
+    value = data.draw(st.one_of(*(JSON_VALUES[t] for t in wrong)))
+    cfg = _write_config(tmp_path / "h.json", checks=[{"name": name, key: value}],
+                        **LOADS_WITH.get(name, {}))
+    with pytest.raises(ConfigError, match=re.escape(f"'checks[0].{key}'")):
+        load_scenario(str(cfg))
+    _write_config(cfg, checks=[{"name": name, key: default}], **LOADS_WITH.get(name, {}))
+    loaded = load_scenario(str(cfg)).checks[0][key]
+    assert type(loaded) is type(default) and loaded == default
+
+
+def _readme_default(cell):
+    try:
+        return json.loads(cell)
+    except ValueError:  # prose such as "none" or "the initial state": no default
+        return None
+
+
+def test_readme_check_table_matches_the_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^ *\| (`[\w`, ]+`) \| `(\w+)` \| (\w+) \| ([^|]+) \|$", readme, re.M)
+    documented = {}
+    for names, key, value_type, default in rows:
+        for name in re.findall(r"`(\w+)`", names):
+            documented.setdefault(name, {})[key] = (value_type, repr(_readme_default(default)))
+    assert documented == {
+        name: {key: (value_type, repr(default)) for key, (value_type, default) in keys.items()}
+        for name, (_, keys) in cli._CHECKS.items()
+    }
