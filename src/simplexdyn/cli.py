@@ -192,6 +192,26 @@ def _check_values(entry: dict, where: str) -> dict:
     return values
 
 
+def _check_preconditions(check: dict, kind, initial, where: str) -> None:
+    """Refuse a typed check that would fail on any trajectory; errors name ``where``."""
+    name = check["name"]
+    point = initial if check.get("point") is None else check["point"]
+    if name == "fisher_theorem":
+        try:
+            analysis._require_fisher_kind(kind)
+        except SimplexDynError as exc:
+            raise ConfigError(f"'{where}': {exc}") from exc
+    elif name == "gradient_consistency" and check.get("grad") is not None:
+        if check["grad"].size != point.dim:
+            raise ConfigError(f"'{where}.grad' must have the {point.dim} entries of its point, "
+                              f"got {check['grad'].size}")
+    elif name == "localize":
+        h = check.get("h", _CHECKS[name][1]["h"][1])
+        if not h < point.coords.min():
+            raise ConfigError(f"'{where}.h' must be smaller than the point's smallest "
+                              f"coordinate {point.coords.min()}, got {h}")
+
+
 def _build_state(kind_name: str, payload, field: str):
     try:
         if kind_name == "coupled_replicator":
@@ -272,6 +292,7 @@ def load_scenario(path: str) -> Scenario:
             checks[i]["point"] = _build_state("replicator", entry["point"], f"checks[{i}].point")
         elif "point" in keys and not isinstance(initial, SimplexPoint):
             raise ConfigError(f"'checks[{i}]' needs a 'point': the start is not a simplex point")
+        _check_preconditions(checks[i], kind, initial, f"checks[{i}]")
 
     outputs = config.get("outputs", {})
     if not isinstance(outputs, dict):
@@ -447,6 +468,17 @@ def _output_files(scenario: Scenario, fmt: str) -> tuple[str, str]:
     return trajectory_file, scenario.report_file
 
 
+def _line(stream, text: str) -> None:
+    """Write ``text`` and its newline as one write, then flush.
+
+    ``--jobs`` workers share the parent's stdout and stderr; ``print`` writes
+    the text and the newline separately, and on an unbuffered stream the lines
+    of two workers could interleave.
+    """
+    stream.write(text + "\n")
+    stream.flush()
+
+
 def _run_loaded(scenario: Scenario, out_dir: str, fmt: str, quiet: bool) -> int:
     """Integrate, check, and write one loaded scenario.  Returns the exit code."""
     try:
@@ -476,16 +508,16 @@ def _run_loaded(scenario: Scenario, out_dir: str, fmt: str, quiet: bool) -> int:
             json.dump(report, fh, indent=2)
             fh.write("\n")
     except (SimplexDynError, OSError) as exc:  # an OSError names the path it could not write
-        print(f"error: {exc}", file=sys.stderr)
+        _line(sys.stderr, f"error: {exc}")
         return 1
     if not quiet:
         for check in checks:
             status = "pass" if check["pass"] else "FAIL"
-            print(f"{scenario.name}: {check['name']}: {status}")
-        print(f"{scenario.name}: wrote {trajectory_path} and {report_path}")
+            _line(sys.stdout, f"{scenario.name}: {check['name']}: {status}")
+        _line(sys.stdout, f"{scenario.name}: wrote {trajectory_path} and {report_path}")
     if traj.truncated:
         if not quiet:
-            print(f"{scenario.name}: truncated ({traj.failure})", file=sys.stderr)
+            _line(sys.stderr, f"{scenario.name}: truncated ({traj.failure})")
         return 1
     if any(not check["pass"] for check in checks):
         return 2
@@ -500,7 +532,7 @@ def _simulate_command(args: argparse.Namespace) -> int:
             scenario = load_scenario(path)
             files = _output_files(scenario, args.format)
         except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            _line(sys.stderr, f"error: {exc}")
             codes.append(1)
             continue
         for out in files:
@@ -582,7 +614,7 @@ def main(argv=None) -> int:
             return _simulate_command(args)
         return check_command(args)
     except SimplexDynError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _line(sys.stderr, f"error: {exc}")
         return 1
 
 

@@ -576,12 +576,23 @@ def lv_correspondence_residual(traj: Trajectory) -> float:
     return float(np.max(np.abs(dy - rhs[1:-1])))
 
 
+#: Reference segments per bounding box in ``orbit_gap``, and queries per batch.
+_GAP_BLOCK = 32
+
+
 def orbit_gap(states: np.ndarray, reference: np.ndarray, stride: int = 1) -> float:
     """Largest distance from ``states`` rows to the polyline through ``reference``.
 
     A one-directional Hausdorff-style gap: each queried state is matched to
     the nearest point on any segment of the reference path, which makes the
     measure insensitive to time reparameterization.
+
+    Segments are grouped in blocks of ``_GAP_BLOCK`` with a coordinate box
+    each.  A batch of queries evaluates the segments of its nearest box, then
+    every block whose box lies within that bound plus a rounding margin, so
+    the segment attaining each minimum is always evaluated, with the same
+    per-segment formula.  Inputs that are not finite or exceed 1e100 in
+    magnitude skip the pruning.
     """
     states = np.asarray(states, dtype=float)
     reference = np.asarray(reference, dtype=float)
@@ -591,10 +602,48 @@ def orbit_gap(states: np.ndarray, reference: np.ndarray, stride: int = 1) -> flo
     seg = reference[1:] - p0
     seg_sq = np.einsum("ij,ij->i", seg, seg)
     seg_sq = np.where(seg_sq == 0.0, 1.0, seg_sq)
-    worst = 0.0
-    for q in states[::stride]:
-        t = np.clip(((q - p0) * seg).sum(axis=1) / seg_sq, 0.0, 1.0)
-        closest = p0 + t[:, None] * seg
-        d_sq = ((q - closest) ** 2).sum(axis=1)
-        worst = max(worst, float(d_sq.min()))
-    return float(np.sqrt(worst))
+    count, n = p0.shape
+    starts = np.arange(0, count, _GAP_BLOCK)
+    ends = np.minimum(starts + _GAP_BLOCK, count)
+    lo = np.minimum(np.minimum.reduceat(p0, starts), reference[ends])
+    hi = np.maximum(np.maximum.reduceat(p0, starts), reference[ends])
+    # the last block repeats its last segment, which leaves every minimum as it is
+    members = np.minimum(starts[:, None] + np.arange(_GAP_BLOCK), count - 1)
+
+    def block_gaps(q: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+        """Squared distance from each row of ``q`` to the nearest segment of its block."""
+        idx = members[blocks].ravel()
+        rows = np.repeat(q, _GAP_BLOCK, axis=0)
+        t = np.clip(((rows - p0[idx]) * seg[idx]).sum(axis=1) / seg_sq[idx], 0.0, 1.0)
+        closest = p0[idx] + t[:, None] * seg[idx]
+        return ((rows - closest) ** 2).sum(axis=1).reshape(-1, _GAP_BLOCK).min(axis=1)
+
+    queries = states[::stride]
+    prune = bool(np.all(np.abs(reference) <= 1e100) and np.all(np.abs(queries) <= 1e100))
+    # Rounding moves a box distance and a segment distance by a relative n * eps and the
+    # computed closest point off its segment by 7 eps * max|reference| per coordinate; the
+    # margin bounds both with room (the absolute term also covers subnormal results).
+    scale = float(np.abs(reference).max()) if prune else 0.0
+    slack = n * (1e-20 * scale * scale + 1e-300)
+    minima = np.empty(len(queries))
+    for first in range(0, len(queries), _GAP_BLOCK):
+        q = queries[first : first + _GAP_BLOCK]
+        gap = lo - q[:, None]
+        np.maximum(gap, q[:, None] - hi, out=gap)
+        np.maximum(gap, 0.0, out=gap)
+        box = np.einsum("ijk,ijk->ij", gap, gap)
+        near = box.argmin(axis=1)
+        best = block_gaps(q, near)
+        if prune:
+            visit = box <= (best * (1.0 + 1e-6) + slack)[:, None]
+        else:
+            visit = np.ones(box.shape, dtype=bool)
+        visit[np.arange(len(q)), near] = False
+        rows, blocks = np.nonzero(visit)
+        step = max(len(starts), _GAP_BLOCK)  # pairs per pass: temporaries stay near (count, n)
+        for i in range(0, rows.size, step):
+            part = slice(i, i + step)
+            np.minimum.at(best, rows[part], block_gaps(q[rows[part]], blocks[part]))
+        minima[first : first + len(q)] = best
+    # fmax skips a NaN distance, as a running max() does
+    return float(np.sqrt(np.fmax.reduce(minima, initial=0.0)))

@@ -6,8 +6,10 @@ the pass/fail plumbing without subprocess overhead.
 """
 
 import csv
+import io
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -555,6 +557,12 @@ def test_check_subcommands_take_no_quiet_option(capsys, argv):
         ({"kind": "lotka_volterra", "initial_state": [1.0, 1.0], "target": None,
           "checks": [{"name": "localize"}]}, "needs a 'point'"),
         ({"checks": [{"name": "localize", "point": [0.5, 0.6]}]}, "checks[0].point"),
+        ({"checks": [{"name": "fisher_theorem"}]}, "'checks[0]': payoff matrix must be symmetric"),
+        ({"kind": "lotka_volterra", "initial_state": [1.0, 1.0], "target": None,
+          "checks": [{"name": "fisher_theorem"}]}, "'checks[0]': check requires replicator"),
+        ({"checks": [{"name": "gradient_consistency", "grad": [1, 2, 3]}]}, "'checks[0].grad'"),
+        ({"checks": [{"name": "localize", "h": 0.5}]}, "'checks[0].h' must be smaller"),
+        ({"checks": [{"name": "localize", "point": [0.9995, 0.0005]}]}, "'checks[0].h'"),
     ],
 )
 def test_check_preconditions_fail_at_load(tmp_path, capsys, overrides, message):
@@ -630,6 +638,28 @@ def test_write_error_is_an_error_line_naming_the_path(tmp_path, capfd, jobs):
     assert len(err) == 2 and all(line.startswith("error:") and str(out) in line for line in err)
 
 
+def test_each_output_line_is_one_write(tmp_path, monkeypatch):
+    """--jobs workers share stdout and stderr: a line written in two parts could interleave."""
+    class Writes(io.StringIO):
+        def __init__(self):
+            super().__init__()
+            self.calls = []
+
+        def write(self, text):
+            self.calls.append(text)
+            return super().write(text)
+
+    a = _write_config(tmp_path / "a.json", name="a", steps=5)
+    out, err = Writes(), Writes()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    assert main(["simulate", "--config", str(a), "--out", str(tmp_path / "o")]) == 0
+    (tmp_path / "taken").write_text("a file, not a directory")
+    assert main(["simulate", "--config", str(a), "--out", str(tmp_path / "taken")]) == 1
+    assert len(out.calls) == 2 and len(err.calls) == 1
+    assert all(call.count("\n") == 1 and call.endswith("\n") for call in out.calls + err.calls)
+
+
 #: JSON values by type, and the types each value type accepts (a None default also takes null).
 JSON_VALUES = {
     bool: st.booleans(),
@@ -646,6 +676,7 @@ LOADS_WITH = {  # a config each check loads in; the others load in _write_config
     "coupled_ess": {"kind": "coupled_replicator", "landscape": MP_LANDSCAPE,
                     "initial_state": MP_STATE, "target": MP_STATE},
     "denorm_ess": {"kind": "lotka_volterra", "initial_state": [1.0, 1.0], "target": [1.0, 1.0]},
+    "fisher_theorem": {"landscape": {"type": "linear", "matrix": [[1.0, 2.0], [2.0, 1.0]]}},
 }
 
 
