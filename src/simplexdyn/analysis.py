@@ -27,12 +27,11 @@ from .core import (
 from .divergence import kl_formula
 from .dynamics import (
     CoupledReplicator,
-    LotkaVolterra,
     Replicator,
-    ShiftedLotkaVolterra,
     Trajectory,
     _blocks,
     _frequencies,
+    _state_vector,
     _target_vector,
     _uniform_step,
 )
@@ -81,9 +80,10 @@ class LyapunovReport:
 
     monotone: bool
     max_increase: float
-    final_value: float
-    converged: bool
     initial_value: float
+    final_value: float
+    drift: float  # final_value - initial_value
+    converged: bool
     values: np.ndarray
     parallel_before_convergence: Optional[int] = None
 
@@ -215,13 +215,12 @@ def _orthant_ball_samples(
     return _ball_samples(rng, [center], radius, count, tangent=False)
 
 
-def _simplex_ess(
-    kind, hat: np.ndarray, split: Optional[int], radius: float, samples: int, seed: int
-) -> EssReport:
-    """Sampled stability of ``hat`` under ``kind``, one tangent-ball draw per population block.
+def _simplex_ess(kind, target, radius: float, samples: int, seed: int) -> EssReport:
+    """Sampled stability of ``target`` under ``kind``, one tangent-ball draw per population block.
 
-    The margin at a sample x is sum_b hat_b . f_b(x) - sum_b x_b . f_b(x).
+    The margin at a sample x is sum_b hat_b . f_b(x) - sum_b x_b . f_b(x), with hat the target.
     """
+    hat, split = _state_vector(kind, target, "target")
     blocks = _blocks(kind, split)
     rng = _sampling_rng(radius, samples, seed)
     points = _tangent_ball_samples(rng, [hat[own] for own, _, _ in blocks], radius, int(samples))
@@ -244,7 +243,7 @@ def ess_check(
     candidate is evolutionarily stable on the sampled neighborhood when no
     margin is definitely negative and at least one is definitely positive.
     """
-    return _simplex_ess(Replicator(f), candidate.coords, None, radius, samples, seed)
+    return _simplex_ess(Replicator(f), candidate, radius, samples, seed)
 
 
 def coupled_ess_check(
@@ -261,8 +260,7 @@ def coupled_ess_check(
     Samples (p, q) from the product of tangent balls and evaluates the
     summed margin p_hat . f(p,q) + q_hat . g(p,q) - p . f(p,q) - q . g(p,q).
     """
-    hat = CoupledState(p_hat, q_hat).concatenated()
-    return _simplex_ess(CoupledReplicator(f, g), hat, p_hat.dim, radius, samples, seed)
+    return _simplex_ess(CoupledReplicator(f, g), CoupledState(p_hat, q_hat), radius, samples, seed)
 
 
 def _sine_to_direction(states: np.ndarray, direction: np.ndarray) -> np.ndarray:
@@ -313,7 +311,7 @@ def _divergence_series(traj: Trajectory, target) -> tuple[np.ndarray, Optional[n
     values = [
         np.maximum(kl_formula(t[own], rows[:, own]), 0.0) for own, _, _ in _blocks(kind, traj.split)
     ]
-    orthant = isinstance(kind, (LotkaVolterra, ShiftedLotkaVolterra))
+    orthant = kind.state_type is OrthantPoint
     sines = _sine_to_direction(traj.states, target.coords) if orthant else None
     return reduce(np.add, values), sines
 
@@ -332,7 +330,7 @@ def lyapunov_monitor(traj: Trajectory, target) -> LyapunovReport:
         max_increase = max(0.0, float(np.max(np.diff(values))))
     else:
         max_increase = 0.0
-    final_value = float(values[-1])
+    initial_value, final_value = float(values[0]), float(values[-1])
     converged_idx = np.nonzero(values <= CONV_TOL)[0]
     parallel_count = None
     if sines is not None:
@@ -341,9 +339,10 @@ def lyapunov_monitor(traj: Trajectory, target) -> LyapunovReport:
     return LyapunovReport(
         monotone=max_increase <= MONO_SLACK,
         max_increase=max_increase,
+        initial_value=initial_value,
         final_value=final_value,
+        drift=final_value - initial_value,
         converged=final_value <= CONV_TOL,
-        initial_value=float(values[0]),
         values=values,
         parallel_before_convergence=parallel_count,
     )
@@ -363,18 +362,14 @@ def fisher_theorem_check(traj: Trajectory) -> float:
 
     Applies to replicator dynamics with a symmetric linear payoff A, where
     the flow ascends the potential V(x) = x . A x / 2.  The time derivative
-    is estimated by central differences on the recorded states, the variance
-    is recomputed pointwise, and the largest absolute mismatch over interior
-    steps is returned.
+    is estimated by central differences of V = mean fitness / 2, the mean
+    fitness and the variance are the run's recorded diagnostics, and the
+    largest absolute mismatch over interior steps is returned.
     """
-    kind = traj.kind
-    _require_fisher_kind(kind)
+    _require_fisher_kind(traj.kind)
     dt = _uniform_step(traj, "check")
-    states = traj.states
-    payoff = evaluate_landscape_batch(kind.f, states)
-    potential = 0.5 * np.einsum("ij,ij->i", states, payoff)
-    mean = np.einsum("ij,ij->i", states, payoff)
-    variance = np.einsum("ij,ij->i", states, (payoff - mean[:, None]) ** 2)
+    potential = 0.5 * traj.diagnostics.mean_fitness
+    variance = traj.diagnostics.fitness_variance
     derivative = (potential[2:] - potential[:-2]) / (2.0 * dt)
     return float(np.max(np.abs(derivative - variance[1:-1])))
 

@@ -25,7 +25,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -212,9 +212,10 @@ def _check_preconditions(check: dict, kind, initial, where: str) -> None:
                               f"coordinate {point.coords.min()}, got {h}")
 
 
-def _build_state(kind_name: str, payload, field: str):
+def _build_state(state_type: type, payload, field: str):
+    """``payload`` as a ``state_type`` of a kind; errors name ``field``."""
     try:
-        if kind_name == "coupled_replicator":
+        if state_type is CoupledState:
             if not isinstance(payload, dict) or "p" not in payload or "q" not in payload:
                 raise ConfigError(f"field '{field}' must be an object with 'p' and 'q'")
             _reject_unknown(payload, ("p", "q"), field)
@@ -222,9 +223,7 @@ def _build_state(kind_name: str, payload, field: str):
                 SimplexPoint(_coerce_array(payload["p"], f"{field}.p")),
                 SimplexPoint(_coerce_array(payload["q"], f"{field}.q")),
             )
-        if kind_name in ("lotka_volterra", "shifted_lotka_volterra"):
-            return OrthantPoint(_coerce_array(payload, field))
-        return SimplexPoint(_coerce_array(payload, field))
+        return state_type(_coerce_array(payload, field))
     except ConfigError:
         raise
     except (TypeError, ValueError, SimplexDynError) as exc:
@@ -266,10 +265,10 @@ def load_scenario(path: str) -> Scenario:
     else:
         kind = _KIND_NAMES[kind_name](_build_landscape(landscape_cfg, "landscape"))
 
-    initial = _build_state(kind_name, _require(config, "initial_state"), "initial_state")
+    initial = _build_state(kind.state_type, _require(config, "initial_state"), "initial_state")
     target = None
     if config.get("target") is not None:
-        target = _build_state(kind_name, config["target"], "target")
+        target = _build_state(kind.state_type, config["target"], "target")
 
     dt = _typed("positive", _require(config, "dt"), "dt")
     steps = _typed("count", _require(config, "steps"), "steps")
@@ -289,7 +288,7 @@ def load_scenario(path: str) -> Scenario:
         if needs is not None and (target is None or not isinstance(target, needs)):
             raise ConfigError(f"'checks[{i}]' needs a target ({needs.__name__}), got {target!r}")
         if entry.get("point") is not None:
-            checks[i]["point"] = _build_state("replicator", entry["point"], f"checks[{i}].point")
+            checks[i]["point"] = _build_state(SimplexPoint, entry["point"], f"checks[{i}].point")
         elif "point" in keys and not isinstance(initial, SimplexPoint):
             raise ConfigError(f"'checks[{i}]' needs a 'point': the start is not a simplex point")
         _check_preconditions(checks[i], kind, initial, f"checks[{i}]")
@@ -370,6 +369,12 @@ def write_trajectory_json(path: str, traj: dynamics.Trajectory) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _report_metrics(report) -> dict:
+    """An ``analysis`` report's fields that are neither arrays nor None, in declaration order."""
+    values = ((field.name, getattr(report, field.name)) for field in fields(report))
+    return {key: v for key, v in values if v is not None and not isinstance(v, np.ndarray)}
+
+
 def _run_check(check: dict, kind, initial, target, traj: Optional[dynamics.Trajectory]) -> dict:
     """One check on a scenario's parts: its ``{"name", "pass", "metrics"}`` entry.
 
@@ -380,42 +385,21 @@ def _run_check(check: dict, kind, initial, target, traj: Optional[dynamics.Traje
     check = {**{key: default for key, (_, default) in _CHECKS[name][1].items()}, **check}
     if name == "lyapunov":
         report = analysis.lyapunov_monitor(traj, target)
-        drift = report.final_value - report.initial_value
         passed = report.monotone
         if check["require_converged"]:
             passed = passed and report.converged
         if check["max_drift"] is not None:
-            passed = passed and abs(drift) <= check["max_drift"]
-        metrics = {
-            "monotone": report.monotone,
-            "max_increase": report.max_increase,
-            "initial_value": report.initial_value,
-            "final_value": report.final_value,
-            "drift": drift,
-            "converged": report.converged,
-        }
-        if report.parallel_before_convergence is not None:
-            metrics["parallel_before_convergence"] = report.parallel_before_convergence
+            passed = passed and abs(report.drift) <= check["max_drift"]
+        metrics = _report_metrics(report)
 
     elif name in ("ess", "coupled_ess", "denorm_ess"):
         sampling = (check["radius"], check["samples"], check["seed"])
-        if name == "ess":
-            land = dynamics._blocks(kind, None)[0][1]
-            report = analysis.ess_check(target, land, *sampling)
-        elif name == "coupled_ess":
-            report = analysis.coupled_ess_check(target.pop1, target.pop2, kind.f, kind.g, *sampling)
-        else:
+        if name == "denorm_ess":
             report = analysis.denormalized_ess_check(target, kind.f, *sampling)
+        else:
+            report = analysis._simplex_ess(kind, target, *sampling)
         passed = report.is_ess == check["expect"]
-        metrics = {
-            "is_ess": report.is_ess,
-            "min_margin": report.min_margin,
-            "samples_tested": report.samples_tested,
-            "radius": report.radius,
-            "indeterminate": report.indeterminate,
-        }
-        if report.parallel_samples is not None:
-            metrics["parallel_samples"] = report.parallel_samples
+        metrics = _report_metrics(report)
 
     elif name == "fisher_theorem":
         residual = analysis.fisher_theorem_check(traj)
@@ -565,7 +549,7 @@ def check_command(args: argparse.Namespace) -> int:
     Errors name the option; ``--point`` is both the start state and the target.
     """
     name, keys, _ = _CHECK_COMMANDS[args.check]
-    point = _build_state("replicator", args.point.split(","), "--point")
+    point = _build_state(SimplexPoint, args.point.split(","), "--point")
     check = _check_values({"name": name, **{key: getattr(args, key) for key in keys}}, "--")
     matrix = getattr(args, "matrix", None)  # the linear landscape of `check ess`
     kind = None if matrix is None else dynamics.Replicator(Linear(_parse_matrix(matrix)))

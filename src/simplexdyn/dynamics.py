@@ -63,6 +63,7 @@ EXPFAM_TOL = 1e-6
 class Replicator:
     """Frequency selection dynamics driven by landscape ``f``."""
 
+    state_type = SimplexPoint
     f: Landscape
 
 
@@ -70,6 +71,7 @@ class Replicator:
 class Ecological:
     """Simplex dynamics dx_i = x_i g_i(x) for an aggregate-neutral payoff g."""
 
+    state_type = SimplexPoint
     g: Landscape
 
 
@@ -77,6 +79,7 @@ class Ecological:
 class LotkaVolterra:
     """Abundance dynamics dx_i = x_i f_i(x) on the positive orthant."""
 
+    state_type = OrthantPoint
     f: Landscape
 
 
@@ -84,6 +87,7 @@ class LotkaVolterra:
 class ShiftedLotkaVolterra:
     """Abundance dynamics dx_i = (x_i / |x|) f_i(x)."""
 
+    state_type = OrthantPoint
     f: Landscape
 
 
@@ -91,6 +95,7 @@ class ShiftedLotkaVolterra:
 class CoupledReplicator:
     """Two replicator populations; ``f`` and ``g`` are payoffs over (own, other)."""
 
+    state_type = CoupledState
     f: Landscape
     g: Landscape
 
@@ -99,8 +104,12 @@ VectorFieldKind = Union[
     Replicator, Ecological, LotkaVolterra, ShiftedLotkaVolterra, CoupledReplicator
 ]
 
-_SIMPLEX_KINDS = (Replicator, Ecological)
-_ORTHANT_KINDS = (LotkaVolterra, ShiftedLotkaVolterra)
+
+def _state_type(kind) -> type:
+    """The state type ``kind`` declares: SimplexPoint, OrthantPoint or CoupledState."""
+    if not isinstance(kind, VectorFieldKind):
+        raise TypeError(f"unknown field kind: {kind!r}")
+    return kind.state_type
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +196,10 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
         if not np.all(states > 0.0):
             raise ValueError("all recorded coordinates must be strictly positive")
-        if isinstance(self.kind, CoupledReplicator):
+        if _state_type(self.kind) is CoupledState:
             if self.split is None or not (0 < self.split < states.shape[1]):
                 raise ValueError("coupled trajectory requires a valid split index")
-        if not isinstance(self.kind, _ORTHANT_KINDS):
+        if self.kind.state_type is not OrthantPoint:
             for own, _, _ in _blocks(self.kind, self.split):
                 if np.max(np.abs(states[:, own].sum(axis=1) - 1.0)) > SIMPLEX_TOL:
                     raise ValueError("simplex trajectory rows must sum to 1 within tolerance")
@@ -233,11 +242,9 @@ def logsumexp(v: np.ndarray) -> float:
 
 def _blocks(kind: VectorFieldKind, split: Optional[int]) -> tuple:
     """One (slice, landscape, other population's slice or None) per population of the state."""
-    if isinstance(kind, CoupledReplicator):
+    if _state_type(kind) is CoupledState:
         p, q = slice(0, split), slice(split, None)
         return ((p, kind.f, q), (q, kind.g, p))
-    if not isinstance(kind, _SIMPLEX_KINDS + _ORTHANT_KINDS):
-        raise TypeError(f"unknown field kind: {kind!r}")
     return ((slice(None), kind.g if isinstance(kind, Ecological) else kind.f, None),)
 
 
@@ -331,14 +338,7 @@ def _log_field(blocks: tuple, chart):
 
 def _state_vector(kind: VectorFieldKind, state, role: str) -> tuple[np.ndarray, Optional[int]]:
     """A copy of ``state`` as one vector, and the split index of a coupled state."""
-    if isinstance(kind, _SIMPLEX_KINDS):
-        state_type = SimplexPoint
-    elif isinstance(kind, _ORTHANT_KINDS):
-        state_type = OrthantPoint
-    elif isinstance(kind, CoupledReplicator):
-        state_type = CoupledState
-    else:
-        raise TypeError(f"unknown field kind: {kind!r}")
+    state_type = _state_type(kind)
     if not isinstance(state, state_type):
         raise KindMismatchError(f"{type(kind).__name__} requires a {state_type.__name__} {role}")
     if state_type is CoupledState:
@@ -356,7 +356,7 @@ def _target_vector(kind: VectorFieldKind, target, size: int, split: Optional[int
 
 def _frequencies(kind: VectorFieldKind, states: np.ndarray, target: Optional[np.ndarray]):
     """Rows and target as population frequencies: abundance kinds divide each by its total."""
-    if isinstance(kind, _ORTHANT_KINDS):
+    if kind.state_type is OrthantPoint:
         states = states / states.sum(axis=1)[:, None]
         target = None if target is None else target / target.sum()
     return states, target
@@ -411,7 +411,7 @@ def _run(kind: VectorFieldKind, x0, dt: float, steps: int, target, log: bool) ->
     if target is not None:
         target = _target_vector(kind, target, start.size, split)
     blocks = _blocks(kind, split)
-    simplex = () if isinstance(kind, _ORTHANT_KINDS) else tuple(own for own, _, _ in blocks)
+    simplex = () if kind.state_type is OrthantPoint else tuple(own for own, _, _ in blocks)
     if log:
         chart = _log_chart(simplex)
         y, field = np.log(start), _log_field(blocks, chart)
@@ -512,12 +512,10 @@ def normalize_lv_trajectory(traj: Trajectory) -> Trajectory:
     states are the frequency vectors, and the state-total diagnostic becomes
     identically 1.
     """
-    if not isinstance(traj.kind, _ORTHANT_KINDS):
+    if traj.kind.state_type is not OrthantPoint:
         raise KindMismatchError(
             f"normalization applies to abundance trajectories, got {type(traj.kind).__name__}"
         )
-    if len(traj) == 0:
-        raise EmptyTrajectoryError("cannot normalize an empty trajectory")
     freqs = _frequencies(traj.kind, traj.states, None)[0]
     d = traj.diagnostics
     diagnostics = Diagnostics(
@@ -560,7 +558,7 @@ def lv_correspondence_residual(traj: Trajectory) -> float:
     Returns the max-norm residual between central-difference dy/dt and that
     right-hand side over interior time steps.
     """
-    if not isinstance(traj.kind, _ORTHANT_KINDS):
+    if traj.kind.state_type is not OrthantPoint:
         raise KindMismatchError(
             f"correspondence residual applies to abundance trajectories, got {type(traj.kind).__name__}"
         )
