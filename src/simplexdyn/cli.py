@@ -174,7 +174,10 @@ def _coerce_array(payload, field: str) -> np.ndarray:
 def _typed(value_type: str, value, field: str):
     """``value`` as a ``value_type`` of ``_VALUE_TYPES``; errors name the config field or option."""
     if value_type == "vector":
-        return _coerce_array(value, field)
+        vector = _coerce_array(value, field)
+        if not np.isfinite(vector).all():
+            raise ConfigError(f"{field!r} must hold finite numbers, got {value!r}")
+        return vector
     if value_type in ("positive", "tolerance") and type(value) is int:
         value = float(value) if abs(value) <= sys.float_info.max else value  # "tol": 1 is 1.0
     text, valid, _ = _VALUE_TYPES[value_type]
@@ -192,7 +195,7 @@ def _check_values(entry: dict, where: str) -> dict:
     return values
 
 
-def _check_preconditions(check: dict, kind, initial, where: str) -> None:
+def _check_preconditions(check: dict, kind, initial, steps: int, where: str) -> None:
     """Refuse a typed check that would fail on any trajectory; errors name ``where``."""
     name = check["name"]
     point = initial if check.get("point") is None else check["point"]
@@ -201,6 +204,8 @@ def _check_preconditions(check: dict, kind, initial, where: str) -> None:
             analysis._require_fisher_kind(kind)
         except SimplexDynError as exc:
             raise ConfigError(f"'{where}': {exc}") from exc
+        if steps < 2:
+            raise ConfigError(f"'{where}': a central difference needs 'steps' >= 2, got {steps}")
     elif name == "gradient_consistency" and check.get("grad") is not None:
         if check["grad"].size != point.dim:
             raise ConfigError(f"'{where}.grad' must have the {point.dim} entries of its point, "
@@ -291,7 +296,7 @@ def load_scenario(path: str) -> Scenario:
             checks[i]["point"] = _build_state(SimplexPoint, entry["point"], f"checks[{i}].point")
         elif "point" in keys and not isinstance(initial, SimplexPoint):
             raise ConfigError(f"'checks[{i}]' needs a 'point': the start is not a simplex point")
-        _check_preconditions(checks[i], kind, initial, f"checks[{i}]")
+        _check_preconditions(checks[i], kind, initial, steps, f"checks[{i}]")
 
     outputs = config.get("outputs", {})
     if not isinstance(outputs, dict):

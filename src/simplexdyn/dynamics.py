@@ -641,7 +641,9 @@ def orbit_gap(states: np.ndarray, reference: np.ndarray, stride: int = 1) -> flo
         step = max(len(starts), _GAP_BLOCK)  # pairs per pass: temporaries stay near (count, n)
         for i in range(0, rows.size, step):
             part = slice(i, i + step)
-            np.minimum.at(best, rows[part], block_gaps(q[rows[part]], blocks[part]))
+            gaps = block_gaps(q[rows[part]], blocks[part])
+            with np.errstate(invalid="ignore"):  # a NaN row: the loop's min() never warned
+                np.minimum.at(best, rows[part], gaps)
         minima[first : first + len(q)] = best
     # fmax skips a NaN distance, as a running max() does
     return float(np.sqrt(np.fmax.reduce(minima, initial=0.0)))

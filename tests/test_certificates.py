@@ -1,19 +1,32 @@
 """The certificate kernels against the per-row loops they replaced.
 
-The ESS samplers, the gradient check and ``orbit_gap`` work on whole batches.
-The ``_ref_*`` functions below are verbatim copies of the loops they
-replaced; every output must equal theirs to the bit, and every error must
-carry the same message.
+The ESS samplers, the gradient check and ``orbit_gap`` work on whole batches,
+and ``fisher_theorem_check`` reads the statistics its run recorded.  The
+``_ref_*`` functions below are verbatim copies of the code they replaced;
+every output must equal theirs to the bit, and every error must carry the
+same message.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simplexdyn import SimplexPoint, gradient_consistency_check, orbit_gap
-from simplexdyn.analysis import _orthant_ball_samples, _tangent_ball_samples
-from simplexdyn.core import TangentVector
+from simplexdyn import (
+    Linear,
+    Replicator,
+    SimplexPoint,
+    exp_family_solver,
+    fisher_theorem_check,
+    gradient_consistency_check,
+    integrate,
+    orbit_gap,
+)
+from simplexdyn.analysis import _orthant_ball_samples, _require_fisher_kind, _tangent_ball_samples
+from simplexdyn.core import TangentVector, evaluate_landscape_batch
+from simplexdyn.dynamics import _uniform_step
 from simplexdyn.errors import EmptyTrajectoryError, RadiusTooLargeError, SimplexDynError
 from simplexdyn.geometry import inner_product, shahshahani_gradient
 
@@ -98,6 +111,19 @@ def _ref_orbit_gap(states, reference, stride=1):
         d_sq = ((q - closest) ** 2).sum(axis=1)
         worst = max(worst, float(d_sq.min()))
     return float(np.sqrt(worst))
+
+
+def _ref_fisher_theorem_check(traj):
+    kind = traj.kind
+    _require_fisher_kind(kind)
+    dt = _uniform_step(traj, "check")
+    states = traj.states
+    payoff = evaluate_landscape_batch(kind.f, states)
+    potential = 0.5 * np.einsum("ij,ij->i", states, payoff)
+    mean = np.einsum("ij,ij->i", states, payoff)
+    variance = np.einsum("ij,ij->i", states, (payoff - mean[:, None]) ** 2)
+    derivative = (potential[2:] - potential[:-2]) / (2.0 * dt)
+    return float(np.max(np.abs(derivative - variance[1:-1])))
 
 
 def _outcome(call):
@@ -315,6 +341,34 @@ def test_orbit_gap_needs_two_reference_states():
     assert _outcome(lambda: orbit_gap(states, states[:1]))[0] is EmptyTrajectoryError
 
 
+def _walk_and_queries(seed):
+    """A 100-vertex walk (four segment blocks) and queries near it."""
+    rng = np.random.default_rng(seed)
+    reference = rng.standard_normal((100, 3)).cumsum(axis=0)
+    return reference, reference[::3] + 0.3 * rng.standard_normal((34, 3))
+
+
+@pytest.mark.parametrize("rows", [[5], [0, 5, 33], list(range(34))])
+@pytest.mark.parametrize("whole_row", [False, True])
+def test_orbit_gap_on_nan_query_rows_equals_the_loop_without_warnings(rows, whole_row):
+    reference, states = _walk_and_queries(3)
+    states[rows, slice(None) if whole_row else 1] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_same(lambda: _ref_orbit_gap(states, reference),
+                     lambda: orbit_gap(states, reference))
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, 1e200])
+@pytest.mark.parametrize("where", ["states", "reference"])
+def test_orbit_gap_on_inf_and_huge_inputs_equals_the_loop(value, where):
+    reference, states = _walk_and_queries(4)
+    (states if where == "states" else reference)[7, 2] = value
+    with np.errstate(all="ignore"):  # the loop warns on these inputs itself
+        _assert_same(lambda: _ref_orbit_gap(states, reference),
+                     lambda: orbit_gap(states, reference))
+
+
 def _tied_polyline(seed):
     """A few non-dyadic vertices visited many times: segments of different blocks tie."""
     rng = np.random.default_rng(seed)
@@ -335,3 +389,26 @@ MARGIN_SEEDS = [435, 542, 3430, 4749, 6358, 6773, 6957, 10522, 10857, 11402]
 def test_orbit_gap_keeps_ties_that_differ_by_rounding(seed):
     states, reference = _tied_polyline(seed)
     _assert_same(lambda: _ref_orbit_gap(states, reference), lambda: orbit_gap(states, reference))
+
+
+# ---------------------------------------------------------------------------
+# Fisher's theorem
+# ---------------------------------------------------------------------------
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    steps=st.integers(1, 300),
+    dt=st.sampled_from([1e-3, 0.01, 0.1]),
+    log=st.booleans(),
+)
+def test_fisher_on_the_recorded_statistics_equals_a_second_payoff_pass(seed, n, steps, dt, log):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-2, 2)
+    land = Linear(a + a.T)
+    x0 = SimplexPoint(_simplex(rng, n, 0.05))
+    traj = exp_family_solver(land, x0, dt, steps) if log else integrate(
+        Replicator(land), x0, dt, steps)
+    _assert_same(lambda: _ref_fisher_theorem_check(traj), lambda: fisher_theorem_check(traj))

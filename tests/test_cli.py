@@ -227,6 +227,32 @@ def test_simulate_multiple_configs_and_jobs(tmp_path):
     assert (out / "a_trajectory.csv").exists() and (out / "b_trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_jobs_1_and_jobs_2_write_the_same_bytes(tmp_path, fmt):
+    configs = [
+        _write_config(tmp_path / "rep.json", name="rep", checks=[
+            {"name": "lyapunov"}, {"name": "ess", "samples": 50, "expect": True}]),
+        _write_config(tmp_path / "mp.json", name="mp", kind="coupled_replicator",
+                      landscape=MP_LANDSCAPE, initial_state=MP_STATE,
+                      target={"p": [0.5, 0.5], "q": [0.5, 0.5]},
+                      checks=[{"name": "coupled_ess", "expect": False, "samples": 50}]),
+        # truncates: the recorded abundances blow up within 100 steps
+        _write_config(tmp_path / "lv.json", name="lv", kind="lotka_volterra",
+                      landscape={"type": "linear", "matrix": [[1.0, 0.0], [0.0, 0.9]]},
+                      initial_state=[1.0, 1.0], target=[1.0, 1.0], dt=0.1, steps=100,
+                      checks=[{"name": "denorm_ess", "samples": 50}]),
+    ]
+    codes, written = {}, {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"out{jobs}"
+        codes[jobs] = main(["simulate", "--config", *map(str, configs), "--out", str(out),
+                            "--format", fmt, "--jobs", jobs, "--quiet"])
+        written[jobs] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert codes["1"] == codes["2"] == 1
+    assert written["1"] == written["2"] and len(written["1"]) == 6
+    assert json.loads(written["1"]["lv_report.json"])["truncated"] is True
+
+
 def test_simulate_output_collision_is_a_config_error(tmp_path, capsys):
     a = _write_config(tmp_path / "a.json", name="same")
     b = _write_config(tmp_path / "b.json", name="same")
@@ -504,6 +530,7 @@ def test_list_where_a_name_belongs_is_a_config_error(tmp_path, capsys, overrides
         ({"name": "fisher_theorem", "tol": True}, "tol"),
         ({"name": "ess", "seed": -1}, "seed"),
         ({"name": "gradient_consistency", "probes": 0}, "probes"),
+        ({"name": "gradient_consistency", "grad": [float("nan"), 1.0]}, "grad"),
     ],
 )
 def test_bad_check_value_is_one_named_error_before_any_write(tmp_path, capsys, check, key):
@@ -525,6 +552,8 @@ def test_bad_check_value_is_one_named_error_before_any_write(tmp_path, capsys, c
         (["gradient", "--point", "0.5,0.5", "--grad", "1,2", "--seed", "-2"], "--seed"),
         (["localize", "--point", "0.5,0.5", "--h", "nan"], "--h"),
         (["localize", "--point", "0.5,0.5", "--tol", "-1"], "--tol"),
+        (["gradient", "--point", "0.5,0.5", "--grad", "inf,1"], "--grad"),
+        (["gradient", "--point", "0.5,0.5", "--grad", "nan,1"], "--grad"),
     ],
 )
 def test_bad_check_option_is_an_error_naming_the_option(capsys, argv, option):
@@ -563,6 +592,8 @@ def test_check_subcommands_take_no_quiet_option(capsys, argv):
         ({"checks": [{"name": "gradient_consistency", "grad": [1, 2, 3]}]}, "'checks[0].grad'"),
         ({"checks": [{"name": "localize", "h": 0.5}]}, "'checks[0].h' must be smaller"),
         ({"checks": [{"name": "localize", "point": [0.9995, 0.0005]}]}, "'checks[0].h'"),
+        ({"landscape": {"type": "linear", "matrix": [[1.0, 2.0], [2.0, 1.0]]}, "steps": 1,
+          "checks": [{"name": "fisher_theorem"}]}, "'checks[0]': a central difference needs"),
     ],
 )
 def test_check_preconditions_fail_at_load(tmp_path, capsys, overrides, message):

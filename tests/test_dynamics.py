@@ -9,6 +9,7 @@ Closed-form oracles used below:
   * conserved aggregate for antisymmetric payoff matrices: d|x|/dt = x.Ax = 0
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -19,7 +20,9 @@ from simplexdyn import (
     CoupledReplicator,
     CoupledState,
     Custom,
+    Diagnostics,
     Ecological,
+    EmptyTrajectoryError,
     KindMismatchError,
     Linear,
     LogLinear,
@@ -31,6 +34,7 @@ from simplexdyn import (
     ShiftedLotkaVolterra,
     SimplexPoint,
     StepSizeError,
+    Trajectory,
     barycenter,
     coupled_exp_family_solver,
     coupled_replicator_field,
@@ -244,6 +248,55 @@ def test_lv_diagnostics_track_total():
         traj.diagnostics.state_total, traj.states.sum(axis=1), atol=1e-12
     )
     assert traj.diagnostics.state_total[-1] > 2.0
+
+
+HD_KIND = Replicator(Linear(HAWK_DOVE))
+MP_KIND = CoupledReplicator(Linear(PENNIES), Linear(-PENNIES))
+HALVES = [[0.5, 0.5]]
+
+
+@pytest.mark.parametrize(
+    "kind, times, states, split, error, message",
+    [
+        (HD_KIND, [[0.0]], HALVES, None, ValueError, "inconsistent trajectory shapes"),
+        (HD_KIND, [0.0], [0.5, 0.5], None, ValueError, "inconsistent trajectory shapes"),
+        (HD_KIND, [0.0, 1.0], HALVES, None, ValueError, "inconsistent trajectory shapes"),
+        (HD_KIND, [], np.empty((0, 2)), None, EmptyTrajectoryError, "at least one state"),
+        (HD_KIND, [0.0, 0.0], HALVES * 2, None, ValueError, "times must be strictly increasing"),
+        (HD_KIND, [0.0, 1.0, 0.5], HALVES * 3, None, ValueError, "strictly increasing"),
+        (HD_KIND, [0.0], [[1.0, 0.0]], None, ValueError, "coordinates must be strictly positive"),
+        (LotkaVolterra(Linear(HAWK_DOVE)), [0.0], [[2.0, -1.0]], None, ValueError,
+         "coordinates must be strictly positive"),
+        (MP_KIND, [0.0], [[0.5] * 4], None, ValueError, "requires a valid split index"),
+        (MP_KIND, [0.0], [[0.5] * 4], 0, ValueError, "requires a valid split index"),
+        (MP_KIND, [0.0], [[0.5] * 4], 4, ValueError, "requires a valid split index"),
+        (HD_KIND, [0.0], [[0.5, 0.6]], None, ValueError, "rows must sum to 1 within tolerance"),
+        (MP_KIND, [0.0], [[0.5, 0.5, 0.5, 0.6]], 2, ValueError, "rows must sum to 1"),
+        ("replicator", [0.0], HALVES, None, TypeError, "unknown field kind: 'replicator'"),
+        (Linear(HAWK_DOVE), [0.0], HALVES, None, TypeError, "unknown field kind: Linear("),
+    ],
+)
+def test_trajectory_rejects_invalid_records(kind, times, states, split, error, message):
+    diagnostics = Diagnostics(*(np.zeros(1) for _ in range(4)))
+    with pytest.raises(error, match=re.escape(message)) as exc:
+        Trajectory(kind, np.array(times), np.array(states), diagnostics, split=split)
+    assert type(exc.value) is error
+
+
+@pytest.mark.parametrize(
+    "base, x0",
+    [
+        (Replicator, SimplexPoint(np.array([0.9, 0.1]))),
+        (LotkaVolterra, OrthantPoint(np.array([1.0, 2.0]))),
+    ],
+)
+def test_a_subclass_of_a_kind_runs_as_that_kind(base, x0):
+    subclass = type("Sub" + base.__name__, (base,), {})
+    traj = integrate(base(Linear(-np.eye(2) + 0.5)), x0, 0.01, 50, target=x0)
+    sub = integrate(subclass(Linear(-np.eye(2) + 0.5)), x0, 0.01, 50, target=x0)
+    assert type(sub.kind) is subclass and np.array_equal(sub.states, traj.states)
+    assert np.array_equal(sub.diagnostics.divergence_to_target,
+                          traj.diagnostics.divergence_to_target)
 
 
 # ---------------------------------------------------------------------------
