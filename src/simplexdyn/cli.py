@@ -78,7 +78,7 @@ _VALUE_TYPES = {
     "seed": ("an integer >= 0", lambda v: type(v) is int and v >= 0, int),
     "positive": ("a finite number > 0", lambda v: type(v) is float and 0.0 < v < np.inf, float),
     "tolerance": ("a finite number >= 0", lambda v: type(v) is float and 0.0 <= v < np.inf, float),
-    "vector": ("comma-separated numbers or fractions", None, lambda text: text.split(",")),
+    "vector": ("comma-separated finite numbers or fractions", None, lambda text: text.split(",")),
 }
 
 #: ``check`` subcommands: the check each runs, the check keys it takes as options, its help.
