@@ -27,6 +27,7 @@ from .core import (
 from .divergence import kl_formula
 from .dynamics import (
     CoupledReplicator,
+    LotkaVolterra,
     Replicator,
     Trajectory,
     _blocks,
@@ -215,23 +216,32 @@ def _orthant_ball_samples(
     return _ball_samples(rng, [center], radius, count, tangent=False)
 
 
-def _simplex_ess(kind, target, radius: float, samples: int, seed: int) -> EssReport:
-    """Sampled stability of ``target`` under ``kind``, one tangent-ball draw per population block.
+def _ess(kind, target, radius: float, samples: int, seed: int) -> EssReport:
+    """Sampled stability of ``target`` under ``kind``, one ball draw per population block.
 
     The margin at a sample x is sum_b hat_b . f_b(x) - sum_b x_b . f_b(x), with hat the target.
+    Abundance kinds draw from the orthant ball, divide the target term by |hat| and each sample
+    term by |x|, and count the samples parallel to the target.
     """
     hat, split = _state_vector(kind, target, "target")
     blocks = _blocks(kind, split)
     rng = _sampling_rng(radius, samples, seed)
-    points = _tangent_ball_samples(rng, [hat[own] for own, _, _ in blocks], radius, int(samples))
+    if kind.state_type is OrthantPoint:
+        points = _orthant_ball_samples(rng, hat, radius, int(samples))
+        totals = (hat.sum(), points.sum(axis=1))
+        parallel = int(np.sum(_sine_to_direction(points, hat) <= PARALLEL_TOL))
+    else:
+        points = _tangent_ball_samples(rng, [hat[own] for own, _, _ in blocks], radius, int(samples))
+        totals, parallel = (1.0, 1.0), None  # x / 1.0 is x to the bit
     payoffs = [
         evaluate_landscape_batch(land, points[:, own], None if other is None else points[:, other])
         for own, land, other in blocks
     ]
     margins = reduce(np.add, [payoff @ hat[own] for (own, _, _), payoff in zip(blocks, payoffs)])
+    margins = margins / totals[0]
     for (own, _, _), payoff in zip(blocks, payoffs):
-        margins = margins - np.einsum("ij,ij->i", points[:, own], payoff)
-    return _ess_report(margins, points, radius, samples)
+        margins = margins - np.einsum("ij,ij->i", points[:, own], payoff) / totals[1]
+    return _ess_report(margins, points, radius, samples, parallel)
 
 
 def ess_check(
@@ -243,7 +253,7 @@ def ess_check(
     candidate is evolutionarily stable on the sampled neighborhood when no
     margin is definitely negative and at least one is definitely positive.
     """
-    return _simplex_ess(Replicator(f), candidate, radius, samples, seed)
+    return _ess(Replicator(f), candidate, radius, samples, seed)
 
 
 def coupled_ess_check(
@@ -260,7 +270,7 @@ def coupled_ess_check(
     Samples (p, q) from the product of tangent balls and evaluates the
     summed margin p_hat . f(p,q) + q_hat . g(p,q) - p . f(p,q) - q . g(p,q).
     """
-    return _simplex_ess(CoupledReplicator(f, g), CoupledState(p_hat, q_hat), radius, samples, seed)
+    return _ess(CoupledReplicator(f, g), CoupledState(p_hat, q_hat), radius, samples, seed)
 
 
 def _sine_to_direction(states: np.ndarray, direction: np.ndarray) -> np.ndarray:
@@ -283,14 +293,7 @@ def denormalized_ess_check(
     the angle), since the denormalized divergence cannot separate a point
     from its positive multiples.
     """
-    rng = _sampling_rng(radius, samples, seed)
-    points = _orthant_ball_samples(rng, candidate.coords, radius, int(samples))
-    payoff = evaluate_landscape_batch(f, points)
-    margins = payoff @ candidate.coords / candidate.total - np.einsum(
-        "ij,ij->i", points, payoff
-    ) / points.sum(axis=1)
-    parallel = int(np.sum(_sine_to_direction(points, candidate.coords) <= PARALLEL_TOL))
-    return _ess_report(margins, points, radius, samples, parallel)
+    return _ess(LotkaVolterra(f), candidate, radius, samples, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from .core import (
     evaluate_landscape,
 )
 from .divergence import kl_formula
-from .errors import ConfigError, SimplexDynError
+from .errors import ConfigError, EmptyTrajectoryError, SimplexDynError
 from .geometry import localize_divergence, metric_at
 
 _KIND_NAMES = {
@@ -351,17 +351,22 @@ def write_trajectory_csv(path: str, traj: dynamics.Trajectory) -> None:
                    comments="")
 
 
+def _json_list(values: np.ndarray) -> list:
+    """``values`` as nested lists, each non-finite entry None: JSON has no NaN or Infinity."""
+    finite = np.isfinite(values)
+    return values.tolist() if finite.all() else np.where(finite, values, None).tolist()
+
+
 def write_trajectory_json(path: str, traj: dynamics.Trajectory) -> None:
     d = traj.diagnostics
-    divergence = d.divergence_to_target
     payload = {
         "columns": _csv_header(traj),
-        "times": traj.times.tolist(),
-        "states": traj.states.tolist(),
-        "mean_fitness": d.mean_fitness.tolist(),
-        "fitness_variance": d.fitness_variance.tolist(),
-        "divergence_to_target": np.where(np.isnan(divergence), None, divergence).tolist(),
-        "state_total": d.state_total.tolist(),
+        "times": _json_list(traj.times),
+        "states": _json_list(traj.states),
+        "mean_fitness": _json_list(d.mean_fitness),
+        "fitness_variance": _json_list(d.fitness_variance),
+        "divergence_to_target": _json_list(d.divergence_to_target),
+        "state_total": _json_list(d.state_total),
         "truncated": traj.truncated,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -398,17 +403,17 @@ def _run_check(check: dict, kind, initial, target, traj: Optional[dynamics.Traje
         metrics = _report_metrics(report)
 
     elif name in ("ess", "coupled_ess", "denorm_ess"):
-        sampling = (check["radius"], check["samples"], check["seed"])
-        if name == "denorm_ess":
-            report = analysis.denormalized_ess_check(target, kind.f, *sampling)
-        else:
-            report = analysis._simplex_ess(kind, target, *sampling)
+        report = analysis._ess(kind, target, check["radius"], check["samples"], check["seed"])
         passed = report.is_ess == check["expect"]
         metrics = _report_metrics(report)
 
     elif name == "fisher_theorem":
-        residual = analysis.fisher_theorem_check(traj)
-        passed, metrics = residual <= check["tol"], {"residual": residual, "tol": check["tol"]}
+        try:
+            residual = analysis.fisher_theorem_check(traj)
+        except EmptyTrajectoryError:  # a run truncated before its third row has no residual
+            residual = None
+        passed = residual is not None and residual <= check["tol"]
+        metrics = {"residual": residual, "tol": check["tol"]}
 
     else:  # gradient_consistency and localize: at the check's point, else the start state
         point = initial if check["point"] is None else check["point"]
@@ -458,18 +463,16 @@ def _output_files(scenario: Scenario, fmt: str) -> tuple[str, str]:
 
 
 def _line(stream, text: str) -> None:
-    """Write ``text`` and its newline as one write, then flush.
-
-    ``--jobs`` workers share the parent's stdout and stderr; ``print`` writes
-    the text and the newline separately, and on an unbuffered stream the lines
-    of two workers could interleave.
-    """
+    """Write ``text`` and its newline in one write, which no other writer can split, then flush."""
     stream.write(text + "\n")
     stream.flush()
 
 
-def _run_loaded(scenario: Scenario, out_dir: str, fmt: str, quiet: bool) -> int:
-    """Integrate, check, and write one loaded scenario.  Returns the exit code."""
+def _run_loaded(scenario: Scenario, out_dir: str, fmt: str, quiet: bool) -> tuple[int, list]:
+    """Integrate, check, and write one loaded scenario: its exit code and its console lines.
+
+    A line is a (stream name, text) pair; the caller writes them, in config order.
+    """
     try:
         trajectory_file, report_file = _output_files(scenario, fmt)
         os.makedirs(out_dir, exist_ok=True)
@@ -497,24 +500,23 @@ def _run_loaded(scenario: Scenario, out_dir: str, fmt: str, quiet: bool) -> int:
             json.dump(report, fh, indent=2)
             fh.write("\n")
     except (SimplexDynError, OSError) as exc:  # an OSError names the path it could not write
-        _line(sys.stderr, f"error: {exc}")
-        return 1
+        return 1, [("stderr", f"error: {exc}")]
+    lines = []
     if not quiet:
         for check in checks:
             status = "pass" if check["pass"] else "FAIL"
-            _line(sys.stdout, f"{scenario.name}: {check['name']}: {status}")
-        _line(sys.stdout, f"{scenario.name}: wrote {trajectory_path} and {report_path}")
+            lines.append(("stdout", f"{scenario.name}: {check['name']}: {status}"))
+        lines.append(("stdout", f"{scenario.name}: wrote {trajectory_path} and {report_path}"))
+        if traj.truncated:
+            lines.append(("stderr", f"{scenario.name}: truncated ({traj.failure})"))
     if traj.truncated:
-        if not quiet:
-            _line(sys.stderr, f"{scenario.name}: truncated ({traj.failure})")
-        return 1
-    if any(not check["pass"] for check in checks):
-        return 2
-    return 0
+        return 1, lines
+    return (2 if any(not check["pass"] for check in checks) else 0), lines
 
 
 def _simulate_command(args: argparse.Namespace) -> int:
     """Load every config once, refuse colliding outputs, then run the loaded scenarios."""
+    jobs = _typed("count", args.jobs, "--jobs")
     scenarios, codes, seen = [], [], {}
     for path in args.config:
         try:
@@ -530,11 +532,15 @@ def _simulate_command(args: argparse.Namespace) -> int:
             seen[out] = path
         scenarios.append(scenario)
     run = functools.partial(_run_loaded, out_dir=args.out, fmt=args.format, quiet=args.quiet)
-    if len(scenarios) > 1 and args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            codes += pool.map(run, scenarios)
+    if len(scenarios) > 1 and jobs > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(run, scenarios))
     else:
-        codes += map(run, scenarios)
+        results = map(run, scenarios)
+    for code, lines in results:
+        codes.append(code)
+        for stream, text in lines:
+            _line(getattr(sys, stream), text)
     if 1 in codes:
         return 1
     return 2 if 2 in codes else 0
@@ -575,7 +581,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", nargs="+", required=True, help="scenario config path(s)")
     sim.add_argument("--out", required=True, help="output directory")
     sim.add_argument("--format", choices=("csv", "json"), default="csv", help="trajectory format")
-    sim.add_argument("--jobs", type=int, default=1, help="run configs concurrently")
+    sim.add_argument("--jobs", type=int, default=1, help="worker processes (an integer >= 1)")
     sim.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
     chk = sub.add_parser("check", help="run a single inline check")

@@ -22,7 +22,7 @@ exp(v - G) per population block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Optional, Union
 
@@ -510,30 +510,16 @@ def normalize_lv_trajectory(traj: Trajectory) -> Trajectory:
 
     The returned trajectory keeps the original kind and time stamps; its
     states are the frequency vectors, and the state-total diagnostic becomes
-    identically 1.
+    identically 1.  Every other field is the input's own: its arrays are
+    shared, not copied.
     """
     if traj.kind.state_type is not OrthantPoint:
         raise KindMismatchError(
             f"normalization applies to abundance trajectories, got {type(traj.kind).__name__}"
         )
     freqs = _frequencies(traj.kind, traj.states, None)[0]
-    d = traj.diagnostics
-    diagnostics = Diagnostics(
-        mean_fitness=d.mean_fitness.copy(),
-        fitness_variance=d.fitness_variance.copy(),
-        divergence_to_target=d.divergence_to_target.copy(),
-        state_total=freqs.sum(axis=1),
-        normalizer=None if d.normalizer is None else d.normalizer.copy(),
-    )
-    return Trajectory(
-        kind=traj.kind,
-        times=traj.times.copy(),
-        states=freqs,
-        diagnostics=diagnostics,
-        split=traj.split,
-        truncated=traj.truncated,
-        failure=traj.failure,
-    )
+    diagnostics = replace(traj.diagnostics, state_total=freqs.sum(axis=1))
+    return replace(traj, states=freqs, diagnostics=diagnostics)
 
 
 def _uniform_step(traj: Trajectory, use: str) -> float:
@@ -563,11 +549,10 @@ def lv_correspondence_residual(traj: Trajectory) -> float:
             f"correspondence residual applies to abundance trajectories, got {type(traj.kind).__name__}"
         )
     dt = _uniform_step(traj, "correspondence residual")
-    totals = traj.states.sum(axis=1)
-    freqs = traj.states / totals[:, None]
-    payoff = evaluate_landscape_batch(traj.kind.f, traj.states)
+    freqs = _frequencies(traj.kind, traj.states, None)[0]
+    payoff = evaluate_landscape_batch(_blocks(traj.kind, traj.split)[0][1], traj.states)
     if isinstance(traj.kind, ShiftedLotkaVolterra):
-        payoff = payoff / totals[:, None]
+        payoff = payoff / traj.states.sum(axis=1)[:, None]
     mean = np.einsum("ij,ij->i", freqs, payoff)
     rhs = freqs * (payoff - mean[:, None])
     dy = (freqs[2:] - freqs[:-2]) / (2.0 * dt)

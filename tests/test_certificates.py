@@ -1,13 +1,17 @@
-"""The certificate kernels against the per-row loops they replaced.
+"""The certificate kernels against the per-row loops and forks they replaced.
 
 The ESS samplers, the gradient check and ``orbit_gap`` work on whole batches,
-and ``fisher_theorem_check`` reads the statistics its run recorded.  The
-``_ref_*`` functions below are verbatim copies of the code they replaced;
-every output must equal theirs to the bit, and every error must carry the
-same message.
+and ``fisher_theorem_check`` reads the statistics its run recorded.  The three
+ESS checks share one sampled-margin function, the Lotka-Volterra bridges read
+the shared frequency and block helpers, and ``localize_divergence`` evaluates
+one grid of perturbed points.  The ``_ref_*`` functions below are verbatim
+copies of the code they replaced; every output must equal theirs to the bit,
+and every error must carry the same message.
 """
 
+import dataclasses
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -15,20 +19,61 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplexdyn import (
+    CoupledState,
     Linear,
+    LogLinear,
+    LotkaVolterra,
+    OrthantPoint,
     Replicator,
+    ShiftedLotkaVolterra,
     SimplexPoint,
+    coupled_ess_check,
+    denormalized_ess_check,
+    ess_check,
     exp_family_solver,
     fisher_theorem_check,
     gradient_consistency_check,
     integrate,
+    kl_formula,
+    localize_divergence,
+    lv_correspondence_residual,
+    normalize_lv_trajectory,
     orbit_gap,
 )
-from simplexdyn.analysis import _orthant_ball_samples, _require_fisher_kind, _tangent_ball_samples
+from simplexdyn.analysis import (
+    PARALLEL_TOL,
+    _ess_report,
+    _orthant_ball_samples,
+    _require_fisher_kind,
+    _sampling_rng,
+    _sine_to_direction,
+    _tangent_ball_samples,
+)
 from simplexdyn.core import TangentVector, evaluate_landscape_batch
-from simplexdyn.dynamics import _uniform_step
-from simplexdyn.errors import EmptyTrajectoryError, RadiusTooLargeError, SimplexDynError
-from simplexdyn.geometry import inner_product, shahshahani_gradient
+from simplexdyn.dynamics import (
+    CoupledReplicator,
+    Diagnostics,
+    Trajectory,
+    _blocks,
+    _frequencies,
+    _state_vector,
+    _uniform_step,
+)
+from simplexdyn.errors import (
+    EmptyTrajectoryError,
+    KindMismatchError,
+    NotDiagonalError,
+    RadiusTooLargeError,
+    SimplexDynError,
+    StepTooLargeError,
+)
+from simplexdyn.geometry import (
+    OFFDIAG_TOL,
+    LocalizationReport,
+    MetricTensor,
+    inner_product,
+    shahshahani_gradient,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -412,3 +457,274 @@ def test_fisher_on_the_recorded_statistics_equals_a_second_payoff_pass(seed, n, 
     traj = exp_family_solver(land, x0, dt, steps) if log else integrate(
         Replicator(land), x0, dt, steps)
     _assert_same(lambda: _ref_fisher_theorem_check(traj), lambda: fisher_theorem_check(traj))
+
+
+# ---------------------------------------------------------------------------
+# one sampled-ESS function, the Lotka-Volterra bridges and the localize grid
+# ---------------------------------------------------------------------------
+
+
+def _ref_simplex_ess(kind, target, radius, samples, seed):
+    hat, split = _state_vector(kind, target, "target")
+    blocks = _blocks(kind, split)
+    rng = _sampling_rng(radius, samples, seed)
+    points = _tangent_ball_samples(rng, [hat[own] for own, _, _ in blocks], radius, int(samples))
+    payoffs = [
+        evaluate_landscape_batch(land, points[:, own], None if other is None else points[:, other])
+        for own, land, other in blocks
+    ]
+    margins = reduce(np.add, [payoff @ hat[own] for (own, _, _), payoff in zip(blocks, payoffs)])
+    for (own, _, _), payoff in zip(blocks, payoffs):
+        margins = margins - np.einsum("ij,ij->i", points[:, own], payoff)
+    return _ess_report(margins, points, radius, samples)
+
+
+def _ref_denormalized_ess_check(candidate, f, radius, samples, seed):
+    rng = _sampling_rng(radius, samples, seed)
+    points = _orthant_ball_samples(rng, candidate.coords, radius, int(samples))
+    payoff = evaluate_landscape_batch(f, points)
+    margins = payoff @ candidate.coords / candidate.total - np.einsum(
+        "ij,ij->i", points, payoff
+    ) / points.sum(axis=1)
+    parallel = int(np.sum(_sine_to_direction(points, candidate.coords) <= PARALLEL_TOL))
+    return _ess_report(margins, points, radius, samples, parallel)
+
+
+def _ref_localize_divergence(divergence, x, h):
+    if not (float(h) > 0.0):
+        raise ValueError(f"step h must be > 0, got {h}")
+    base = x.coords
+    n = base.size
+    if float(base.min()) <= h:
+        raise StepTooLargeError(
+            f"step {h} is not smaller than the smallest coordinate {base.min()}"
+        )
+    eye = np.eye(n)
+    mixed = np.empty((n, n))
+    for i in range(n):
+        a_plus = base + h * eye[i]
+        a_minus = base - h * eye[i]
+        for j in range(n):
+            b_plus = base + h * eye[j]
+            b_minus = base - h * eye[j]
+            mixed[i, j] = (
+                divergence(a_plus, b_plus)
+                - divergence(a_plus, b_minus)
+                - divergence(a_minus, b_plus)
+                + divergence(a_minus, b_minus)
+            ) / (4.0 * h * h)
+    off = mixed - np.diag(np.diag(mixed))
+    max_offdiag = float(np.max(np.abs(off)))
+    if max_offdiag > OFFDIAG_TOL:
+        raise NotDiagonalError(
+            f"largest off-diagonal magnitude {max_offdiag} exceeds {OFFDIAG_TOL}"
+        )
+    diag = np.diag(mixed)
+    if np.all(diag > 0.0):
+        sign = 1
+    elif np.all(diag < 0.0):
+        sign = -1
+    else:
+        raise NotDiagonalError(
+            f"localized diagonal is indefinite (mixed signs): {diag}"
+        )
+    return LocalizationReport(metric=MetricTensor(np.abs(diag)), sign=sign, max_offdiag=max_offdiag)
+
+
+def _ref_normalize_lv_trajectory(traj):
+    if traj.kind.state_type is not OrthantPoint:
+        raise KindMismatchError(
+            f"normalization applies to abundance trajectories, got {type(traj.kind).__name__}"
+        )
+    freqs = _frequencies(traj.kind, traj.states, None)[0]
+    d = traj.diagnostics
+    diagnostics = Diagnostics(
+        mean_fitness=d.mean_fitness.copy(),
+        fitness_variance=d.fitness_variance.copy(),
+        divergence_to_target=d.divergence_to_target.copy(),
+        state_total=freqs.sum(axis=1),
+        normalizer=None if d.normalizer is None else d.normalizer.copy(),
+    )
+    return Trajectory(
+        kind=traj.kind,
+        times=traj.times.copy(),
+        states=freqs,
+        diagnostics=diagnostics,
+        split=traj.split,
+        truncated=traj.truncated,
+        failure=traj.failure,
+    )
+
+
+def _ref_lv_correspondence_residual(traj):
+    if traj.kind.state_type is not OrthantPoint:
+        raise KindMismatchError(
+            f"correspondence residual applies to abundance trajectories, got {type(traj.kind).__name__}"
+        )
+    dt = _uniform_step(traj, "correspondence residual")
+    totals = traj.states.sum(axis=1)
+    freqs = traj.states / totals[:, None]
+    payoff = evaluate_landscape_batch(traj.kind.f, traj.states)
+    if isinstance(traj.kind, ShiftedLotkaVolterra):
+        payoff = payoff / totals[:, None]
+    mean = np.einsum("ij,ij->i", freqs, payoff)
+    rhs = freqs * (payoff - mean[:, None])
+    dy = (freqs[2:] - freqs[:-2]) / (2.0 * dt)
+    return float(np.max(np.abs(dy - rhs[1:-1])))
+
+
+def _bits(value):
+    """``value`` with every float and array as its bytes, and every report field by field.
+
+    A kind is compared by identity: both sides must carry the input's own kind object.
+    """
+    if isinstance(value, np.ndarray):
+        return "array", value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return "float", np.float64(value).tobytes()
+    if isinstance(value, (LotkaVolterra, ShiftedLotkaVolterra)):
+        return "kind", id(value)
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, tuple(
+            (field.name, _bits(getattr(value, field.name))) for field in dataclasses.fields(value))
+    return type(value).__name__, value
+
+
+def _assert_same_bits(reference, shared):
+    assert _bits(_outcome(shared)) == _bits(_outcome(reference))
+
+
+def _game(rng, n, log_linear):
+    matrix = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-1, 1)
+    return LogLinear(matrix, rng.standard_normal(n)) if log_linear else Linear(matrix)
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    reach=st.floats(0.05, 1.5),
+    samples=st.integers(1, 300),
+    coupled=st.booleans(),
+)
+def test_simplex_and_coupled_ess_equal_the_block_function_they_replaced(
+    seed, n, reach, samples, coupled
+):
+    rng = np.random.default_rng(seed)
+    p = SimplexPoint(_simplex(rng, n, 0.05))
+    f = _game(rng, n, False)
+    if coupled:
+        m = int(rng.integers(2, 6))
+        q = SimplexPoint(_simplex(rng, m, 0.05))
+        f, g = Linear(rng.standard_normal((n, m))), Linear(rng.standard_normal((m, n)))
+        radius = reach * min(p.coords.min(), q.coords.min())
+        _assert_same_bits(
+            lambda: _ref_simplex_ess(CoupledReplicator(f, g), CoupledState(p, q), radius,
+                                     samples, seed),
+            lambda: coupled_ess_check(p, q, f, g, radius, samples, seed))
+    else:
+        radius = reach * p.coords.min()
+        _assert_same_bits(lambda: _ref_simplex_ess(Replicator(f), p, radius, samples, seed),
+                          lambda: ess_check(p, f, radius, samples, seed))
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    reach=st.floats(0.05, 1.5),
+    samples=st.integers(1, 300),
+    log_linear=st.booleans(),
+    parallel=st.booleans(),
+)
+def test_denormalized_ess_equals_the_fork_it_replaced(seed, n, reach, samples, log_linear,
+                                                       parallel):
+    rng = np.random.default_rng(seed)
+    c = OrthantPoint(rng.uniform(0.1, 3.0, n) if not parallel else np.full(n, 0.5))
+    f = _game(rng, n, log_linear)
+    radius = reach * c.coords.min()
+    _assert_same_bits(lambda: _ref_denormalized_ess_check(c, f, radius, samples, seed),
+                      lambda: denormalized_ess_check(c, f, radius, samples, seed))
+
+
+def test_denormalized_ess_of_a_simplex_candidate_is_a_kind_mismatch():
+    with pytest.raises(KindMismatchError, match="LotkaVolterra requires a OrthantPoint target"):
+        denormalized_ess_check(SimplexPoint(np.array([0.5, 0.5])), Linear(np.eye(2)), 0.1, 10, 0)
+
+
+def _sqdist(a, b):
+    d = np.asarray(a) - np.asarray(b)
+    return 0.5 * float(d @ d)
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    h=st.sampled_from([1e-5, 1e-4, 1e-3, 1e-2, 0.05, 0.3]),
+    which=st.sampled_from(["kl", "sqdist", "quadratic"]),
+)
+def test_localize_on_one_grid_equals_the_double_loop(seed, n, h, which):
+    rng = np.random.default_rng(seed)
+    x = SimplexPoint(_simplex(rng, n, 0.02))
+    if which == "quadratic":  # off-diagonal and indefinite forms reach both errors
+        form = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-6, 0)
+
+        def divergence(a, b):
+            d = a - b
+            return float(d @ form @ d)
+    else:
+        divergence = kl_formula if which == "kl" else _sqdist
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return divergence(a, b)
+
+    _assert_same_bits(lambda: _ref_localize_divergence(divergence, x, h),
+                      lambda: localize_divergence(counted, x, h))
+    assert len(calls) in (0, 4 * n * n)
+
+
+def _lv_run(seed, n, shifted, steps, dt, with_target):
+    rng = np.random.default_rng(seed)
+    f = _game(rng, n, bool(rng.integers(2)))
+    kind = ShiftedLotkaVolterra(f) if shifted else LotkaVolterra(f)
+    target = OrthantPoint(rng.uniform(0.2, 2.0, n)) if with_target else None
+    return integrate(kind, OrthantPoint(rng.uniform(0.2, 2.0, n)), dt, steps, target=target)
+
+
+LV_RUNS = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    shifted=st.booleans(),
+    steps=st.integers(1, 200),
+    dt=st.sampled_from([1e-3, 0.01, 0.1, 0.5]),
+    with_target=st.booleans(),
+)
+
+
+@PROPERTY
+@given(**LV_RUNS)
+def test_normalize_lv_trajectory_equals_the_field_by_field_copy(seed, n, shifted, steps, dt,
+                                                                with_target):
+    traj = _lv_run(seed, n, shifted, steps, dt, with_target)
+    _assert_same_bits(lambda: _ref_normalize_lv_trajectory(traj),
+                      lambda: normalize_lv_trajectory(traj))
+
+
+@PROPERTY
+@given(**LV_RUNS)
+def test_lv_correspondence_residual_equals_its_own_frequencies_and_lookup(seed, n, shifted,
+                                                                          steps, dt, with_target):
+    traj = _lv_run(seed, n, shifted, steps, dt, with_target)
+    _assert_same_bits(lambda: _ref_lv_correspondence_residual(traj),
+                      lambda: lv_correspondence_residual(traj))
+
+
+def test_the_lv_bridges_refuse_a_simplex_trajectory_as_before():
+    traj = integrate(Replicator(Linear(np.eye(2))), SimplexPoint(np.array([0.4, 0.6])), 0.1, 5)
+    for ref, shared in [(_ref_normalize_lv_trajectory, normalize_lv_trajectory),
+                        (_ref_lv_correspondence_residual, lv_correspondence_residual)]:
+        _assert_same_bits(lambda: ref(traj), lambda: shared(traj))
+        assert isinstance(_outcome(lambda: shared(traj)), tuple)

@@ -748,3 +748,75 @@ def test_readme_check_table_matches_the_code():
         name: {key: (value_type, repr(default)) for key, (value_type, default) in keys.items()}
         for name, (_, keys) in cli._CHECKS.items()
     }
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_a_bad_jobs_value_is_one_error_line_before_any_config_is_read(tmp_path, capsys, jobs):
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(tmp_path / "missing.json"), "--out", str(out),
+                 "--jobs", jobs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: '--jobs' must be an integer >= 1, got {jobs}\n"
+    assert not out.exists()
+
+
+def test_fisher_on_a_run_truncated_before_its_third_row_is_a_failed_entry(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "f.json", name="f", initial_state=[0.5, 0.5], target=None,
+                        landscape={"type": "linear", "matrix": [[1000.0, 0.0], [0.0, -1000.0]]},
+                        dt=0.1, steps=10, checks=[{"name": "fisher_theorem"}])
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    report = json.loads((out / "f_report.json").read_text())
+    assert report["truncated"] is True and report["failure"].startswith("positivity lost")
+    assert report["checks"] == [{"name": "fisher_theorem", "pass": False,
+                                 "metrics": {"residual": None, "tol": 1e-5}}]
+    captured = capsys.readouterr()
+    assert "f: fisher_theorem: FAIL" in captured.out.splitlines()
+    assert captured.err.startswith("f: truncated (positivity lost")
+
+
+def _refuse_constant(token):
+    raise ValueError(f"not JSON: {token}")
+
+
+def test_json_trajectory_of_a_blow_up_is_strict_json(tmp_path):
+    cfg = _write_config(tmp_path / "lv.json", name="lv", kind="lotka_volterra",
+                        landscape={"type": "linear", "matrix": [[1.0, 0.0], [0.0, 0.9]]},
+                        initial_state=[1.0, 1.0], target=None, dt=0.1, steps=100, checks=[])
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--format", "json",
+                 "--quiet"]) == 1
+    payload = json.loads((out / "lv_trajectory.json").read_text(),
+                         parse_constant=_refuse_constant)
+    assert payload["truncated"] is True
+    variance = payload["fitness_variance"]
+    assert None in variance and all(v is None or np.isfinite(v) for v in variance)
+    assert payload["divergence_to_target"] == [None] * len(payload["times"])
+
+
+def test_console_lines_come_in_config_order_for_any_jobs(tmp_path, capfd):
+    configs = [_write_config(tmp_path / "long.json", name="long", steps=40000),
+               _write_config(tmp_path / "short.json", name="short", steps=10)]
+    seen = {}
+    for jobs in ("1", "2"):
+        code = main(["simulate", "--config", *map(str, configs), "--out", str(tmp_path / "o"),
+                     "--jobs", jobs])
+        seen[jobs] = (code, *capfd.readouterr())
+    assert seen["1"] == seen["2"]
+    assert seen["1"][1].splitlines()[0] == "long: lyapunov: pass"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_quiet_writes_nothing_to_stdout(tmp_path, capfd, jobs):
+    configs = [
+        _write_config(tmp_path / "a.json", name="a", checks=[{"name": "ess", "expect": False}]),
+        _write_config(tmp_path / "lv.json", name="lv", kind="lotka_volterra",
+                      landscape={"type": "linear", "matrix": [[1.0, 0.0], [0.0, 0.9]]},
+                      initial_state=[1.0, 1.0], target=[1.0, 1.0], dt=0.1, steps=100,
+                      checks=[{"name": "denorm_ess", "samples": 50}]),
+    ]
+    assert main(["simulate", "--config", *map(str, configs), "--out", str(tmp_path / "o"),
+                 "--jobs", jobs, "--quiet"]) == 1
+    assert [cli.run_scenario(str(c), str(tmp_path / "p"), "json", True) for c in configs] == [2, 1]
+    assert capfd.readouterr() == ("", "")

@@ -156,7 +156,7 @@ def test_reports_match_pinned_values(simulated):
 
 
 # Inline configs for the paths the bundled scenarios do not reach: two
-# population blocks of different sizes, and an abundance flow with a
+# population blocks of different sizes, and the two abundance flows with a
 # log-linear payoff, each with its Lyapunov and stability checks.
 COUPLED_CONFIG = {
     "name": "coupled_blocks",
@@ -194,11 +194,33 @@ LV_CONFIG = {
     ],
 }
 
+SHIFTED_LV_CONFIG = {
+    "name": "shifted_lv",
+    "kind": "shifted_lotka_volterra",
+    "landscape": {
+        "type": "log_linear",
+        "matrix": [[-1.2, 0.3, -0.1], [-0.2, -0.9, 0.1], [0.1, -0.3, -1.1]],
+        "offset": [0.4, -0.1, 0.2],
+    },
+    "initial_state": [2.0, 0.5, 1.5],
+    # the interior rest point exp(-M^-1 offset)
+    "target": [1.3185039146868054, 0.8648827846370318, 1.2795952011361453],
+    "dt": 0.02,
+    "steps": 1200,
+    "checks": [
+        {"name": "lyapunov"},
+        # the non-symmetric interaction leaves a negative denormalized margin
+        {"name": "denorm_ess", "radius": 0.2, "samples": 250, "seed": 11, "expect": False},
+    ],
+}
+
 INLINE_TRAJECTORY_SHA256 = {
     ("coupled_blocks", "csv"): "0760759c6d62dc9e44fc8656b35f7fa9b0f22374bfbe4ae67108a82412169d84",
     ("coupled_blocks", "json"): "8e2cd89f97483dc0a707b3f73173cfb29506e47ea48b6e63059e6c407acafac9",
     ("lv_log_linear", "csv"): "ac9af31df51759be1a31a399155a1307a03b9c06a37b3149f03ba60d69b75868",
     ("lv_log_linear", "json"): "c29b00a711c95f6b066f4fafbef143e40d9e2c1f04b1a87c64f21153a3a19458",
+    ("shifted_lv", "csv"): "5061aac0cd80627cbb1821361736523a5c1d29a0c471f32d63618572a32d47b0",
+    ("shifted_lv", "json"): "4ee0073fc9e4760a9b2be77d1aee1cf32ef5fc1412641c8f31d77ad4af2b9f86",
 }
 
 INLINE_REPORTS = {
@@ -262,11 +284,43 @@ INLINE_REPORTS = {
         ],
         "truncated": False,
     },
+    "shifted_lv": {
+        "scenario": "shifted_lv",
+        "checks": [
+            {
+                "name": "lyapunov",
+                "pass": True,
+                "metrics": {
+                    "monotone": True,
+                    "max_increase": 0.0,
+                    "initial_value": 0.06366566754814239,
+                    "final_value": 1.6441801727631834e-07,
+                    "drift": -0.06366550313012512,
+                    "converged": True,
+                    "parallel_before_convergence": 0,
+                },
+            },
+            {
+                "name": "denorm_ess",
+                "pass": True,
+                "metrics": {
+                    "is_ess": False,
+                    "min_margin": -2.112749127346214e-05,
+                    "samples_tested": 250,
+                    "radius": 0.2,
+                    "indeterminate": 0,
+                    "parallel_samples": 0,
+                },
+            },
+        ],
+        "truncated": False,
+    },
 }
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("config", [COUPLED_CONFIG, LV_CONFIG], ids=lambda c: c["name"])
+@pytest.mark.parametrize("config", [COUPLED_CONFIG, LV_CONFIG, SHIFTED_LV_CONFIG],
+                         ids=lambda c: c["name"])
 def test_inline_config_outputs_match_pinned(config, fmt, tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
