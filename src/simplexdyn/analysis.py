@@ -45,8 +45,6 @@ from .errors import (
 # geometry.inner_product.calls reads 0 rather than going absent
 from .geometry import inner_product, shahshahani_gradient  # noqa: F401
 
-#: Strict stability threshold on the minimum sampled margin.
-MARGIN_TOL = 0.0
 #: Margins within this band of zero are boundary-indeterminate.
 INDETERMINATE_BAND = 1e-12
 #: Allowed per-step increase for a "monotone" Lyapunov series.

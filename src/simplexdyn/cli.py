@@ -10,7 +10,8 @@ option is the config key of the same name, and both run through ``_run_check``.
 Exit codes: 0 when everything passed, 2 when a requested check failed, and
 1 for configuration or runtime errors (including integrations truncated by
 positivity loss, whose partial outputs are still written with
-``"truncated": true``).
+``"truncated": true``).  A usage error that argparse refuses (``--jobs abc``,
+a missing ``--out``) also exits 2, with a usage line on stderr.
 
 All outputs are deterministic functions of the configuration: CSV floats
 are printed with 17 significant digits and report JSON carries no
@@ -20,7 +21,6 @@ timestamps or machine information, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import json
 import os
@@ -533,6 +533,7 @@ def _simulate_command(args: argparse.Namespace) -> int:
         scenarios.append(scenario)
     run = functools.partial(_run_loaded, out_dir=args.out, fmt=args.format, quiet=args.quiet)
     if len(scenarios) > 1 and jobs > 1:
+        import concurrent.futures  # only a pool needs it; it is slow to import
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run, scenarios))
     else:

@@ -9,6 +9,7 @@ values can be shared freely across threads or processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -218,22 +219,59 @@ class Custom:
 Landscape = Union[Linear, LogLinear, Scaled, Custom]
 
 
-def _call_custom(evaluator: Callable, args: tuple, n: int) -> np.ndarray:
+def _call_custom(f: Custom, *state: np.ndarray) -> np.ndarray:
     try:
-        out = evaluator(*args)
+        out = f.evaluator(*state)
     except Exception as exc:  # noqa: BLE001 - black-box evaluator
         raise EvaluationFailure(f"custom landscape evaluator raised: {exc!r}") from exc
     out = np.asarray(out, dtype=float)
+    n = state[0].size
     if out.shape != (n,):
         raise EvaluationFailure(f"custom landscape returned shape {out.shape}, expected ({n},)")
     return out
 
 
-def _shape_error(f: Landscape, x: np.ndarray, src: np.ndarray) -> DimensionMismatchError:
-    return DimensionMismatchError(
-        f"{type(f).__name__} matrix shape {f.matrix.shape} does not match "
-        f"state dimensions ({x.shape[-1]}, {src.shape[-1]})"
-    )
+def _check_shape(f: Landscape, n: int, m: int) -> None:
+    if isinstance(f, (Linear, LogLinear)) and f.matrix.shape != (n, m):
+        raise DimensionMismatchError(
+            f"{type(f).__name__} matrix shape {f.matrix.shape} does not match "
+            f"state dimensions ({n}, {m})"
+        )
+
+
+def _quiet_log(src: np.ndarray) -> np.ndarray:
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.log(src)
+
+
+def resolve_payoff(
+    f: Landscape, n: int, m: Optional[int] = None, custom: Callable = _call_custom, log=np.log
+) -> Callable:
+    """The payoff of ``f`` at one own state of ``n`` coordinates, dispatched and checked once.
+
+    Given ``m``, the result takes ``(own, other)`` with an opposing state of
+    ``m`` coordinates.  A ``Custom`` landscape is evaluated as
+    ``custom(f, *state)``; ``log`` is the logarithm of ``LogLinear``.
+    """
+    if isinstance(f, Scaled):
+        base, c = resolve_payoff(f.base, n, m, custom, log), f.factor
+
+        def scaled(x, *other):
+            payoff = base(x, *other)
+            return c * (payoff - float(x.dot(payoff)))
+
+        return scaled
+    if isinstance(f, Custom):
+        return partial(custom, f)
+    if not isinstance(f, (Linear, LogLinear)):
+        raise TypeError(f"not a landscape: {f!r}")
+    _check_shape(f, n, n if m is None else m)
+    # M.dot(x) keeps the bits of M @ x, with less call overhead
+    dot = f.matrix.dot
+    if isinstance(f, Linear):
+        return dot if m is None else lambda x, other: dot(other)
+    b = f.offset
+    return (lambda x: dot(log(x)) + b) if m is None else lambda x, other: dot(log(other)) + b
 
 
 def evaluate_landscape(
@@ -248,27 +286,19 @@ def evaluate_landscape(
     """
     x = np.asarray(x, dtype=float)
     src = x if other is None else np.asarray(other, dtype=float)
-    # M.dot(x) on one state and X.dot(M.T) on rows keep the bits of M @ x and
-    # X @ M.T, with less call overhead than either operator
+    state = (x,) if other is None else (x, src)
+    if x.ndim == 1 and src.ndim == 1:
+        return resolve_payoff(f, *(s.size for s in state), log=_quiet_log)(*state)
+    # X.dot(M.T) on rows keeps the bits of X @ M.T
+    _check_shape(f, x.shape[-1], src.shape[-1])
     if isinstance(f, Linear):
-        if f.matrix.shape != (x.shape[-1], src.shape[-1]):
-            raise _shape_error(f, x, src)
-        return f.matrix.dot(src) if src.ndim == 1 else src.dot(f.matrix.T)
+        return src.dot(f.matrix.T)
     if isinstance(f, LogLinear):
-        if f.matrix.shape != (x.shape[-1], src.shape[-1]):
-            raise _shape_error(f, x, src)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            logs = np.log(src)
-        return (f.matrix.dot(logs) if logs.ndim == 1 else logs.dot(f.matrix.T)) + f.offset
+        return _quiet_log(src).dot(f.matrix.T) + f.offset
     if isinstance(f, Custom):
-        if x.ndim == 1:
-            return _call_custom(f.evaluator, (x,) if other is None else (x, src), x.size)
-        rows = zip(x) if other is None else zip(x, src)
-        return np.stack([_call_custom(f.evaluator, row, x.shape[1]) for row in rows])
+        return np.stack([_call_custom(f, *row) for row in zip(*state)])
     if isinstance(f, Scaled):
         base = evaluate_landscape(f.base, x, other)
-        if x.ndim == 1:
-            return f.factor * (base - float(np.dot(x, base)))
         return f.factor * (base - np.einsum("ij,ij->i", x, base)[:, None])
     raise TypeError(f"not a landscape: {f!r}")
 

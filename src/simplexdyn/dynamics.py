@@ -38,6 +38,7 @@ from .core import (
     TangentVector,
     evaluate_landscape,
     evaluate_landscape_batch,
+    resolve_payoff,
 )
 from .errors import (
     DimensionMismatchError,
@@ -119,22 +120,22 @@ def _state_type(kind) -> type:
 
 def replicator_field(x: SimplexPoint, f: Landscape) -> TangentVector:
     """Selection field x_i (f_i(x) - x . f(x)); always tangent to the simplex."""
-    return TangentVector(_make_field(Replicator(f))(x.coords))
+    return TangentVector(_make_field(Replicator(f), x.dim)(x.coords))
 
 
 def ecological_field(x: SimplexPoint, g: Landscape) -> TangentVector:
     """Field x_i g_i(x); requires the aggregate-neutrality x . g(x) = 0."""
-    return TangentVector(_make_field(Ecological(g))(x.coords))
+    return TangentVector(_make_field(Ecological(g), x.dim)(x.coords))
 
 
 def lv_field(x: OrthantPoint, f: Landscape) -> np.ndarray:
     """Abundance growth field x_i f_i(x)."""
-    return _make_field(LotkaVolterra(f))(x.coords)
+    return _make_field(LotkaVolterra(f), x.dim)(x.coords)
 
 
 def shifted_lv_field(x: OrthantPoint, f: Landscape) -> np.ndarray:
     """Aggregate-slowed abundance field (x_i / |x|) f_i(x)."""
-    return _make_field(ShiftedLotkaVolterra(f))(x.coords)
+    return _make_field(ShiftedLotkaVolterra(f), x.dim)(x.coords)
 
 
 def coupled_replicator_field(
@@ -142,7 +143,7 @@ def coupled_replicator_field(
 ) -> tuple[TangentVector, TangentVector]:
     """Simultaneous selection fields for two interacting populations."""
     split = state.pop1.dim
-    dz = _make_field(CoupledReplicator(f, g), split)(state.concatenated())
+    dz = _make_field(CoupledReplicator(f, g), sum(state.dims), split)(state.concatenated())
     return TangentVector(dz[:split]), TangentVector(dz[split:])
 
 
@@ -248,56 +249,48 @@ def _blocks(kind: VectorFieldKind, split: Optional[int]) -> tuple:
     return ((slice(None), kind.g if isinstance(kind, Ecological) else kind.f, None),)
 
 
-def _make_field(kind: VectorFieldKind, split: Optional[int] = None):
-    if isinstance(kind, Replicator):
-        f = kind.f
+def _payoffs(kind: VectorFieldKind, size: int, split: Optional[int]) -> tuple:
+    """Each block's payoff, resolved once for states of ``size`` coordinates: pay(own[, other]).
 
-        def field(x):
-            fvec = evaluate_landscape(f, x)
-            return x * (fvec - np.dot(x, fvec))
+    A ``Custom`` landscape goes through this module's ``evaluate_landscape``.
+    """
+    n = range(size)
+    return tuple(resolve_payoff(land, len(n[own]), None if other is None else len(n[other]),
+                                evaluate_landscape) for own, land, other in _blocks(kind, split))
 
-        return field
+
+def _make_field(kind: VectorFieldKind, size: int, split: Optional[int] = None):
+    """The field of ``kind`` on states of ``size`` coordinates (``split`` for coupled kinds)."""
+    pay, *rest = _payoffs(kind, size, split)
+    if isinstance(kind, LotkaVolterra):
+        return lambda x: x * pay(x)
+    if isinstance(kind, ShiftedLotkaVolterra):
+        return lambda x: x * pay(x) / x.sum()
     if isinstance(kind, Ecological):
-        g = kind.g
 
         def field(x):
-            gvec = evaluate_landscape(g, x)
-            residual = float(np.dot(x, gvec))
+            g = pay(x)
+            residual = float(x.dot(g))
             if abs(residual) > TANGENT_TOL:
                 raise NotSimplexPreservingError(
                     f"x . g(x) = {residual!r} violates aggregate neutrality"
                 )
-            return x * gvec
+            return x * g
 
-        return field
-    if isinstance(kind, LotkaVolterra):
-        f = kind.f
+    elif isinstance(kind, Replicator):
 
         def field(x):
-            return x * evaluate_landscape(f, x)
+            f = pay(x)
+            return x * (f - float(x.dot(f)))
 
-        return field
-    if isinstance(kind, ShiftedLotkaVolterra):
-        f = kind.f
-
-        def field(x):
-            return x * evaluate_landscape(f, x) / x.sum()
-
-        return field
-    if isinstance(kind, CoupledReplicator):
-        f, g = kind.f, kind.g
+    else:
 
         def field(z):
-            p = z[:split]
-            q = z[split:]
-            fvec = evaluate_landscape(f, p, q)
-            gvec = evaluate_landscape(g, q, p)
-            dp = p * (fvec - np.dot(p, fvec))
-            dq = q * (gvec - np.dot(q, gvec))
-            return np.concatenate([dp, dq])
+            p, q = z[:split], z[split:]
+            f, g = pay(p, q), rest[0](q, p)
+            return np.concatenate([p * (f - float(p.dot(f))), q * (g - float(q.dot(g)))])
 
-        return field
-    raise TypeError(f"unknown field kind: {kind!r}")
+    return field
 
 
 def _direct_chart(blocks: tuple):
@@ -312,26 +305,37 @@ def _direct_chart(blocks: tuple):
     return chart
 
 
+def _one_block_log_chart(v: np.ndarray) -> tuple:
+    """The log chart of a single simplex block, with ``logsumexp`` inline."""
+    top = v.max()
+    big_g = float(top + np.log(np.exp(v - top).sum()))
+    return np.exp(v - big_g), v, big_g
+
+
 def _log_chart(blocks: tuple):
     """Record exp(v - G) per block, with G = logsumexp(v) recomputed, never integrated."""
+    if len(blocks) == 1:
+        return _one_block_log_chart
 
     def chart(v):
         big_g = [logsumexp(v[block]) for block in blocks]
         x = np.concatenate([np.exp(v[block] - g) for block, g in zip(blocks, big_g)])
-        return x, v, big_g[0] if len(big_g) == 1 else big_g
+        return x, v, big_g
 
     return chart
 
 
-def _log_field(blocks: tuple, chart):
+def _log_field(kind: VectorFieldKind, size: int, split: Optional[int], chart):
     """dv = f(x) at the chart's state x = exp(v - G): the replicator flow in log coordinates."""
+    payoffs = _payoffs(kind, size, split)
+    if len(payoffs) == 1:
+        return lambda v: payoffs[0](chart(v)[0])
+    blocks = _blocks(kind, split)
 
     def field(v):
         x = chart(v)[0]
-        return np.concatenate(
-            [evaluate_landscape(land, x[own], None if other is None else x[other])
-             for own, land, other in blocks]
-        )
+        return np.concatenate([pay(x[own], x[other]) for pay, (own, _, other)
+                               in zip(payoffs, blocks)])
 
     return field
 
@@ -404,28 +408,28 @@ def _run(kind: VectorFieldKind, x0, dt: float, steps: int, target, log: bool) ->
     step whose recorded state has a coordinate at or below POS_FLOOR (or a
     non-finite one) halts the run; the overflow, invalid-value and
     divide-by-zero warnings of such a blow-up, in the loop and in the
-    diagnostics of the rows before it, are silenced.
+    diagnostics of the rows before it, are silenced.  Only abundance rows need
+    the test from above: a simplex row with an inf or NaN turns NaN in its chart.
     """
     _check_steps(dt, steps)
     start, split = _state_vector(kind, x0, "start")
     if target is not None:
         target = _target_vector(kind, target, start.size, split)
-    blocks = _blocks(kind, split)
-    simplex = () if kind.state_type is OrthantPoint else tuple(own for own, _, _ in blocks)
+    orthant = kind.state_type is OrthantPoint
+    simplex = () if orthant else tuple(own for own, _, _ in _blocks(kind, split))
     if log:
         chart = _log_chart(simplex)
-        y, field = np.log(start), _log_field(blocks, chart)
+        y, field = np.log(start), _log_field(kind, start.size, split, chart)
     else:
         chart = _direct_chart(simplex)
-        y, field = start, _make_field(kind, split)
+        y, field = start, _make_field(kind, start.size, split)
     states = [start]
     normalizers = [chart(y.copy())[2]]
-    truncated = False
-    failure = None
+    truncated, failure = False, None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(int(steps)):
             x, y, big_g = chart(_rk4_step(field, y, dt))
-            if not (x.min() > POS_FLOOR and x.max() < np.inf):
+            if not (x.min() > POS_FLOOR and (not orthant or x.max() < np.inf)):
                 truncated = True
                 failure = f"positivity lost at step {k + 1} (t = {(k + 1) * dt:g})"
                 break

@@ -1,10 +1,12 @@
-"""The certificate kernels against the per-row loops and forks they replaced.
+"""The certificate kernels and the RK4 loop against the code they replaced.
 
 The ESS samplers, the gradient check and ``orbit_gap`` work on whole batches,
 and ``fisher_theorem_check`` reads the statistics its run recorded.  The three
 ESS checks share one sampled-margin function, the Lotka-Volterra bridges read
 the shared frequency and block helpers, and ``localize_divergence`` evaluates
-one grid of perturbed points.  The ``_ref_*`` functions below are verbatim
+one grid of perturbed points.  Each run resolves its payoffs once, and a
+single-block exp-family run takes its normalizer inline.  The ``_ref_*``
+functions below are verbatim
 copies of the code they replaced; every output must equal theirs to the bit,
 and every error must carry the same message.
 """
@@ -20,15 +22,21 @@ from hypothesis import strategies as st
 
 from simplexdyn import (
     CoupledState,
+    Custom,
+    Ecological,
     Linear,
     LogLinear,
     LotkaVolterra,
     OrthantPoint,
     Replicator,
+    Scaled,
     ShiftedLotkaVolterra,
     SimplexPoint,
     coupled_ess_check,
+    coupled_exp_family_solver,
+    coupled_replicator_field,
     denormalized_ess_check,
+    ecological_field,
     ess_check,
     exp_family_solver,
     fisher_theorem_check,
@@ -37,8 +45,11 @@ from simplexdyn import (
     kl_formula,
     localize_divergence,
     lv_correspondence_residual,
+    lv_field,
     normalize_lv_trajectory,
     orbit_gap,
+    replicator_field,
+    shifted_lv_field,
 )
 from simplexdyn.analysis import (
     PARALLEL_TOL,
@@ -49,20 +60,30 @@ from simplexdyn.analysis import (
     _sine_to_direction,
     _tangent_ball_samples,
 )
-from simplexdyn.core import TangentVector, evaluate_landscape_batch
+from simplexdyn.core import TANGENT_TOL, TangentVector, evaluate_landscape_batch
 from simplexdyn.dynamics import (
+    POS_FLOOR,
     CoupledReplicator,
     Diagnostics,
     Trajectory,
     _blocks,
+    _check_steps,
+    _direct_chart,
     _frequencies,
+    _kl_rows,
+    _rk4_step,
     _state_vector,
+    _target_vector,
     _uniform_step,
+    logsumexp,
 )
 from simplexdyn.errors import (
+    DimensionMismatchError,
     EmptyTrajectoryError,
+    EvaluationFailure,
     KindMismatchError,
     NotDiagonalError,
+    NotSimplexPreservingError,
     RadiusTooLargeError,
     SimplexDynError,
     StepTooLargeError,
@@ -728,3 +749,399 @@ def test_the_lv_bridges_refuse_a_simplex_trajectory_as_before():
                         (_ref_lv_correspondence_residual, lv_correspondence_residual)]:
         _assert_same_bits(lambda: ref(traj), lambda: shared(traj))
         assert isinstance(_outcome(lambda: shared(traj)), tuple)
+
+
+# ---------------------------------------------------------------------------
+# the RK4 loop, its fields and charts, and the payoff evaluator they call
+# ---------------------------------------------------------------------------
+
+
+def _ref_call_custom(evaluator, args, n):
+    try:
+        out = evaluator(*args)
+    except Exception as exc:  # noqa: BLE001 - black-box evaluator
+        raise EvaluationFailure(f"custom landscape evaluator raised: {exc!r}") from exc
+    out = np.asarray(out, dtype=float)
+    if out.shape != (n,):
+        raise EvaluationFailure(f"custom landscape returned shape {out.shape}, expected ({n},)")
+    return out
+
+
+def _ref_shape_error(f, x, src):
+    return DimensionMismatchError(
+        f"{type(f).__name__} matrix shape {f.matrix.shape} does not match "
+        f"state dimensions ({x.shape[-1]}, {src.shape[-1]})"
+    )
+
+
+def _ref_evaluate_landscape(f, x, other=None):
+    x = np.asarray(x, dtype=float)
+    src = x if other is None else np.asarray(other, dtype=float)
+    # M.dot(x) on one state and X.dot(M.T) on rows keep the bits of M @ x and
+    # X @ M.T, with less call overhead than either operator
+    if isinstance(f, Linear):
+        if f.matrix.shape != (x.shape[-1], src.shape[-1]):
+            raise _ref_shape_error(f, x, src)
+        return f.matrix.dot(src) if src.ndim == 1 else src.dot(f.matrix.T)
+    if isinstance(f, LogLinear):
+        if f.matrix.shape != (x.shape[-1], src.shape[-1]):
+            raise _ref_shape_error(f, x, src)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            logs = np.log(src)
+        return (f.matrix.dot(logs) if logs.ndim == 1 else logs.dot(f.matrix.T)) + f.offset
+    if isinstance(f, Custom):
+        if x.ndim == 1:
+            return _ref_call_custom(f.evaluator, (x,) if other is None else (x, src), x.size)
+        rows = zip(x) if other is None else zip(x, src)
+        return np.stack([_ref_call_custom(f.evaluator, row, x.shape[1]) for row in rows])
+    if isinstance(f, Scaled):
+        base = _ref_evaluate_landscape(f.base, x, other)
+        if x.ndim == 1:
+            return f.factor * (base - float(np.dot(x, base)))
+        return f.factor * (base - np.einsum("ij,ij->i", x, base)[:, None])
+    raise TypeError(f"not a landscape: {f!r}")
+
+
+def _ref_make_field(kind, split=None):
+    if isinstance(kind, Replicator):
+        f = kind.f
+
+        def field(x):
+            fvec = _ref_evaluate_landscape(f, x)
+            return x * (fvec - np.dot(x, fvec))
+
+        return field
+    if isinstance(kind, Ecological):
+        g = kind.g
+
+        def field(x):
+            gvec = _ref_evaluate_landscape(g, x)
+            residual = float(np.dot(x, gvec))
+            if abs(residual) > TANGENT_TOL:
+                raise NotSimplexPreservingError(
+                    f"x . g(x) = {residual!r} violates aggregate neutrality"
+                )
+            return x * gvec
+
+        return field
+    if isinstance(kind, LotkaVolterra):
+        f = kind.f
+
+        def field(x):
+            return x * _ref_evaluate_landscape(f, x)
+
+        return field
+    if isinstance(kind, ShiftedLotkaVolterra):
+        f = kind.f
+
+        def field(x):
+            return x * _ref_evaluate_landscape(f, x) / x.sum()
+
+        return field
+    if isinstance(kind, CoupledReplicator):
+        f, g = kind.f, kind.g
+
+        def field(z):
+            p = z[:split]
+            q = z[split:]
+            fvec = _ref_evaluate_landscape(f, p, q)
+            gvec = _ref_evaluate_landscape(g, q, p)
+            dp = p * (fvec - np.dot(p, fvec))
+            dq = q * (gvec - np.dot(q, gvec))
+            return np.concatenate([dp, dq])
+
+        return field
+    raise TypeError(f"unknown field kind: {kind!r}")
+
+
+def _ref_log_chart(blocks):
+    def chart(v):
+        big_g = [logsumexp(v[block]) for block in blocks]
+        x = np.concatenate([np.exp(v[block] - g) for block, g in zip(blocks, big_g)])
+        return x, v, big_g[0] if len(big_g) == 1 else big_g
+
+    return chart
+
+
+def _ref_log_field(blocks, chart):
+    def field(v):
+        x = chart(v)[0]
+        return np.concatenate(
+            [_ref_evaluate_landscape(land, x[own], None if other is None else x[other])
+             for own, land, other in blocks]
+        )
+
+    return field
+
+
+def _ref_diagnostics(kind, states, target, split, normalizer=None):
+    weights, target = _frequencies(kind, states, target)
+    means, variances, divergences = [], [], []
+    for own, land, other in _blocks(kind, split):
+        payoff = _ref_evaluate_landscape(
+            land, states[:, own], None if other is None else states[:, other]
+        )
+        w = weights[:, own]
+        mean = np.einsum("ij,ij->i", w, payoff)
+        means.append(mean)
+        variances.append(np.einsum("ij,ij->i", w, (payoff - mean[:, None]) ** 2))
+        if target is not None:
+            divergences.append(_kl_rows(target[own], w))
+    # reduce keeps one block's bits (np.sum would turn a -0.0 into 0.0)
+    div = reduce(np.add, divergences) if divergences else np.full(states.shape[0], np.nan)
+    mean, var = reduce(np.add, means), reduce(np.add, variances)
+    return Diagnostics(mean, var, div, states.sum(axis=1), normalizer)
+
+
+def _ref_run(kind, x0, dt, steps, target, log):
+    _check_steps(dt, steps)
+    start, split = _state_vector(kind, x0, "start")
+    if target is not None:
+        target = _target_vector(kind, target, start.size, split)
+    blocks = _blocks(kind, split)
+    simplex = () if kind.state_type is OrthantPoint else tuple(own for own, _, _ in blocks)
+    if log:
+        chart = _ref_log_chart(simplex)
+        y, field = np.log(start), _ref_log_field(blocks, chart)
+    else:
+        chart = _direct_chart(simplex)
+        y, field = start, _ref_make_field(kind, split)
+    states = [start]
+    normalizers = [chart(y.copy())[2]]
+    truncated = False
+    failure = None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(int(steps)):
+            x, y, big_g = chart(_rk4_step(field, y, dt))
+            if not (x.min() > POS_FLOOR and x.max() < np.inf):
+                truncated = True
+                failure = f"positivity lost at step {k + 1} (t = {(k + 1) * dt:g})"
+                break
+            states.append(x)
+            normalizers.append(big_g)
+        states = np.array(states)
+        normalizer = None if normalizers[0] is None else np.array(normalizers)
+        diagnostics = _ref_diagnostics(kind, states, target, split, normalizer)
+    return Trajectory(
+        kind=kind,
+        times=dt * np.arange(states.shape[0]),
+        states=states,
+        diagnostics=diagnostics,
+        split=split,
+        truncated=truncated,
+        failure=failure,
+    )
+
+
+class _Affine:
+    """A black-box payoff r - B y, with y the other population's state when there is one."""
+
+    def __init__(self, matrix, offset):
+        self.matrix, self.offset = matrix, offset
+
+    def __call__(self, x, other=None):
+        return self.offset - self.matrix.dot(x if other is None else other)
+
+
+def _landscape(rng, n, m, which, scale):
+    matrix = rng.standard_normal((n, m)) * scale
+    if which == "linear":
+        return Linear(matrix)
+    if which == "log_linear":
+        return LogLinear(matrix, rng.standard_normal(n))
+    if which == "custom":
+        return Custom(_Affine(matrix, rng.standard_normal(n)))
+    base = _landscape(rng, n, m, ("linear", "log_linear", "custom")[rng.integers(3)], scale)
+    return Scaled(base, rng.uniform(0.5, 2.0))
+
+
+def _start(rng, kind, dims):
+    if kind.state_type is OrthantPoint:
+        return OrthantPoint(rng.uniform(0.2, 2.0, dims[0]))
+    points = [SimplexPoint(_simplex(rng, n, 0.05)) for n in dims]
+    return points[0] if len(points) == 1 else CoupledState(*points)
+
+
+KINDS = ("replicator", "ecological", "lotka_volterra", "shifted_lotka_volterra", "coupled",
+         "exp_family", "coupled_exp_family")
+
+
+def _flow(seed, kind_name, n, which, scale, dt, steps, with_target):
+    """(reference call, call) for one run on a random landscape."""
+    rng = np.random.default_rng(seed)
+    coupled = kind_name.startswith("coupled")
+    dims = (n, int(rng.integers(2, 6))) if coupled else (n,)
+    lands = [_landscape(rng, a, b if coupled else a, which, scale)
+             for a, b in ((dims[0], dims[-1]), (dims[-1], dims[0]))[: len(dims)]]
+    if kind_name == "ecological" and rng.random() < 0.8:  # otherwise: not aggregate-neutral
+        lands[0] = Scaled(lands[0], 1.0)
+    kind = {"replicator": Replicator, "ecological": Ecological, "lotka_volterra": LotkaVolterra,
+            "shifted_lotka_volterra": ShiftedLotkaVolterra, "exp_family": Replicator,
+            "coupled": CoupledReplicator, "coupled_exp_family": CoupledReplicator}[kind_name](*lands)
+    start = _start(rng, kind, dims)
+    target = _start(rng, kind, dims) if with_target else None
+    log = kind_name.endswith("exp_family")
+    if kind_name == "exp_family":
+        call = lambda: exp_family_solver(lands[0], start, dt, steps, target=target)  # noqa: E731
+    elif kind_name == "coupled_exp_family":
+        call = lambda: coupled_exp_family_solver(*lands, start, dt, steps, target=target)  # noqa: E731
+    else:
+        call = lambda: integrate(kind, start, dt, steps, target=target)  # noqa: E731
+    return (lambda: _ref_run(kind, start, dt, steps, target, log)), call
+
+
+def _assert_same_run(reference, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_same_bits(reference, call)
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind_name=st.sampled_from(KINDS),
+    n=st.one_of(st.integers(2, 12), st.just(50)),
+    which=st.sampled_from(["linear", "log_linear", "scaled", "custom"]),
+    scale=st.sampled_from([0.1, 1.0, 10.0, 300.0]),
+    dt=st.sampled_from([1e-3, 0.01, 0.1, 0.5]),
+    steps=st.integers(1, 150),
+    with_target=st.booleans(),
+)
+def test_every_run_equals_the_loop_with_a_payoff_dispatch_per_call(
+    seed, kind_name, n, which, scale, dt, steps, with_target
+):
+    _assert_same_run(*_flow(seed, kind_name, n, which, scale, dt, steps, with_target))
+
+
+@pytest.mark.parametrize(
+    "kind, start, dt, failure",
+    [
+        # overflow to NaN, overflow to inf, and an overshoot whose coordinates sum to 0
+        (LotkaVolterra(Linear(np.eye(2))), OrthantPoint(np.ones(2)), 0.1, "step 13 (t = 1.3)"),
+        (LotkaVolterra(Linear(np.diag([3.0, 3.0]))), OrthantPoint(np.ones(2)), 0.05,
+         "step 9 (t = 0.45)"),
+        (Replicator(Linear(np.diag([1000.0, -1000.0]))), SimplexPoint(np.array([0.5, 0.5])), 0.1,
+         "step 1 (t = 0.1)"),
+    ],
+)
+def test_blow_ups_truncate_as_before_without_warnings(kind, start, dt, failure):
+    target = start
+    _assert_same_run(lambda: _ref_run(kind, start, dt, 100, target, False),
+                     lambda: integrate(kind, start, dt, 100, target=target))
+    assert integrate(kind, start, dt, 100).failure == f"positivity lost at {failure}"
+
+
+@pytest.mark.parametrize("log", [False, True])
+def test_exp_family_blow_ups_truncate_as_before_without_warnings(log):
+    f = Linear(np.diag([1000.0, -1000.0, 3.0]))
+    start = SimplexPoint(np.array([0.2, 0.3, 0.5]))
+    call = exp_family_solver if log else lambda *a: integrate(Replicator(a[0]), *a[1:])
+    _assert_same_run(lambda: _ref_run(Replicator(f), start, 0.5, 50, None, log),
+                     lambda: call(f, start, 0.5, 50))
+
+
+_FIELDS = [
+    (replicator_field, Replicator, SimplexPoint(np.array([0.2, 0.3, 0.5]))),
+    (ecological_field, Ecological, SimplexPoint(np.array([0.2, 0.3, 0.5]))),
+    (lv_field, LotkaVolterra, OrthantPoint(np.array([0.2, 1.3, 0.5]))),
+    (shifted_lv_field, ShiftedLotkaVolterra, OrthantPoint(np.array([0.2, 1.3, 0.5]))),
+]
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3), (2, 2), (4, 4)])
+@pytest.mark.parametrize("log_linear", [False, True])
+@pytest.mark.parametrize("scaled", [False, True])
+def test_a_wrong_shaped_matrix_raises_the_same_dimension_error(shape, log_linear, scaled):
+    f = (LogLinear(np.ones(shape), np.ones(shape[0])) if log_linear else Linear(np.ones(shape)))
+    f = Scaled(f, 2.0) if scaled else f
+    for public, kind_type, x in _FIELDS:
+        _assert_same_bits(lambda: _ref_make_field(kind_type(f))(x.coords), lambda: public(x, f))
+    x = _FIELDS[0][2]
+    for kind, log in [(Replicator(f), False), (Replicator(f), True), (LotkaVolterra(f), False)]:
+        start = x if kind.state_type is SimplexPoint else OrthantPoint(x.coords)
+        reference = lambda: _ref_run(kind, start, 0.01, 5, None, log)  # noqa: E731
+        if log:
+            _assert_same_bits(reference, lambda: exp_family_solver(f, start, 0.01, 5))
+        else:
+            _assert_same_bits(reference, lambda: integrate(kind, start, 0.01, 5))
+        assert isinstance(_outcome(reference), tuple)
+    s = CoupledState(SimplexPoint(np.array([0.5, 0.5])), SimplexPoint(np.array([0.2, 0.3, 0.5])))
+    good = Linear(np.ones((3, 2)))
+    for pair in [(f, good), (Linear(np.ones((2, 3))), f)]:
+        _assert_same_bits(lambda: _ref_make_field(CoupledReplicator(*pair), 2)(s.concatenated()),
+                          lambda: np.concatenate(coupled_replicator_field(s, *pair)))
+        _assert_same_bits(lambda: _ref_run(CoupledReplicator(*pair), s, 0.01, 5, None, True),
+                          lambda: coupled_exp_family_solver(*pair, s, 0.01, 5))
+
+
+@pytest.mark.parametrize("which", ["linear", "log_linear", "scaled", "custom"])
+def test_the_public_fields_equal_the_fields_they_replaced(which):
+    rng = np.random.default_rng(7)
+    f = _landscape(rng, 3, 3, which, 1.0)
+    for public, kind_type, x in _FIELDS:
+        _assert_same_bits(lambda: _ref_make_field(kind_type(f))(x.coords),
+                          lambda: np.asarray(public(x, f)))
+    f, g = _landscape(rng, 2, 3, which, 1.0), _landscape(rng, 3, 2, which, 1.0)
+    s = CoupledState(SimplexPoint(np.array([0.5, 0.5])), SimplexPoint(np.array([0.2, 0.3, 0.5])))
+    _assert_same_bits(lambda: _ref_make_field(CoupledReplicator(f, g), 2)(s.concatenated()),
+                      lambda: np.concatenate(coupled_replicator_field(s, f, g)))
+
+
+class _Recorder:
+    """A black-box payoff that keeps a copy of every argument and fails on request."""
+
+    def __init__(self, payoff, fail_at=None, bad_shape_at=None):
+        self.payoff, self.fail_at, self.bad_shape_at = payoff, fail_at, bad_shape_at
+        self.calls = []
+
+    def __call__(self, *state):
+        self.calls.append(tuple(np.array(s) for s in state))
+        if len(self.calls) == self.fail_at:
+            raise ArithmeticError("evaluator failed")
+        out = self.payoff(*state)
+        return out[:-1] if len(self.calls) == self.bad_shape_at else out
+
+
+@pytest.mark.parametrize("kind_name", ["replicator", "lotka_volterra", "coupled", "exp_family",
+                                       "coupled_exp_family"])
+@pytest.mark.parametrize("scaled", [False, True])
+@pytest.mark.parametrize("fault", [{}, {"fail_at": 7}, {"bad_shape_at": 10}])
+def test_a_custom_evaluator_sees_the_calls_it_saw_before(kind_name, scaled, fault):
+    steps = 6
+    runs = []
+    for side in ("reference", "change"):
+        rng = np.random.default_rng(11)
+        recorders = [_Recorder(_Affine(rng.standard_normal((a, b)), rng.standard_normal(a)),
+                               **fault) for a, b in ((3, 2), (2, 3))]
+        lands = [Scaled(Custom(r), 1.5) if scaled else Custom(r) for r in recorders]
+        coupled = kind_name.startswith("coupled")
+        if not coupled:
+            recorders[0].payoff = _Affine(rng.standard_normal((3, 3)), rng.standard_normal(3))
+        p = SimplexPoint(np.array([0.2, 0.3, 0.5]))
+        start = CoupledState(p, SimplexPoint(np.array([0.4, 0.6]))) if coupled else p
+        kind = {"replicator": Replicator(lands[0]), "exp_family": Replicator(lands[0]),
+                "lotka_volterra": LotkaVolterra(lands[0]),
+                "coupled": CoupledReplicator(*lands),
+                "coupled_exp_family": CoupledReplicator(*lands)}[kind_name]
+        if kind.state_type is OrthantPoint:
+            start = OrthantPoint(p.coords)
+        log = kind_name.endswith("exp_family")
+        if side == "reference":
+            outcome = _outcome(lambda: _ref_run(kind, start, 0.05, steps, None, log))
+        elif kind_name == "exp_family":
+            outcome = _outcome(lambda: exp_family_solver(lands[0], start, 0.05, steps))
+        elif kind_name == "coupled_exp_family":
+            outcome = _outcome(lambda: coupled_exp_family_solver(*lands, start, 0.05, steps))
+        else:
+            outcome = _outcome(lambda: integrate(kind, start, 0.05, steps))
+        if not isinstance(outcome, tuple):  # the kinds hold each side's own recorders
+            outcome = [outcome.times, outcome.states, outcome.diagnostics, outcome.split,
+                       outcome.truncated, outcome.failure]
+        runs.append(([_bits(value) for value in outcome],
+                     [[a.tobytes() for a in call] for r in recorders for call in r.calls]))
+    assert runs[0] == runs[1]
+    populations = 2 if kind_name.startswith("coupled") else 1
+    if fault:
+        assert runs[1][0][0] == ("type", EvaluationFailure)
+    else:  # four field calls per step, then one diagnostics call per recorded row
+        assert len(runs[1][1]) == populations * (4 * steps + steps + 1)

@@ -8,7 +8,9 @@ the pass/fail plumbing without subprocess overhead.
 import csv
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -820,3 +822,26 @@ def test_quiet_writes_nothing_to_stdout(tmp_path, capfd, jobs):
                  "--jobs", jobs, "--quiet"]) == 1
     assert [cli.run_scenario(str(c), str(tmp_path / "p"), "json", True) for c in configs] == [2, 1]
     assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("rest", [["--out", "o", "--jobs", "abc"], []], ids=["jobs-abc", "no-out"])
+def test_an_argparse_refusal_exits_2_with_a_usage_line_and_writes_nothing(
+    tmp_path, capsys, monkeypatch, rest
+):
+    monkeypatch.chdir(tmp_path)
+    _write_config(tmp_path / "a.json", name="a")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", "a.json", *rest])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+
+
+def test_importing_the_cli_does_not_import_concurrent_futures():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, simplexdyn.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout == "False\n"

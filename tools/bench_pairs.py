@@ -1,0 +1,119 @@
+"""Alternating parent/change benchmark pairs, written as one ``BENCH_<n>.json``.
+
+Run from the root of a checkout:
+
+    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pairs 10 --out BENCH_17.json
+
+Each revision's committed files are exported with ``git archive`` into the
+ignored ``.bench_build/<sha>``.  For seeds 1..N and each workload,
+``bench/run.py`` runs once in each export, the parent first on odd seeds.
+For every end-to-end metric of ``BENCHMARK.json`` the file holds both
+sides' values, medians and quartiles, the pairs the change won, and the
+machine facts.  It is rewritten after every pair.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+NUMPY_FACTS = (
+    "import json, numpy as np; blas = np.show_config(mode='dicts')['Build Dependencies']['blas'];"
+    "print(json.dumps({'numpy': np.__version__, 'blas': {k: blas.get(k) for k in"
+    " ('name', 'version', 'openblas configuration')}}))"
+)
+
+
+def export(rev: str) -> tuple[str, str]:
+    """(sha, directory) of ``rev``'s committed files under ``.bench_build``."""
+    sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], check=True,
+                         capture_output=True, text=True).stdout.strip()
+    path = os.path.join(".bench_build", sha)
+    if not os.path.isdir(path):
+        os.makedirs(path + ".part", exist_ok=True)
+        archive = subprocess.run(["git", "archive", sha], check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", path + ".part"], input=archive, check=True)
+        os.rename(path + ".part", path)
+    return sha, path
+
+
+def machine_facts() -> dict:
+    with open("/proc/cpuinfo", encoding="utf-8") as fh:
+        cpu = [line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")]
+    facts = json.loads(subprocess.run([sys.executable, "-c", NUMPY_FACTS], check=True,
+                                      capture_output=True, text=True).stdout)
+    verbose = subprocess.run([sys.executable, "-c", "import numpy"], capture_output=True,
+                             text=True, env=dict(os.environ, OPENBLAS_VERBOSE="2"))
+    lines = (verbose.stdout + verbose.stderr).splitlines()
+    core = [line.split(":", 1)[1].strip() for line in lines if line.startswith("Core:")]
+    return {"nproc": os.cpu_count(), "cpu": (cpu or [""])[0], "python": platform.python_version(),
+            **facts, "openblas_core": (core or [None])[0],
+            "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))}
+
+
+def run_once(path: str, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed",
+                           str(seed), "--seconds", str(seconds)], cwd=path, capture_output=True,
+                          text=True)
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if lines else {}
+    return {"exit": proc.returncode, "correct": result.get("correct", False),
+            "values": {name: m["value"] for name, m in result.get("metrics", {}).items()}}
+
+
+def spread(values: list) -> dict:
+    q = statistics.quantiles(values, n=4) if len(values) > 1 else [values[0]] * 3
+    return {"median": statistics.median(values), "q1": q[0], "q3": q[2]}
+
+
+def summary(runs: list, declared: list) -> dict:
+    out = {}
+    for metric in declared:
+        name, lower = metric["name"], metric["better"] == "lower"
+        pairs = [(r["parent"]["values"][name], r["change"]["values"][name]) for r in runs
+                 if name in r["parent"]["values"] and name in r["change"]["values"]]
+        if not pairs:
+            continue
+        won = sum((c < p) if lower else (c > p) for p, c in pairs)
+        out[name] = {**metric, "parent": spread([p for p, _ in pairs]),
+                     "change": spread([c for _, c in pairs]), "change_won": won,
+                     "pairs": len(pairs)}
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", default="HEAD~1")
+    parser.add_argument("--change", default="HEAD")  # both are git revisions
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--workloads", nargs="+")
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args()
+    with open("BENCHMARK.json", encoding="utf-8") as fh:
+        spec = json.load(fh)
+    (parent, parent_dir), (change, change_dir) = export(args.parent), export(args.change)
+    record = {"parent": parent, "change": change, "seconds": args.seconds, "pairs": args.pairs,
+              "machine": machine_facts(), "workloads": {}}
+    for workload in args.workloads or [w["name"] for w in spec["workloads"]]:
+        runs, order = [], [("parent", parent_dir), ("change", change_dir)]
+        for seed in range(1, args.pairs + 1):
+            pair = {side: run_once(path, workload, seed, args.seconds)
+                    for side, path in (order if seed % 2 else order[::-1])}
+            runs.append({"seed": seed, **pair})
+            record["workloads"][workload] = {"summary": summary(runs, spec["end_to_end"]),
+                                             "runs": runs}
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump(record, fh, indent=1)
+            print(workload, seed, {side: (run["values"].get("step_us"), run["correct"])
+                                   for side, run in pair.items()}, file=sys.stderr, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
