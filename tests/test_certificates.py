@@ -969,10 +969,12 @@ KINDS = ("replicator", "ecological", "lotka_volterra", "shifted_lotka_volterra",
 def _flow(seed, kind_name, n, which, scale, dt, steps, with_target):
     """(reference call, call) for one run on a random landscape."""
     rng = np.random.default_rng(seed)
-    coupled = kind_name.startswith("coupled")
-    dims = (n, int(rng.integers(2, 6))) if coupled else (n,)
-    lands = [_landscape(rng, a, b if coupled else a, which, scale)
-             for a, b in ((dims[0], dims[-1]), (dims[-1], dims[0]))[: len(dims)]]
+    if kind_name.startswith("coupled"):
+        dims = (n, int(rng.integers(2, 6)))
+        shapes = [dims, dims[::-1]]
+    else:
+        dims, shapes = (n,), [(n, n)]
+    lands = [_landscape(rng, a, b, which, scale) for a, b in shapes]
     if kind_name == "ecological" and rng.random() < 0.8:  # otherwise: not aggregate-neutral
         lands[0] = Scaled(lands[0], 1.0)
     kind = {"replicator": Replicator, "ecological": Ecological, "lotka_volterra": LotkaVolterra,
