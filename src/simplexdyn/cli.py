@@ -5,7 +5,9 @@ every level, bad values and bad output names before anything is written, and
 writes a trajectory file plus a JSON check report into the output directory;
 ``check`` runs one check from inline options and prints its JSON report.  One
 table, ``_CHECKS``, gives each check key its type and default: a ``check``
-option is the config key of the same name, and both run through ``_run_check``.
+option is the config key of the same name.  Every number from outside is read
+by ``_typed``, and a check of either command meets the rules of
+``_check_entry`` before it runs through ``_run_check``.
 
 Exit codes: 0 when everything passed, 2 when a requested check failed, and
 1 for configuration or runtime errors (including integrations truncated by
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -40,6 +43,7 @@ from .core import (
     Scaled,
     SimplexPoint,
     evaluate_landscape,
+    resolve_payoff,
 )
 from .divergence import kl_formula
 from .errors import ConfigError, EmptyTrajectoryError, SimplexDynError
@@ -115,21 +119,22 @@ class Scenario:
     report_file: str
 
 
-def _require(config: dict, field: str):
-    if field not in config:
-        raise ConfigError(f"missing required field '{field}'")
-    return config[field]
+def _require(payload: dict, key: str, prefix: str = ""):
+    if key not in payload:
+        raise ConfigError(f"missing required field '{prefix}{key}'")
+    return payload[key]
 
 
-def _reject_unknown(payload: dict, allowed, path: str) -> None:
-    """Raise a ConfigError naming the key path of the first key not in ``allowed``."""
+def _reject_unknown(payload: dict, allowed, prefix: str) -> None:
+    """Raise a ConfigError naming the key path (``prefix`` + key) of the first key not allowed."""
     for key in payload:
         if key not in allowed:
-            where = f"{path}.{key}" if path else key
-            raise ConfigError(f"unknown key '{where}' (expected one of {sorted(allowed)})")
+            raise ConfigError(f"unknown key '{prefix}{key}' (expected one of {sorted(allowed)})")
 
 
-def _build_landscape(payload, field: str) -> Landscape:
+def _build_landscape(payload, prefix: str) -> Landscape:
+    """``payload`` as a landscape; errors name ``prefix`` + key (``landscape.`` or ``--``)."""
+    field = prefix.rstrip(".")
     if not isinstance(payload, dict):
         raise ConfigError(f"field '{field}' must be an object describing a landscape")
     kind = payload.get("type")
@@ -138,46 +143,49 @@ def _build_landscape(payload, field: str) -> Landscape:
             f"field '{field}' has unknown landscape type {kind!r} "
             "(expected 'linear', 'log_linear', or 'scaled')"
         )
-    _reject_unknown(payload, _LANDSCAPE_KEYS[kind], field)
-    try:
-        if kind == "scaled":
-            return Scaled(
-                base=_build_landscape(_require(payload, "base"), f"{field}.base"),
-                factor=float(_require(payload, "factor")),
-            )
-        matrix = np.asarray(_require(payload, "matrix"), dtype=float)
-        if kind == "linear":
-            return Linear(matrix)
-        return LogLinear(matrix, np.asarray(_require(payload, "offset"), dtype=float))
-    except (TypeError, ValueError, SimplexDynError) as exc:
-        raise ConfigError(f"invalid landscape in field '{field}': {exc}") from exc
+    _reject_unknown(payload, _LANDSCAPE_KEYS[kind], prefix)
+    if kind == "scaled":
+        base = _build_landscape(_require(payload, "base", prefix), prefix + "base.")
+        factor = _require(payload, "factor", prefix)
+        return Scaled(base, _typed("positive", factor, prefix + "factor"))
+    rows = _require(payload, "matrix", prefix)
+    matrix = [_typed("vector", r, f"{prefix}matrix") for r in rows] if type(rows) is list else []
+    if not matrix or not matrix[0].size or any(row.size != matrix[0].size for row in matrix):
+        raise ConfigError(f"'{prefix}matrix' must be a list of equal non-empty rows, got {rows!r}")
+    if kind == "linear":
+        return Linear(matrix)
+    offset = _typed("vector", _require(payload, "offset", prefix), prefix + "offset")
+    if offset.size != len(matrix):
+        raise ConfigError(f"'{prefix}offset' must have the {len(matrix)} entries of the matrix's "
+                          f"rows, got {offset.size}")
+    return LogLinear(matrix, offset)
 
 
 def _coerce_entry(value) -> float:
-    """Accept JSON numbers or fraction strings like '1/3'."""
+    """A JSON number or a fraction string like '1/3'; never ``true`` or ``false``."""
+    if isinstance(value, bool):
+        raise TypeError(f"{json.dumps(value)} is not a number")
     if isinstance(value, str) and "/" in value:
         num, _, den = value.partition("/")
         return float(num) / float(den)
     return float(value)
 
 
-def _coerce_array(payload, field: str) -> np.ndarray:
-    """Parse a list of numbers or fraction strings; errors name the config field or option."""
-    if not isinstance(payload, (list, tuple)):
-        raise ConfigError(f"{field!r} must be a list of numbers, got {payload!r}")
-    try:
-        return np.array([_coerce_entry(v) for v in payload], dtype=float)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"invalid number in {field!r}: {exc}") from exc
-
-
 def _typed(value_type: str, value, field: str):
-    """``value`` as a ``value_type`` of ``_VALUE_TYPES``; errors name the config field or option."""
+    """``value`` as a ``value_type`` of ``_VALUE_TYPES``; errors name the config field or option.
+
+    Every number from outside is read here: a vector entry through ``_coerce_entry``.
+    """
     if value_type == "vector":
-        vector = _coerce_array(value, field)
-        if not np.isfinite(vector).all():
+        if not isinstance(value, list):
+            raise ConfigError(f"{field!r} must be a list of numbers, got {value!r}")
+        try:  # a JSON float needs no call
+            floats = [v if type(v) is float else _coerce_entry(v) for v in value]
+        except (TypeError, ValueError, ArithmeticError) as exc:  # 1/0, an int past float range
+            raise ConfigError(f"invalid number in {field!r}: {exc}") from exc
+        if not all(map(math.isfinite, floats)):
             raise ConfigError(f"{field!r} must hold finite numbers, got {value!r}")
-        return vector
+        return np.array(floats, dtype=float)
     if value_type in ("positive", "tolerance") and type(value) is int:
         value = float(value) if abs(value) <= sys.float_info.max else value  # "tol": 1 is 1.0
     text, valid, _ = _VALUE_TYPES[value_type]
@@ -186,19 +194,45 @@ def _typed(value_type: str, value, field: str):
     return value
 
 
-def _check_values(entry: dict, where: str) -> dict:
-    """``entry`` with typed values (errors name ``where`` + key); optional keys also take None."""
-    values = dict(entry)
-    for key, (value_type, default) in _CHECKS[entry["name"]][1].items():
+def _build_state(state_type: type, payload, field: str):
+    """``payload`` as a ``state_type`` of a kind; errors name ``field``."""
+    if state_type is CoupledState:
+        if not isinstance(payload, dict) or "p" not in payload or "q" not in payload:
+            raise ConfigError(f"field '{field}' must be an object with 'p' and 'q'")
+        _reject_unknown(payload, ("p", "q"), f"{field}.")
+        return CoupledState(*(_build_state(SimplexPoint, payload[key], f"{field}.{key}")
+                              for key in ("p", "q")))
+    coords = _typed("vector", payload, field)
+    try:
+        return state_type(coords)
+    except SimplexDynError as exc:
+        raise ConfigError(f"invalid state in field '{field}': {exc}") from exc
+
+
+def _check_entry(entry, prefix: str, kind, initial, target, steps: Optional[int]) -> dict:
+    """``entry`` typed (no default filled in), or a ConfigError if it fails on any trajectory.
+
+    Errors name ``prefix`` + key (``checks[i].`` in a config, ``--`` for an option) or the check.
+    """
+    where = prefix.rstrip(".")
+    if not isinstance(entry, dict) or entry.get("name") not in tuple(_CHECKS):
+        raise ConfigError(f"each check must be an object whose 'name' is one of "
+                          f"{tuple(_CHECKS)}, got {entry!r}")
+    name = entry["name"]
+    needs, keys = _CHECKS[name]
+    _reject_unknown(entry, ("name", *keys), prefix)
+    check = dict(entry)
+    for key, (value_type, default) in keys.items():
         if key in entry and not (entry[key] is None and default is None):
-            values[key] = _typed(value_type, entry[key], where + key)
-    return values
+            check[key] = _typed(value_type, entry[key], prefix + key)
+    if needs is not None and (target is None or not isinstance(target, needs)):
+        raise ConfigError(f"'{where}' needs a target ({needs.__name__}), got {target!r}")
+    point = initial
+    if check.get("point") is not None:
+        point = check["point"] = _build_state(SimplexPoint, entry["point"], prefix + "point")
+    elif "point" in keys and not isinstance(initial, SimplexPoint):
+        raise ConfigError(f"'{where}' needs a 'point': the start is not a simplex point")
 
-
-def _check_preconditions(check: dict, kind, initial, steps: int, where: str) -> None:
-    """Refuse a typed check that would fail on any trajectory; errors name ``where``."""
-    name = check["name"]
-    point = initial if check.get("point") is None else check["point"]
     if name == "fisher_theorem":
         try:
             analysis._require_fisher_kind(kind)
@@ -206,33 +240,24 @@ def _check_preconditions(check: dict, kind, initial, steps: int, where: str) -> 
             raise ConfigError(f"'{where}': {exc}") from exc
         if steps < 2:
             raise ConfigError(f"'{where}': a central difference needs 'steps' >= 2, got {steps}")
-    elif name == "gradient_consistency" and check.get("grad") is not None:
-        if check["grad"].size != point.dim:
-            raise ConfigError(f"'{where}.grad' must have the {point.dim} entries of its point, "
-                              f"got {check['grad'].size}")
+    elif name == "gradient_consistency" and check.get("grad") is None:
+        # the default gradient is the payoff at the point, as _run_check takes it
+        if kind.state_type is CoupledState:
+            raise ConfigError(f"'{where}' needs a 'grad': a coupled payoff acts on the other "
+                              "population, not on the point")
+        try:
+            resolve_payoff(dynamics._blocks(kind, None)[0][1], point.dim)
+        except SimplexDynError as exc:
+            raise ConfigError(f"'{where}': {exc}") from exc
+    elif name == "gradient_consistency" and check["grad"].size != point.dim:
+        raise ConfigError(f"'{prefix}grad' must have the {point.dim} entries of its point, "
+                          f"got {check['grad'].size}")
     elif name == "localize":
-        h = check.get("h", _CHECKS[name][1]["h"][1])
+        h = check.get("h", keys["h"][1])
         if not h < point.coords.min():
-            raise ConfigError(f"'{where}.h' must be smaller than the point's smallest "
+            raise ConfigError(f"'{prefix}h' must be smaller than the point's smallest "
                               f"coordinate {point.coords.min()}, got {h}")
-
-
-def _build_state(state_type: type, payload, field: str):
-    """``payload`` as a ``state_type`` of a kind; errors name ``field``."""
-    try:
-        if state_type is CoupledState:
-            if not isinstance(payload, dict) or "p" not in payload or "q" not in payload:
-                raise ConfigError(f"field '{field}' must be an object with 'p' and 'q'")
-            _reject_unknown(payload, ("p", "q"), field)
-            return CoupledState(
-                SimplexPoint(_coerce_array(payload["p"], f"{field}.p")),
-                SimplexPoint(_coerce_array(payload["q"], f"{field}.q")),
-            )
-        return state_type(_coerce_array(payload, field))
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, SimplexDynError) as exc:
-        raise ConfigError(f"invalid state in field '{field}': {exc}") from exc
+    return check
 
 
 def load_scenario(path: str) -> Scenario:
@@ -263,12 +288,12 @@ def load_scenario(path: str) -> Scenario:
     if kind_name == "coupled_replicator":
         if not isinstance(landscape_cfg, dict) or "f" not in landscape_cfg or "g" not in landscape_cfg:
             raise ConfigError("field 'landscape' must contain 'f' and 'g' for coupled dynamics")
-        _reject_unknown(landscape_cfg, ("f", "g"), "landscape")
-        f = _build_landscape(landscape_cfg["f"], "landscape.f")
-        g = _build_landscape(landscape_cfg["g"], "landscape.g")
+        _reject_unknown(landscape_cfg, ("f", "g"), "landscape.")
+        f = _build_landscape(landscape_cfg["f"], "landscape.f.")
+        g = _build_landscape(landscape_cfg["g"], "landscape.g.")
         kind = dynamics.CoupledReplicator(f, g)
     else:
-        kind = _KIND_NAMES[kind_name](_build_landscape(landscape_cfg, "landscape"))
+        kind = _KIND_NAMES[kind_name](_build_landscape(landscape_cfg, "landscape."))
 
     initial = _build_state(kind.state_type, _require(config, "initial_state"), "initial_state")
     target = None
@@ -281,27 +306,13 @@ def load_scenario(path: str) -> Scenario:
     checks = config.get("checks", [])
     if not isinstance(checks, list):
         raise ConfigError("field 'checks' must be a list")
-    for i, entry in enumerate(checks):
-        if not isinstance(entry, dict) or entry.get("name") not in tuple(_CHECKS):
-            raise ConfigError(
-                f"each check must be an object whose 'name' is one of {tuple(_CHECKS)}, "
-                f"got {entry!r}"
-            )
-        needs, keys = _CHECKS[entry["name"]]
-        _reject_unknown(entry, ("name", *keys), f"checks[{i}]")
-        checks[i] = _check_values(entry, f"checks[{i}].")
-        if needs is not None and (target is None or not isinstance(target, needs)):
-            raise ConfigError(f"'checks[{i}]' needs a target ({needs.__name__}), got {target!r}")
-        if entry.get("point") is not None:
-            checks[i]["point"] = _build_state(SimplexPoint, entry["point"], f"checks[{i}].point")
-        elif "point" in keys and not isinstance(initial, SimplexPoint):
-            raise ConfigError(f"'checks[{i}]' needs a 'point': the start is not a simplex point")
-        _check_preconditions(checks[i], kind, initial, steps, f"checks[{i}]")
+    checks = [_check_entry(entry, f"checks[{i}].", kind, initial, target, steps)
+              for i, entry in enumerate(checks)]
 
     outputs = config.get("outputs", {})
     if not isinstance(outputs, dict):
         raise ConfigError("field 'outputs' must be an object")
-    _reject_unknown(outputs, ("trajectory_csv", "report_json"), "outputs")
+    _reject_unknown(outputs, ("trajectory_csv", "report_json"), "outputs.")
     files = {"trajectory_csv": f"{name}_trajectory.csv", "report_json": f"{name}_report.json",
              **outputs}
     for key, file in files.items():
@@ -309,17 +320,9 @@ def load_scenario(path: str) -> Scenario:
             where = f"outputs.{key}" if key in outputs else "name"
             raise ConfigError(f"{where!r} must give a file name with no directory, got {file!r}")
 
-    return Scenario(
-        name=name,
-        kind=kind,
-        initial=initial,
-        target=target,
-        dt=dt,
-        steps=steps,
-        checks=checks,
-        trajectory_file=files["trajectory_csv"],
-        report_file=files["report_json"],
-    )
+    return Scenario(name=name, kind=kind, initial=initial, target=target, dt=dt, steps=steps,
+                    checks=checks, trajectory_file=files["trajectory_csv"],
+                    report_file=files["report_json"])
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +334,7 @@ def _csv_header(traj: dynamics.Trajectory) -> list[str]:
     n = traj.states.shape[1]
     split = n if traj.split is None else traj.split
     cols = [f"x_{i + 1}" for i in range(split)] + [f"y_{j + 1}" for j in range(n - split)]
-    return ["t"] + cols + [
-        "mean_fitness",
-        "fitness_variance",
-        "divergence_to_target",
-        "state_total",
-    ]
+    return ["t", *cols, "mean_fitness", "fitness_variance", "divergence_to_target", "state_total"]
 
 
 def write_trajectory_csv(path: str, traj: dynamics.Trajectory) -> None:
@@ -388,7 +386,7 @@ def _report_metrics(report) -> dict:
 def _run_check(check: dict, kind, initial, target, traj: Optional[dynamics.Trajectory]) -> dict:
     """One check on a scenario's parts: its ``{"name", "pass", "metrics"}`` entry.
 
-    ``check`` is typed and meets the preconditions ``load_scenario`` checks; ``traj`` is None
+    ``check`` comes from ``_check_entry``, which typed it and applied its rules; ``traj`` is None
     for the ``check`` subcommand, whose checks never read it.
     """
     name = check["name"]
@@ -444,9 +442,7 @@ def _run_check(check: dict, kind, initial, target, traj: Optional[dynamics.Traje
 # ---------------------------------------------------------------------------
 
 
-def run_scenario(
-    config_path: str, out_dir: str, fmt: str = "csv", quiet: bool = False
-) -> int:
+def run_scenario(config_path: str, out_dir: str, fmt: str = "csv", quiet: bool = False) -> int:
     """Load, integrate, check, and write one scenario.  Returns the exit code."""
     args = argparse.Namespace(config=[config_path], out=out_dir, format=fmt, jobs=1, quiet=quiet)
     return _simulate_command(args)
@@ -488,11 +484,7 @@ def _run_loaded(scenario: Scenario, out_dir: str, fmt: str, quiet: bool) -> tupl
             _run_check(check, scenario.kind, scenario.initial, scenario.target, traj)
             for check in scenario.checks
         ]
-        report = {
-            "scenario": scenario.name,
-            "checks": checks,
-            "truncated": traj.truncated,
-        }
+        report = {"scenario": scenario.name, "checks": checks, "truncated": traj.truncated}
         if traj.failure is not None:
             report["failure"] = traj.failure
         report_path = os.path.join(out_dir, report_file)
@@ -547,24 +539,23 @@ def _simulate_command(args: argparse.Namespace) -> int:
     return 2 if 2 in codes else 0
 
 
-def _parse_matrix(text: str) -> np.ndarray:
-    try:
-        matrix = np.asarray(json.loads(text), dtype=float)
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
-        raise ConfigError(f"cannot parse matrix from {text!r}: {exc}") from exc
-    return matrix
-
-
 def check_command(args: argparse.Namespace) -> int:
-    """Run one inline check through ``_run_check``; print its JSON report, exit 0 iff it passed.
+    """Run one inline check through ``_check_entry`` and ``_run_check``; print its JSON report.
 
-    Errors name the option; ``--point`` is both the start state and the target.
+    Exits 0 iff it passed.  Errors name the option; ``--point`` is both the start state and
+    the target, and ``check ess`` reads ``--matrix`` as a linear landscape.
     """
     name, keys, _ = _CHECK_COMMANDS[args.check]
     point = _build_state(SimplexPoint, args.point.split(","), "--point")
-    check = _check_values({"name": name, **{key: getattr(args, key) for key in keys}}, "--")
-    matrix = getattr(args, "matrix", None)  # the linear landscape of `check ess`
-    kind = None if matrix is None else dynamics.Replicator(Linear(_parse_matrix(matrix)))
+    kind = None
+    if name == "ess":
+        try:
+            matrix = json.loads(args.matrix)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"'--matrix' is not valid JSON: {exc}") from exc
+        kind = dynamics.Replicator(_build_landscape({"type": "linear", "matrix": matrix}, "--"))
+    entry = {"name": name, **{key: getattr(args, key) for key in keys}}
+    check = _check_entry(entry, "--", kind, point, point, None)
     result = _run_check(check, kind, point, point, None)
     print(json.dumps({"check": args.check, "pass": result["pass"], "report": result["metrics"]},
                      indent=2))

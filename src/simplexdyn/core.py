@@ -289,6 +289,10 @@ def evaluate_landscape(
     state = (x,) if other is None else (x, src)
     if x.ndim == 1 and src.ndim == 1:
         return resolve_payoff(f, *(s.size for s in state), log=_quiet_log)(*state)
+    if x.shape[:-1] != src.shape[:-1]:  # one state against rows, or rows of two lengths
+        raise DimensionMismatchError(
+            f"own states of shape {x.shape} do not pair with other states of shape {src.shape}"
+        )
     # X.dot(M.T) on rows keeps the bits of X @ M.T
     _check_shape(f, x.shape[-1], src.shape[-1])
     if isinstance(f, Linear):

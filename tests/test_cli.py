@@ -845,3 +845,169 @@ def test_importing_the_cli_does_not_import_concurrent_futures():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout == "False\n"
+
+
+def _one_error_and_nothing_written(capsys, code, out):
+    """The one ``error:`` line of a refused run that exited 1 and wrote nothing."""
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert code == 1 and captured.out == "" and len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists() or list(out.iterdir()) == []
+    return err[0]
+
+
+@pytest.mark.parametrize(
+    "check, argv",
+    [
+        ({"name": "localize", "point": [0.001, 0.999], "h": 0.01},
+         ["localize", "--point", "0.001,0.999", "--h", "0.01"]),
+        ({"name": "gradient_consistency", "point": [0.5, 0.5], "grad": [1, 2, 3]},
+         ["gradient", "--point", "0.5,0.5", "--grad", "1,2,3"]),
+        ({"name": "ess", "radius": -1.0},
+         ["ess", "--matrix", "[[-1,2],[0,1]]", "--point", "0.5,0.5", "--radius", "-1"]),
+        ({"name": "gradient_consistency", "grad": [1, 2], "probes": 0},
+         ["gradient", "--point", "0.5,0.5", "--grad", "1,2", "--probes", "0"]),
+    ],
+    ids=["h", "grad", "radius", "probes"],
+)
+def test_simulate_and_check_refuse_a_bad_check_value_with_one_text(tmp_path, capsys, check,
+                                                                     argv):
+    cfg = _write_config(tmp_path / "c.json", checks=[check])
+    out = tmp_path / "o"
+    simulated = _one_error_and_nothing_written(
+        capsys, main(["simulate", "--config", str(cfg), "--out", str(out)]), out)
+    checked = _one_error_and_nothing_written(capsys, main(["check", *argv]), out)
+    assert "'checks[0]." in simulated
+    assert checked == simulated.replace("'checks[0].", "'--")
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "landscape, key",
+    [
+        ({"type": "linear", "matrix": [[NAN, 2.0], [0.0, 1.0]]}, "landscape.matrix"),
+        ({"type": "linear", "matrix": [[-1.0, 2.0], [0.0, INF]]}, "landscape.matrix"),
+        ({"type": "linear", "matrix": [[True, 2.0], [0.0, 1.0]]}, "landscape.matrix"),
+        ({**LOG_LINEAR, "matrix": [[-1.0, INF], [0.0, 1.0]]}, "landscape.matrix"),
+        ({**LOG_LINEAR, "offset": [NAN, 0.0]}, "landscape.offset"),
+        ({**LOG_LINEAR, "offset": [0.0, -INF]}, "landscape.offset"),
+        ({"type": "scaled", "base": LOG_LINEAR, "factor": INF}, "landscape.factor"),
+        ({"type": "scaled", "base": LOG_LINEAR, "factor": "2"}, "landscape.factor"),
+        ({"type": "scaled", "base": LOG_LINEAR, "factor": True}, "landscape.factor"),
+        ({"type": "scaled", "base": {"type": "linear", "matrix": [[NAN, 2.0], [0.0, 1.0]]},
+          "factor": 2.0}, "landscape.base.matrix"),
+        ({"type": "linear", "matrix": [[-1.0, 2.0], [0.0]]}, "landscape.matrix"),
+        ({"type": "linear", "matrix": [[-1.0, 2.0], 3.0]}, "landscape.matrix"),
+        ({"type": "linear", "matrix": []}, "landscape.matrix"),
+        ({**LOG_LINEAR, "offset": [0.0, 0.0, 0.0]}, "landscape.offset"),
+    ],
+)
+def test_a_landscape_number_is_read_like_every_other_number(tmp_path, capsys, landscape, key):
+    cfg = _write_config(tmp_path / "l.json", landscape=landscape)
+    with pytest.raises(ConfigError, match=re.escape(f"'{key}'")):
+        load_scenario(str(cfg))
+    out = tmp_path / "o"
+    err = _one_error_and_nothing_written(
+        capsys, main(["simulate", "--config", str(cfg), "--out", str(out)]), out)
+    assert f"'{key}'" in err
+
+
+def test_a_coupled_landscape_number_names_its_population(tmp_path, capsys):
+    f = {"type": "linear", "matrix": [[1.0, NAN], [-1.0, 1.0]]}
+    cfg = _write_config(tmp_path / "c.json", kind="coupled_replicator", checks=[],
+                        landscape={**MP_LANDSCAPE, "f": f}, initial_state=MP_STATE,
+                        target=MP_STATE)
+    with pytest.raises(ConfigError, match=re.escape("'landscape.f.matrix'")):
+        load_scenario(str(cfg))
+
+
+@pytest.mark.parametrize("matrix", ["[[NaN,1],[1,0]]", "[[-1,2],[0,Infinity]]",
+                                    "[[true,2],[0,1]]", "[[-1,2],[0]]", "5", "[[-1,2],[0,1]"])
+def test_check_ess_reads_the_matrix_like_a_config(tmp_path, capsys, matrix):
+    code = main(["check", "ess", "--matrix", matrix, "--point", "0.5,0.5"])
+    assert "'--matrix'" in _one_error_and_nothing_written(capsys, code, tmp_path / "o")
+
+
+def test_a_fraction_string_in_a_matrix_loads_as_in_every_vector(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "f.json", landscape={
+        "type": "scaled", "base": {**LOG_LINEAR, "matrix": [["-1/3", 2], [0, "1/2"]],
+                                   "offset": ["1/4", 0]}, "factor": 2})
+    landscape = load_scenario(str(cfg)).kind.f
+    np.testing.assert_array_equal(landscape.base.matrix, [[-1.0 / 3.0, 2.0], [0.0, 0.5]])
+    np.testing.assert_array_equal(landscape.base.offset, [0.25, 0.0])
+    assert landscape.factor == 2.0
+    argv = ["check", "ess", "--matrix", '[["-1/1",2],[0,1]]', "--point", "1/2,1/2",
+            "--radius", "0.2", "--samples", "200", "--seed", "7"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ESS_STDOUT
+
+
+GRADIENT_NEEDS = [
+    ({"kind": "lotka_volterra", "landscape": {"type": "linear", "matrix": (-np.eye(3)).tolist()},
+      "initial_state": [1.0, 1.0, 1.0], "target": [1.0, 1.0, 1.0],
+      "checks": [{"name": "gradient_consistency", "point": [0.5, 0.5]}]},
+     "'checks[0]': Linear matrix shape (3, 3) does not match state dimensions (2, 2)"),
+    ({"kind": "coupled_replicator", "initial_state": {"p": [0.5, 0.5], "q": ["1/3"] * 3},
+      "target": None, "checks": [{"name": "gradient_consistency", "point": [0.5, 0.5]}],
+      "landscape": {"f": {"type": "linear", "matrix": [[1.0, 0.0, -1.0], [-1.0, 0.0, 1.0]]},
+                    "g": {"type": "linear", "matrix": [[-1.0, 1.0], [0.0, 0.0], [1.0, -1.0]]}}},
+     "'checks[0]' needs a 'grad'"),
+    ({"kind": "coupled_replicator", "landscape": MP_LANDSCAPE, "initial_state": MP_STATE,
+      "target": MP_STATE, "checks": [{"name": "gradient_consistency", "point": [0.5, 0.5]}]},
+     "'checks[0]' needs a 'grad'"),
+]
+
+
+@pytest.mark.parametrize("overrides, message", GRADIENT_NEEDS,
+                         ids=["lv-point-too-short", "coupled-2x3", "coupled-2x2"])
+def test_a_gradient_check_with_no_grad_needs_a_payoff_at_its_point(tmp_path, capsys, overrides,
+                                                                   message):
+    cfg = _write_config(tmp_path / "g.json", **overrides)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_scenario(str(cfg))
+    out = tmp_path / "o"
+    err = _one_error_and_nothing_written(
+        capsys, main(["simulate", "--config", str(cfg), "--out", str(out)]), out)
+    assert message in err
+    # with a grad of the point's length each config runs
+    overrides["checks"][0]["grad"] = [1.0, -1.0]
+    cfg = _write_config(tmp_path / "g.json", **overrides)
+    assert load_scenario(str(cfg)).checks[0]["grad"].tolist() == [1.0, -1.0]
+
+
+BASE_CONFIG = {"name": "hd", "kind": "replicator",
+               "landscape": {"type": "linear", "matrix": HAWK_DOVE},
+               "initial_state": [0.9, 0.1], "target": [0.5, 0.5], "dt": 0.01, "steps": 200}
+COUPLED_CONFIG = {**BASE_CONFIG, "kind": "coupled_replicator", "landscape": MP_LANDSCAPE,
+                  "initial_state": MP_STATE, "target": MP_STATE}
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ({k: v for k, v in BASE_CONFIG.items() if k != "dt"}, "missing required field 'dt'"),
+        ({**BASE_CONFIG, "landscape": [[-1.0, 2.0], [0.0, 1.0]]}, "field 'landscape'"),
+        ({**COUPLED_CONFIG, "initial_state": {"p": [0.6, 0.4]}}, "field 'initial_state'"),
+        ([BASE_CONFIG], "config root"),
+        ({**BASE_CONFIG, "name": ""}, "field 'name'"),
+        ({**BASE_CONFIG, "name": 5}, "field 'name'"),
+        ({**COUPLED_CONFIG, "landscape": {"f": MP_LANDSCAPE["f"]}}, "field 'landscape'"),
+        ({**BASE_CONFIG, "checks": {"name": "lyapunov"}}, "field 'checks'"),
+        ({**BASE_CONFIG, "outputs": ["hd.csv"]}, "field 'outputs'"),
+        ({**BASE_CONFIG, "landscape": {"type": "log_linear", "matrix": HAWK_DOVE}},
+         "missing required field 'landscape.offset'"),
+    ],
+    ids=["missing", "landscape-list", "coupled-no-q", "root-list", "name-empty", "name-int",
+         "coupled-no-g", "checks-object", "outputs-list", "missing-nested"],
+)
+def test_each_config_refusal_is_one_error_naming_its_field(tmp_path, capsys, config, named):
+    cfg = tmp_path / "r.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        load_scenario(str(cfg))
+    out = tmp_path / "o"
+    err = _one_error_and_nothing_written(
+        capsys, main(["simulate", "--config", str(cfg), "--out", str(out)]), out)
+    assert named in err

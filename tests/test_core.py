@@ -5,6 +5,8 @@ two- and three-entry payoff vectors, and the round trips between
 frequencies and abundances.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,28 @@ def test_one_evaluator_on_coupled_rows_matches_single_states():
     np.testing.assert_array_equal(evaluate_landscape(Linear(B), own[0], other[0]), B @ other[0])
     with pytest.raises(DimensionMismatchError):
         evaluate_landscape(Linear(B), other, own)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        Linear(np.eye(2)),
+        LogLinear(np.eye(2), np.zeros(2)),
+        Scaled(Linear(np.eye(2)), 2.0),
+        Custom(lambda p, q: p * q.sum()),
+    ],
+    ids=["linear", "log_linear", "scaled", "custom"],
+)
+@pytest.mark.parametrize(
+    "own_shape, other_shape",
+    [((3, 2), (2,)), ((2,), (3, 2)), ((3, 2), (4, 2)), ((4, 2), (3, 2))],
+)
+def test_own_and_other_states_of_different_shapes_are_refused(f, own_shape, other_shape):
+    own = np.full(own_shape, 0.5)
+    other = np.full(other_shape, 0.5)
+    with pytest.raises(DimensionMismatchError, match=re.escape(f"{own_shape}") + ".*"
+                       + re.escape(f"{other_shape}")):
+        evaluate_landscape(f, own, other)
 
 
 # ---------------------------------------------------------------------------

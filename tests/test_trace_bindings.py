@@ -7,6 +7,7 @@ the tracer, runs one short call down each traced path and checks that every
 span was recorded.
 """
 
+import json
 import os
 import sys
 
@@ -62,3 +63,34 @@ def test_every_traced_name_is_bound_and_reached(bench_modules):
                  "core.payoff_batch", "dynamics.logsumexp"):
         assert span in recorded
     assert sd.dynamics.evaluate_landscape is sd.core.evaluate_landscape
+
+
+def test_the_traced_cli_spans_are_reached_in_process(bench_modules, tmp_path):
+    tracing, workloads = bench_modules
+    config = {
+        "name": "traced",
+        "kind": "replicator",
+        "landscape": {"type": "linear", "matrix": [[-1.0, 2.0], [0.0, 1.0]]},
+        "initial_state": [0.9, 0.1],
+        "target": [0.5, 0.5],
+        "dt": 0.01,
+        "steps": 20,
+        "checks": [{"name": "lyapunov"}, {"name": "ess", "samples": 20},
+                   {"name": "gradient_consistency", "probes": 5}, {"name": "localize"}],
+    }
+    path = tmp_path / "traced.json"
+    path.write_text(json.dumps(config))
+    tracer = tracing.Tracer()
+    tracing.install(tracer, sd, workloads.CustomPayoff)
+    try:
+        assert tracer.missing == set()
+        codes = [sd.cli.run_scenario(str(path), str(tmp_path / fmt), fmt, True)
+                 for fmt in ("csv", "json")]
+    finally:
+        tracer.restore()
+    assert 1 not in codes  # every check ran and both files were written
+    recorded = {tracer.names[i] for i in tracer.name}
+    for span in ("cli.run_scenario", "cli.load_scenario", "cli.run_check", "cli.write_csv",
+                 "cli.write_json", "dynamics.integrate", "geometry.localize",
+                 "divergence.kl_formula"):
+        assert span in recorded

@@ -9,7 +9,10 @@ ignored ``.bench_build/<sha>``.  For seeds 1..N and each workload,
 ``bench/run.py`` runs once in each export, the parent first on odd seeds.
 For every end-to-end metric of ``BENCHMARK.json`` the file holds both
 sides' values, medians and quartiles, the pairs the change won, and the
-machine facts.  It is rewritten after every pair.
+machine facts.  A run whose last stdout line is not a JSON object is kept as
+``malformed``.  After a workload's pairs, one ``--trace 1`` run per side
+(seed 3, 0 s) records its exit code, ``correct`` and the metrics that read
+null.  The file is rewritten after every pair.
 """
 
 from __future__ import annotations
@@ -56,14 +59,25 @@ def machine_facts() -> dict:
             "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))}
 
 
-def run_once(path: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(path: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One ``bench/run.py`` run: its exit code, ``correct``, metric values and null metrics.
+
+    A run whose last stdout line is not a JSON object is recorded as ``malformed``.
+    """
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed",
-                           str(seed), "--seconds", str(seconds)], cwd=path, capture_output=True,
-                          text=True)
+                           str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+                          cwd=path, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    result = json.loads(lines[-1]) if lines else {}
-    return {"exit": proc.returncode, "correct": result.get("correct", False),
-            "values": {name: m["value"] for name, m in result.get("metrics", {}).items()}}
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict):
+        return {"exit": proc.returncode, "malformed": True, "correct": False, "values": {},
+                "null": []}
+    values = {name: m["value"] for name, m in result.get("metrics", {}).items()}
+    return {"exit": proc.returncode, "malformed": False, "correct": result.get("correct", False),
+            "values": values, "null": sorted(name for name, v in values.items() if v is None)}
 
 
 def spread(values: list) -> dict:
@@ -76,7 +90,8 @@ def summary(runs: list, declared: list) -> dict:
     for metric in declared:
         name, lower = metric["name"], metric["better"] == "lower"
         pairs = [(r["parent"]["values"][name], r["change"]["values"][name]) for r in runs
-                 if name in r["parent"]["values"] and name in r["change"]["values"]]
+                 if r["parent"]["values"].get(name) is not None
+                 and r["change"]["values"].get(name) is not None]
         if not pairs:
             continue
         won = sum((c < p) if lower else (c > p) for p, c in pairs)
@@ -112,6 +127,15 @@ def main() -> int:
                 json.dump(record, fh, indent=1)
             print(workload, seed, {side: (run["values"].get("step_us"), run["correct"])
                                    for side, run in pair.items()}, file=sys.stderr, flush=True)
+        # one traced run per side: a traced name that no longer binds reads null
+        traced = {side: run_once(path, workload, 3, 0, trace=1) for side, path in order}
+        record["workloads"][workload]["traced"] = {
+            side: {key: run[key] for key in ("exit", "malformed", "correct", "null")}
+            for side, run in traced.items()}
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(record, fh, indent=1)
+        print(workload, "traced", record["workloads"][workload]["traced"], file=sys.stderr,
+              flush=True)
     return 0
 
 
