@@ -210,9 +210,10 @@ def _build_state(state_type: type, payload, field: str):
 
 
 def _check_entry(entry, prefix: str, kind, initial, target, steps: Optional[int]) -> dict:
-    """``entry`` typed (no default filled in), or a ConfigError if it fails on any trajectory.
+    """``entry`` with typed values and no default filled in, or a ConfigError naming its rule.
 
-    Errors name ``prefix`` + key (``checks[i].`` in a config, ``--`` for an option) or the check.
+    Errors name ``prefix`` + key (``checks[i].`` in a config, ``--`` for an option) or the check;
+    the load rules refuse a check that would fail on any trajectory of ``kind``.
     """
     where = prefix.rstrip(".")
     if not isinstance(entry, dict) or entry.get("name") not in tuple(_CHECKS):

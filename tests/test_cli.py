@@ -890,6 +890,7 @@ NAN, INF = float("nan"), float("inf")
         ({"type": "linear", "matrix": [[NAN, 2.0], [0.0, 1.0]]}, "landscape.matrix"),
         ({"type": "linear", "matrix": [[-1.0, 2.0], [0.0, INF]]}, "landscape.matrix"),
         ({"type": "linear", "matrix": [[True, 2.0], [0.0, 1.0]]}, "landscape.matrix"),
+        ({"type": "linear", "matrix": [[10**400, 2.0], [0.0, 1.0]]}, "landscape.matrix"),
         ({**LOG_LINEAR, "matrix": [[-1.0, INF], [0.0, 1.0]]}, "landscape.matrix"),
         ({**LOG_LINEAR, "offset": [NAN, 0.0]}, "landscape.offset"),
         ({**LOG_LINEAR, "offset": [0.0, -INF]}, "landscape.offset"),
