@@ -209,6 +209,26 @@ def _build_state(state_type: type, payload, field: str):
         raise ConfigError(f"invalid state in field '{field}': {exc}") from exc
 
 
+def _fit_start(kind, initial, target, field: str) -> None:
+    """Refuse a landscape or a target that does not fit the start ``initial``.
+
+    A landscape error names ``field`` (with ``.f`` or ``.g`` when coupled), a target error 'target'.
+    """
+    start, split = dynamics._state_vector(kind, initial, "start")
+    n = range(start.size)
+    for name, (own, land, other) in zip((".f", ".g") if split else ("",),
+                                        dynamics._blocks(kind, split)):
+        try:
+            resolve_payoff(land, len(n[own]), None if other is None else len(n[other]))
+        except SimplexDynError as exc:
+            raise ConfigError(f"'{field}{name}': {exc}") from exc
+    if target is not None:
+        try:
+            dynamics._target_vector(kind, target, start.size, split)
+        except SimplexDynError as exc:
+            raise ConfigError(f"'target': {exc}") from exc
+
+
 def _check_entry(entry, prefix: str, kind, initial, target, steps: Optional[int]) -> dict:
     """``entry`` with typed values and no default filled in, or a ConfigError naming its rule.
 
@@ -300,6 +320,7 @@ def load_scenario(path: str) -> Scenario:
     target = None
     if config.get("target") is not None:
         target = _build_state(kind.state_type, config["target"], "target")
+    _fit_start(kind, initial, target, "landscape")
 
     dt = _typed("positive", _require(config, "dt"), "dt")
     steps = _typed("count", _require(config, "steps"), "steps")
@@ -429,12 +450,15 @@ def _run_check(check: dict, kind, initial, target, traj: Optional[dynamics.Traje
             report = localize_divergence(kl_formula, point, check["h"])
             err = float(np.max(np.abs(report.metric.diag - metric_at(point).diag)))
             passed, metrics = err <= tol, {
-                "diag": report.metric.diag.tolist(),
+                "diag": _json_list(report.metric.diag),
                 "sign": report.sign,
                 "max_offdiag": report.max_offdiag,
                 "max_error": err,
                 "tol": tol,
             }
+    # each non-finite number None, as _json_list writes arrays: JSON has no NaN or Infinity
+    metrics = {key: None if isinstance(v, float) and not math.isfinite(v) else v
+               for key, v in metrics.items()}
     return {"name": name, "pass": bool(passed), "metrics": metrics}
 
 
@@ -490,7 +514,7 @@ def _run_loaded(scenario: Scenario, out_dir: str, fmt: str, quiet: bool) -> tupl
             report["failure"] = traj.failure
         report_path = os.path.join(out_dir, report_file)
         with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(report, fh, indent=2)
+            json.dump(report, fh, indent=2, allow_nan=False)
             fh.write("\n")
     except (SimplexDynError, OSError) as exc:  # an OSError names the path it could not write
         return 1, [("stderr", f"error: {exc}")]
@@ -555,11 +579,12 @@ def check_command(args: argparse.Namespace) -> int:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"'--matrix' is not valid JSON: {exc}") from exc
         kind = dynamics.Replicator(_build_landscape({"type": "linear", "matrix": matrix}, "--"))
+        _fit_start(kind, point, None, "--matrix")
     entry = {"name": name, **{key: getattr(args, key) for key in keys}}
     check = _check_entry(entry, "--", kind, point, point, None)
     result = _run_check(check, kind, point, point, None)
     print(json.dumps({"check": args.check, "pass": result["pass"], "report": result["metrics"]},
-                     indent=2))
+                     indent=2, allow_nan=False))
     return 0 if result["pass"] else 2
 
 

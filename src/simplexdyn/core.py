@@ -9,7 +9,6 @@ values can be shared freely across threads or processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -247,31 +246,35 @@ def _quiet_log(src: np.ndarray) -> np.ndarray:
 def resolve_payoff(
     f: Landscape, n: int, m: Optional[int] = None, custom: Callable = _call_custom, log=np.log
 ) -> Callable:
-    """The payoff of ``f`` at one own state of ``n`` coordinates, dispatched and checked once.
+    """The payoff of ``f`` for own states of ``n`` coordinates, dispatched and checked once.
 
-    Given ``m``, the result takes ``(own, other)`` with an opposing state of
-    ``m`` coordinates.  A ``Custom`` landscape is evaluated as
-    ``custom(f, *state)``; ``log`` is the logarithm of ``LogLinear``.
+    The result takes one state (n,) or rows (T, n); given ``m``, it takes
+    ``(own, other)`` with opposing states of ``m`` coordinates.  A ``Custom``
+    landscape is evaluated as ``custom(f, *state)`` once per state; ``log`` is
+    the logarithm of ``LogLinear``.
     """
     if isinstance(f, Scaled):
         base, c = resolve_payoff(f.base, n, m, custom, log), f.factor
 
         def scaled(x, *other):
             payoff = base(x, *other)
-            return c * (payoff - float(x.dot(payoff)))
+            if x.ndim == 1:
+                return c * (payoff - float(x.dot(payoff)))
+            return c * (payoff - np.einsum("ij,ij->i", x, payoff)[:, None])
 
         return scaled
     if isinstance(f, Custom):
-        return partial(custom, f)
+        return lambda x, *other: (custom(f, x, *other) if x.ndim == 1 else
+                                  np.stack([custom(f, *row) for row in zip(x, *other)]))
     if not isinstance(f, (Linear, LogLinear)):
         raise TypeError(f"not a landscape: {f!r}")
     _check_shape(f, n, n if m is None else m)
-    # M.dot(x) keeps the bits of M @ x, with less call overhead
-    dot = f.matrix.dot
+    # s.dot(M.T) keeps the bits of M @ s on one state and of S @ M.T on rows
+    mt = f.matrix.T
     if isinstance(f, Linear):
-        return dot if m is None else lambda x, other: dot(other)
+        return (lambda x: x.dot(mt)) if m is None else lambda x, other: other.dot(mt)
     b = f.offset
-    return (lambda x: dot(log(x)) + b) if m is None else lambda x, other: dot(log(other)) + b
+    return (lambda x: log(x).dot(mt) + b) if m is None else lambda x, other: log(other).dot(mt) + b
 
 
 def evaluate_landscape(
@@ -285,26 +288,11 @@ def evaluate_landscape(
     ``(own, other)``.
     """
     x = np.asarray(x, dtype=float)
-    src = x if other is None else np.asarray(other, dtype=float)
-    state = (x,) if other is None else (x, src)
-    if x.ndim == 1 and src.ndim == 1:
-        return resolve_payoff(f, *(s.size for s in state), log=_quiet_log)(*state)
-    if x.shape[:-1] != src.shape[:-1]:  # one state against rows, or rows of two lengths
-        raise DimensionMismatchError(
-            f"own states of shape {x.shape} do not pair with other states of shape {src.shape}"
-        )
-    # X.dot(M.T) on rows keeps the bits of X @ M.T
-    _check_shape(f, x.shape[-1], src.shape[-1])
-    if isinstance(f, Linear):
-        return src.dot(f.matrix.T)
-    if isinstance(f, LogLinear):
-        return _quiet_log(src).dot(f.matrix.T) + f.offset
-    if isinstance(f, Custom):
-        return np.stack([_call_custom(f, *row) for row in zip(*state)])
-    if isinstance(f, Scaled):
-        base = evaluate_landscape(f.base, x, other)
-        return f.factor * (base - np.einsum("ij,ij->i", x, base)[:, None])
-    raise TypeError(f"not a landscape: {f!r}")
+    state = (x,) if other is None else (x, np.asarray(other, dtype=float))
+    if x.shape[:-1] != state[-1].shape[:-1]:  # one state against rows, or rows of two lengths
+        raise DimensionMismatchError(f"own states of shape {x.shape} do not pair with other "
+                                     f"states of shape {state[-1].shape}")
+    return resolve_payoff(f, *(s.shape[-1] for s in state), log=_quiet_log)(*state)
 
 
 #: Row-wise (T, n) and two-population call sites use these names for the

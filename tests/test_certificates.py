@@ -60,7 +60,12 @@ from simplexdyn.analysis import (
     _sine_to_direction,
     _tangent_ball_samples,
 )
-from simplexdyn.core import TANGENT_TOL, TangentVector, evaluate_landscape_batch
+from simplexdyn.core import (
+    TANGENT_TOL,
+    TangentVector,
+    evaluate_landscape,
+    evaluate_landscape_batch,
+)
 from simplexdyn.dynamics import (
     POS_FLOOR,
     CoupledReplicator,
@@ -1087,6 +1092,55 @@ def test_the_public_fields_equal_the_fields_they_replaced(which):
     s = CoupledState(SimplexPoint(np.array([0.5, 0.5])), SimplexPoint(np.array([0.2, 0.3, 0.5])))
     _assert_same_bits(lambda: _ref_make_field(CoupledReplicator(f, g), 2)(s.concatenated()),
                       lambda: np.concatenate(coupled_replicator_field(s, f, g)))
+
+
+def _payoff_states(rng, rows, n, where):
+    """One state of ``n`` coordinates (``rows`` None) or ``rows`` of them; ``where`` puts a zero
+    or a negative coordinate in each."""
+    x = rng.uniform(0.05, 1.0, (rows or 1, n))
+    x /= x.sum(axis=1, keepdims=True)
+    if where != "interior":
+        x[:, rng.integers(n)] = 0.0 if where == "zero" else -rng.uniform(0.01, 2.0)
+    return x[0] if rows is None else x
+
+
+def _payoff_outcome(evaluate, f, x, other):
+    """A payoff, or the type and message of the package error or the warning it raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return evaluate(f, x, *other)
+        except (SimplexDynError, RuntimeWarning) as exc:
+            return type(exc), str(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    m=st.integers(2, 8),
+    which=st.sampled_from(["linear", "log_linear", "scaled", "custom"]),
+    coupled=st.booleans(),
+    rows=st.one_of(st.none(), st.integers(1, 6)),
+    other_rows=st.one_of(st.none(), st.integers(1, 6)),
+    paired=st.booleans(),
+    where=st.sampled_from(["interior", "zero", "negative"]),
+    misfit=st.booleans(),
+)
+def test_the_evaluator_equals_its_reference_on_one_state_and_on_rows(
+    seed, n, m, which, coupled, rows, other_rows, paired, where, misfit
+):
+    rng = np.random.default_rng(seed)
+    m = m if coupled else n
+    f = _landscape(rng, n + misfit, m, which, 10.0 ** rng.uniform(-1, 1))
+    x = _payoff_states(rng, rows, n, where)
+    other = (_payoff_states(rng, rows if paired else other_rows, m, where),) if coupled else ()
+    got = _payoff_outcome(evaluate_landscape, f, x, other)
+    if other and x.shape[:-1] != other[0].shape[:-1]:  # one state against rows, or two lengths
+        assert got == (DimensionMismatchError, f"own states of shape {x.shape} do not pair with "
+                                               f"other states of shape {other[0].shape}")
+    else:
+        assert _bits(got) == _bits(_payoff_outcome(_ref_evaluate_landscape, f, x, other))
 
 
 class _Recorder:

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1012,3 +1013,67 @@ def test_each_config_refusal_is_one_error_naming_its_field(tmp_path, capsys, con
     err = _one_error_and_nothing_written(
         capsys, main(["simulate", "--config", str(cfg), "--out", str(out)]), out)
     assert named in err
+
+
+
+TWO_BY_THREE = {"type": "linear", "matrix": [[1.0, 0.0, -1.0], [-1.0, 0.0, 1.0]]}
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({**BASE_CONFIG, "landscape": {"type": "linear", "matrix": RPS}, "initial_state": [0.5, 0.5]},
+         "'landscape': Linear matrix shape (3, 3) does not match state dimensions (2, 2)"),
+        ({**COUPLED_CONFIG, "landscape": {**MP_LANDSCAPE, "f": TWO_BY_THREE}},
+         "'landscape.f': Linear matrix shape (2, 3) does not match state dimensions (2, 2)"),
+        ({**COUPLED_CONFIG, "landscape": {**MP_LANDSCAPE, "g": {
+            "type": "scaled", "base": {**LOG_LINEAR, "matrix": TWO_BY_THREE["matrix"]},
+            "factor": 2.0}}},
+         "'landscape.g': LogLinear matrix shape (2, 3) does not match state dimensions (2, 2)"),
+        ({**BASE_CONFIG, "target": ["1/3", "1/3", "1/3"]},
+         "'target': target dimensions do not match the state dimensions"),
+    ],
+    ids=["replicator-3x3", "coupled-f-2x3", "coupled-g-2x3", "target-3"],
+)
+def test_a_landscape_or_target_that_does_not_fit_the_start_is_refused_at_load(
+        tmp_path, capsys, config, message):
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_scenario(str(cfg))
+    out = tmp_path / "o"
+    err = _one_error_and_nothing_written(
+        capsys, main(["simulate", "--config", str(cfg), "--out", str(out)]), out)
+    assert err == f"error: {message}"
+
+
+def test_check_ess_refuses_a_matrix_that_does_not_fit_the_point_naming_the_option(tmp_path,
+                                                                                   capsys):
+    code = main(["check", "ess", "--matrix", json.dumps(RPS), "--point", "0.5,0.5"])
+    err = _one_error_and_nothing_written(capsys, code, tmp_path / "o")
+    assert err == ("error: '--matrix': Linear matrix shape (3, 3) does not match state "
+                   "dimensions (2, 2)")
+
+
+def test_a_non_finite_metric_is_null_in_a_strict_json_report(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "n.json", name="n", initial_state=[0.5, 0.5], dt=1e-210,
+                        steps=4, landscape={"type": "linear", "matrix": [[1e200, 0.0],
+                                                                         [0.0, -1e200]]},
+                        checks=[{"name": "fisher_theorem"}, {"name": "lyapunov"}])
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    report = json.loads((out / "n_report.json").read_text(), parse_constant=_refuse_constant)
+    assert report["checks"][0] == {"name": "fisher_theorem", "pass": False,
+                                   "metrics": {"residual": None, "tol": 1e-5}}
+    assert report["checks"][1]["pass"] is True
+
+
+def test_a_non_finite_metric_is_null_in_strict_check_output(capsys, monkeypatch):
+    monkeypatch.setattr(cli.analysis, "gradient_consistency_check", lambda *args: float("nan"))
+    assert main(["check", "gradient", "--point", "0.5,0.5", "--grad", "1,-1"]) == 2
+    printed = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert printed == {"check": "gradient", "pass": False,
+                       "report": {"residual": None, "tol": 1e-10, "probes": 100}}

@@ -10,7 +10,8 @@ ignored ``.bench_build/<sha>``.  For seeds 1..N and each workload,
 For every end-to-end metric of ``BENCHMARK.json`` the file holds both
 sides' values, medians and quartiles, the pairs the change won, and the
 machine facts.  A run whose last stdout line is not a JSON object is kept as
-``malformed``.  After a workload's pairs, one ``--trace 1`` run per side
+``malformed``; it, and any run that exits nonzero, keeps the last 20 lines
+of its stderr.  After a workload's pairs, one ``--trace 1`` run per side
 (seed 3, 0 s) records its exit code, ``correct`` and the metrics that read
 null.  The file is rewritten after every pair.
 """
@@ -62,7 +63,8 @@ def machine_facts() -> dict:
 def run_once(path: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One ``bench/run.py`` run: its exit code, ``correct``, metric values and null metrics.
 
-    A run whose last stdout line is not a JSON object is recorded as ``malformed``.
+    A run whose last stdout line is not a JSON object is recorded as ``malformed``; such a run,
+    or one with a nonzero exit, keeps the last 20 lines of its stderr as ``stderr_tail``.
     """
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed",
                            str(seed), "--seconds", str(seconds), "--trace", str(trace)],
@@ -72,12 +74,15 @@ def run_once(path: str, workload: str, seed: int, seconds: float, trace: int = 0
         result = json.loads(lines[-1]) if lines else None
     except json.JSONDecodeError:
         result = None
-    if not isinstance(result, dict):
-        return {"exit": proc.returncode, "malformed": True, "correct": False, "values": {},
-                "null": []}
-    values = {name: m["value"] for name, m in result.get("metrics", {}).items()}
-    return {"exit": proc.returncode, "malformed": False, "correct": result.get("correct", False),
-            "values": values, "null": sorted(name for name, v in values.items() if v is None)}
+    record = {"exit": proc.returncode, "malformed": True, "correct": False, "values": {},
+              "null": []}
+    if isinstance(result, dict):
+        values = {name: m["value"] for name, m in result.get("metrics", {}).items()}
+        record.update(malformed=False, correct=result.get("correct", False), values=values,
+                      null=sorted(name for name, v in values.items() if v is None))
+    if record["malformed"] or proc.returncode != 0:
+        record["stderr_tail"] = proc.stderr.splitlines()[-20:]
+    return record
 
 
 def spread(values: list) -> dict:
@@ -130,8 +135,8 @@ def main() -> int:
         # one traced run per side: a traced name that no longer binds reads null
         traced = {side: run_once(path, workload, 3, 0, trace=1) for side, path in order}
         record["workloads"][workload]["traced"] = {
-            side: {key: run[key] for key in ("exit", "malformed", "correct", "null")}
-            for side, run in traced.items()}
+            side: {key: run[key] for key in ("exit", "malformed", "correct", "null", "stderr_tail")
+                   if key in run} for side, run in traced.items()}
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(record, fh, indent=1)
         print(workload, "traced", record["workloads"][workload]["traced"], file=sys.stderr,
