@@ -212,7 +212,7 @@ def _build_state(state_type: type, payload, field: str):
 def _fit_start(kind, initial, target, field: str) -> None:
     """Refuse a landscape or a target that does not fit the start ``initial``.
 
-    A landscape error names ``field`` (with ``.f`` or ``.g`` when coupled), a target error 'target'.
+    A landscape error names ``field`` (``.f``/``.g`` added when coupled), a target error 'target'.
     """
     start, split = dynamics._state_vector(kind, initial, "start")
     n = range(start.size)

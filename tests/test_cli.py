@@ -1022,7 +1022,8 @@ TWO_BY_THREE = {"type": "linear", "matrix": [[1.0, 0.0, -1.0], [-1.0, 0.0, 1.0]]
 @pytest.mark.parametrize(
     "config, message",
     [
-        ({**BASE_CONFIG, "landscape": {"type": "linear", "matrix": RPS}, "initial_state": [0.5, 0.5]},
+        ({**BASE_CONFIG, "landscape": {"type": "linear", "matrix": RPS},
+          "initial_state": [0.5, 0.5]},
          "'landscape': Linear matrix shape (3, 3) does not match state dimensions (2, 2)"),
         ({**COUPLED_CONFIG, "landscape": {**MP_LANDSCAPE, "f": TWO_BY_THREE}},
          "'landscape.f': Linear matrix shape (2, 3) does not match state dimensions (2, 2)"),
