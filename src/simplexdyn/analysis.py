@@ -117,12 +117,13 @@ def _sampling_rng(radius: float, samples: int, seed: int) -> np.random.Generator
 def _ball_draws(
     rng: np.random.Generator, dims: list, radius: float, count: int, accept=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of ``count`` samples, in the samplers' fixed order.
+    """The draws of ``count`` samples, in the one draw order every sampler keeps.
 
     Per sample, and within it per block of size n and radial power p: first
     ``rng.standard_normal(n)``, drawn again while ``accept`` refuses it, then
-    ``rng.random()``, kept as the Python float ``radius * u ** p``.  Returns the
-    normals, one row per sample, and the radii, one column per block.
+    ``rng.random()``, kept as the Python float ``radius * u ** p``.  This order
+    fixes the samples of a seed, so a change to it moves every sampled margin.
+    Returns the normals, one row per sample, and the radii, one column per block.
     """
     normal, uniform = rng.standard_normal, rng.random
     normals, radii = [], []
@@ -194,10 +195,7 @@ def _tangent_ball_samples(
     uniformity over the (n-1)-dimensional ball.  The perturbed point must stay
     strictly positive (otherwise the radius is too large for this center) and
     is then divided by its exact coordinate sum to remove rounding drift.
-
-    Draw order, which fixes the samples of a seed: per sample, and within it
-    per center, ``rng.standard_normal(n)`` (again while its centered norm is
-    <= 1e-12), then ``rng.random()``.
+    The draws, one block per center, come in the order ``_ball_draws`` states.
     """
     return _ball_samples(rng, centers, radius, count, tangent=True)
 
@@ -207,9 +205,7 @@ def _orthant_ball_samples(
 ) -> np.ndarray:
     """Uniform draws from the full-dimensional ball around an abundance vector.
 
-    Draw order, which fixes the samples of a seed: per sample,
-    ``rng.standard_normal(n)`` (again while its norm is <= 1e-12), then
-    ``rng.random()``.
+    The draws come in the order ``_ball_draws`` states, with one block.
     """
     return _ball_samples(rng, [center], radius, count, tangent=False)
 
@@ -327,10 +323,7 @@ def lyapunov_monitor(traj: Trajectory, target) -> LyapunovReport:
     step, the blind spot of the denormalized divergence.
     """
     values, sines = _divergence_series(traj, target)
-    if values.size > 1:
-        max_increase = max(0.0, float(np.max(np.diff(values))))
-    else:
-        max_increase = 0.0
+    max_increase = float(np.diff(values).max(initial=0.0))
     initial_value, final_value = float(values[0]), float(values[-1])
     converged_idx = np.nonzero(values <= CONV_TOL)[0]
     parallel_count = None
@@ -392,7 +385,9 @@ def gradient_consistency_check(
     metric_grad = shahshahani_gradient(x, grad_vec).components
     w = np.random.default_rng(seed).standard_normal((int(probes), x.dim))  # one stream, row by row
     w = w - w.mean(axis=1, keepdims=True)
-    lhs = (metric_grad * w / x.coords).sum(axis=-1)  # <grad_g V, w>_x, as geometry.inner_product
-    rhs = np.matmul(w[:, None, :], grad_vec[:, None])[:, 0, 0]  # np.dot per row
-    # fmax skips a NaN defect, as a running max() does
-    return float(np.fmax.reduce(np.abs(lhs - rhs), initial=0.0))
+    # an overflowing gradient gives an inf or NaN defect, silenced as in fisher_theorem_check
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lhs = (metric_grad * w / x.coords).sum(axis=-1)  # <grad_g V, w>_x, as inner_product
+        rhs = np.matmul(w[:, None, :], grad_vec[:, None])[:, 0, 0]  # np.dot per row
+        # fmax skips a NaN defect, as a running max() does
+        return float(np.fmax.reduce(np.abs(lhs - rhs), initial=0.0))

@@ -92,6 +92,9 @@ _CHECK_COMMANDS = {
     "gradient": ("gradient_consistency", ("grad", "probes", "seed", "tol"), "gradient consistency"),
 }
 
+#: The per-step diagnostic columns of a trajectory file, after the time and state columns.
+_DIAGNOSTICS = ("mean_fitness", "fitness_variance", "divergence_to_target", "state_total")
+
 _ROOT_KEYS = (
     "name", "kind", "landscape", "initial_state", "target", "dt", "steps", "checks", "outputs",
 )
@@ -209,6 +212,14 @@ def _build_state(state_type: type, payload, field: str):
         raise ConfigError(f"invalid state in field '{field}': {exc}") from exc
 
 
+def _refused(where: str, call, *args):
+    """``call(*args)``, with a library refusal raised again as a ConfigError naming ``where``."""
+    try:
+        return call(*args)
+    except SimplexDynError as exc:
+        raise ConfigError(f"'{where}': {exc}") from exc
+
+
 def _fit_start(kind, initial, target, field: str) -> None:
     """Refuse a landscape or a target that does not fit the start ``initial``.
 
@@ -218,15 +229,10 @@ def _fit_start(kind, initial, target, field: str) -> None:
     n = range(start.size)
     for name, (own, land, other) in zip((".f", ".g") if split else ("",),
                                         dynamics._blocks(kind, split)):
-        try:
-            resolve_payoff(land, len(n[own]), None if other is None else len(n[other]))
-        except SimplexDynError as exc:
-            raise ConfigError(f"'{field}{name}': {exc}") from exc
+        _refused(field + name, resolve_payoff, land, len(n[own]),
+                 None if other is None else len(n[other]))
     if target is not None:
-        try:
-            dynamics._target_vector(kind, target, start.size, split)
-        except SimplexDynError as exc:
-            raise ConfigError(f"'target': {exc}") from exc
+        _refused("target", dynamics._target_vector, kind, target, start.size, split)
 
 
 def _check_entry(entry, prefix: str, kind, initial, target, steps: Optional[int]) -> dict:
@@ -255,10 +261,7 @@ def _check_entry(entry, prefix: str, kind, initial, target, steps: Optional[int]
         raise ConfigError(f"'{where}' needs a 'point': the start is not a simplex point")
 
     if name == "fisher_theorem":
-        try:
-            analysis._require_fisher_kind(kind)
-        except SimplexDynError as exc:
-            raise ConfigError(f"'{where}': {exc}") from exc
+        _refused(where, analysis._require_fisher_kind, kind)
         if steps < 2:
             raise ConfigError(f"'{where}': a central difference needs 'steps' >= 2, got {steps}")
     elif name == "gradient_consistency" and check.get("grad") is None:
@@ -266,10 +269,7 @@ def _check_entry(entry, prefix: str, kind, initial, target, steps: Optional[int]
         if kind.state_type is CoupledState:
             raise ConfigError(f"'{where}' needs a 'grad': a coupled payoff acts on the other "
                               "population, not on the point")
-        try:
-            resolve_payoff(dynamics._blocks(kind, None)[0][1], point.dim)
-        except SimplexDynError as exc:
-            raise ConfigError(f"'{where}': {exc}") from exc
+        _refused(where, resolve_payoff, dynamics._blocks(kind, None)[0][1], point.dim)
     elif name == "gradient_consistency" and check["grad"].size != point.dim:
         raise ConfigError(f"'{prefix}grad' must have the {point.dim} entries of its point, "
                           f"got {check['grad'].size}")
@@ -356,16 +356,13 @@ def _csv_header(traj: dynamics.Trajectory) -> list[str]:
     n = traj.states.shape[1]
     split = n if traj.split is None else traj.split
     cols = [f"x_{i + 1}" for i in range(split)] + [f"y_{j + 1}" for j in range(n - split)]
-    return ["t", *cols, "mean_fitness", "fitness_variance", "divergence_to_target", "state_total"]
+    return ["t", *cols, *_DIAGNOSTICS]
 
 
 def write_trajectory_csv(path: str, traj: dynamics.Trajectory) -> None:
     """Write one row per recorded step with 17-significant-digit floats."""
-    d = traj.diagnostics
-    table = np.column_stack(
-        (traj.times, traj.states, d.mean_fitness, d.fitness_variance, d.divergence_to_target,
-         d.state_total)
-    )
+    diagnostics = (getattr(traj.diagnostics, column) for column in _DIAGNOSTICS)
+    table = np.column_stack((traj.times, traj.states, *diagnostics))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=",".join(_csv_header(traj)),
                    comments="")
@@ -377,21 +374,18 @@ def _json_list(values: np.ndarray) -> list:
     return values.tolist() if finite.all() else np.where(finite, values, None).tolist()
 
 
-def write_trajectory_json(path: str, traj: dynamics.Trajectory) -> None:
-    d = traj.diagnostics
-    payload = {
-        "columns": _csv_header(traj),
-        "times": _json_list(traj.times),
-        "states": _json_list(traj.states),
-        "mean_fitness": _json_list(d.mean_fitness),
-        "fitness_variance": _json_list(d.fitness_variance),
-        "divergence_to_target": _json_list(d.divergence_to_target),
-        "state_total": _json_list(d.state_total),
-        "truncated": traj.truncated,
-    }
+def _write_json(path: str, payload: dict) -> None:
+    """Stream ``payload`` to ``path`` as indented strict JSON (no NaN or Infinity) and a newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
+
+
+def write_trajectory_json(path: str, traj: dynamics.Trajectory) -> None:
+    diagnostics = {column: _json_list(getattr(traj.diagnostics, column)) for column in _DIAGNOSTICS}
+    _write_json(path, {"columns": _csv_header(traj), "times": _json_list(traj.times),
+                       "states": _json_list(traj.states), **diagnostics,
+                       "truncated": traj.truncated})
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +507,7 @@ def _run_loaded(scenario: Scenario, out_dir: str, fmt: str, quiet: bool) -> tupl
         if traj.failure is not None:
             report["failure"] = traj.failure
         report_path = os.path.join(out_dir, report_file)
-        with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(report, fh, indent=2, allow_nan=False)
-            fh.write("\n")
+        _write_json(report_path, report)
     except (SimplexDynError, OSError) as exc:  # an OSError names the path it could not write
         return 1, [("stderr", f"error: {exc}")]
     lines = []

@@ -41,18 +41,14 @@ def _frozen_vector(values) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class SimplexPoint:
-    """Strictly positive probability vector in the interior of the simplex."""
+class _Point:
+    """A read-only vector of coordinates, accepted by the subclass's ``_check``."""
 
     coords: np.ndarray
 
     def __post_init__(self):
         coords = _frozen_vector(self.coords)
-        if not np.all(coords > 0.0):
-            raise NotInteriorError(f"coordinates must be strictly positive, got {coords}")
-        total = float(coords.sum())
-        if not abs(total - 1.0) <= SIMPLEX_TOL:
-            raise NotNormalizedError(f"coordinates sum to {total!r}, expected 1 within {SIMPLEX_TOL}")
+        self._check(coords)
         object.__setattr__(self, "coords", coords)
 
     @property
@@ -67,31 +63,29 @@ class SimplexPoint:
 
 
 @dataclass(frozen=True, eq=False)
-class OrthantPoint:
+class SimplexPoint(_Point):
+    """Strictly positive probability vector in the interior of the simplex."""
+
+    def _check(self, coords: np.ndarray) -> None:
+        if not np.all(coords > 0.0):
+            raise NotInteriorError(f"coordinates must be strictly positive, got {coords}")
+        total = float(coords.sum())
+        if not abs(total - 1.0) <= SIMPLEX_TOL:
+            raise NotNormalizedError(f"coordinates sum to {total!r}, expected 1 within {SIMPLEX_TOL}")
+
+
+@dataclass(frozen=True, eq=False)
+class OrthantPoint(_Point):
     """Strictly positive abundance vector (no normalization constraint)."""
 
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = _frozen_vector(self.coords)
+    def _check(self, coords: np.ndarray) -> None:
         if not (np.all(coords > 0.0) and np.all(np.isfinite(coords))):
             raise NotInteriorError(f"coordinates must be positive and finite, got {coords}")
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def dim(self) -> int:
-        return self.coords.size
 
     @property
     def total(self) -> float:
         """Aggregate abundance |x|."""
         return float(self.coords.sum())
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.coords, dtype=dtype)
-
-    def __len__(self) -> int:
-        return self.coords.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,10 +117,10 @@ class CoupledState:
     pop2: SimplexPoint
 
     def __post_init__(self):
-        if not isinstance(self.pop1, SimplexPoint):
-            object.__setattr__(self, "pop1", SimplexPoint(np.asarray(self.pop1, dtype=float)))
-        if not isinstance(self.pop2, SimplexPoint):
-            object.__setattr__(self, "pop2", SimplexPoint(np.asarray(self.pop2, dtype=float)))
+        for name in ("pop1", "pop2"):
+            pop = getattr(self, name)
+            if not isinstance(pop, SimplexPoint):
+                object.__setattr__(self, name, SimplexPoint(np.asarray(pop, dtype=float)))
 
     @property
     def dims(self) -> tuple[int, int]:

@@ -306,9 +306,8 @@ def _direct_chart(blocks: tuple):
 
 
 def _one_block_log_chart(v: np.ndarray) -> tuple:
-    """The log chart of a single simplex block, with ``logsumexp`` inline."""
-    top = v.max()
-    big_g = float(top + np.log(np.exp(v - top).sum()))
+    """The log chart of a single simplex block: no slicing and no concatenate."""
+    big_g = logsumexp(v)
     return np.exp(v - big_g), v, big_g
 
 
@@ -509,6 +508,14 @@ def coupled_exp_family_solver(
 # ---------------------------------------------------------------------------
 
 
+def _abundance_frequencies(traj: Trajectory, use: str) -> np.ndarray:
+    """The frequency rows of an abundance trajectory; any other kind is refused for ``use``."""
+    if traj.kind.state_type is not OrthantPoint:
+        raise KindMismatchError(f"{use} applies to abundance trajectories, "
+                                f"got {type(traj.kind).__name__}")
+    return _frequencies(traj.kind, traj.states, None)[0]
+
+
 def normalize_lv_trajectory(traj: Trajectory) -> Trajectory:
     """Pointwise normalization y(t) = x(t) / |x(t)| of an abundance trajectory.
 
@@ -517,11 +524,7 @@ def normalize_lv_trajectory(traj: Trajectory) -> Trajectory:
     identically 1.  Every other field is the input's own: its arrays are
     shared, not copied.
     """
-    if traj.kind.state_type is not OrthantPoint:
-        raise KindMismatchError(
-            f"normalization applies to abundance trajectories, got {type(traj.kind).__name__}"
-        )
-    freqs = _frequencies(traj.kind, traj.states, None)[0]
+    freqs = _abundance_frequencies(traj, "normalization")
     diagnostics = replace(traj.diagnostics, state_total=freqs.sum(axis=1))
     return replace(traj, states=freqs, diagnostics=diagnostics)
 
@@ -548,12 +551,8 @@ def lv_correspondence_residual(traj: Trajectory) -> float:
     Returns the max-norm residual between central-difference dy/dt and that
     right-hand side over interior time steps.
     """
-    if traj.kind.state_type is not OrthantPoint:
-        raise KindMismatchError(
-            f"correspondence residual applies to abundance trajectories, got {type(traj.kind).__name__}"
-        )
+    freqs = _abundance_frequencies(traj, "correspondence residual")
     dt = _uniform_step(traj, "correspondence residual")
-    freqs = _frequencies(traj.kind, traj.states, None)[0]
     payoff = evaluate_landscape_batch(_blocks(traj.kind, traj.split)[0][1], traj.states)
     if isinstance(traj.kind, ShiftedLotkaVolterra):
         payoff = payoff / traj.states.sum(axis=1)[:, None]

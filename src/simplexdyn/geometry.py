@@ -157,7 +157,8 @@ def localize_divergence(
     renormalization, so the callable must be the smooth algebraic formula
     (it is evaluated slightly off the simplex).  If the off-diagonal
     magnitudes exceed OFFDIAG_TOL the divergence does not localize to a
-    diagonal form and NotDiagonalError is raised.
+    diagonal form and NotDiagonalError is raised, as it is when a second
+    derivative is not finite (a step so small that 4 h^2 underflows).
     """
     if not (float(h) > 0.0):
         raise ValueError(f"step h must be > 0, got {h}")
@@ -170,7 +171,10 @@ def localize_divergence(
     # rows x + h e_i, then x - h e_i; d[a, b] = D(grid[a], grid[b]), one call per pair
     grid = np.concatenate([base + h * np.eye(n), base - h * np.eye(n)])
     d = np.array([[divergence(a, b) for b in grid] for a in grid], dtype=float)
-    mixed = (d[:n, :n] - d[:n, n:] - d[n:, :n] + d[n:, n:]) / (4.0 * h * h)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # 4 h^2 may underflow
+        mixed = (d[:n, :n] - d[:n, n:] - d[n:, :n] + d[n:, n:]) / (4.0 * h * h)
+    if not np.all(np.isfinite(mixed)):  # before the off-diagonal test, which a NaN would pass
+        raise NotDiagonalError(f"localized second derivatives are not finite at step h = {h}")
     off = mixed - np.diag(np.diag(mixed))
     max_offdiag = float(np.max(np.abs(off)))
     if max_offdiag > OFFDIAG_TOL:

@@ -1078,3 +1078,22 @@ def test_a_non_finite_metric_is_null_in_strict_check_output(capsys, monkeypatch)
     printed = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
     assert printed == {"check": "gradient", "pass": False,
                        "report": {"residual": None, "tol": 1e-10, "probes": 100}}
+
+
+def test_check_gradient_that_overflows_is_quiet_strict_json_and_exits_2(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["check", "gradient", "--point", "0.5,0.5", "--grad", "1e308,-1e308"]) == 2
+    out, err = capsys.readouterr()
+    printed = json.loads(out, parse_constant=_refuse_constant)
+    assert printed["pass"] is False and printed["report"]["residual"] > 1e290
+    assert err == ""
+
+
+def test_check_localize_with_an_underflowing_step_names_the_step_not_a_sign(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["check", "localize", "--point", "1e-300,1", "--h", "1e-301"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: localized second derivatives are not finite at step h = 1e-301\n"

@@ -6,6 +6,8 @@ its orthant variants |x|/x and 1/x, and the 4-point central-difference model
 for the mixed partial of a divergence (truncation error O(h^2)).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -259,3 +261,13 @@ def test_pure_second_derivatives_also_give_the_metric():
         np.testing.assert_allclose(np.diag(hess), 1.0 / x.coords, rtol=1e-4)
         off = hess - np.diag(np.diag(hess))
         assert np.max(np.abs(off)) < 1e-3
+
+
+def test_localize_refuses_non_finite_derivatives_naming_the_step():
+    # 4 h^2 underflows to 0, so the stencil divides by zero: neither a sign nor a diagonal
+    x = SimplexPoint(np.array([1e-300, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NotDiagonalError) as info:
+            localize_divergence(kl_formula, x, 1e-301)
+    assert str(info.value) == "localized second derivatives are not finite at step h = 1e-301"

@@ -9,8 +9,10 @@ re-pinning.
 
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from simplexdyn.cli import main
@@ -332,3 +334,28 @@ def test_inline_config_outputs_match_pinned(config, fmt, tmp_path):
     assert hashlib.sha256(trajectory).hexdigest() == INLINE_TRAJECTORY_SHA256[(name, fmt)]
     report = json.loads((out / f"{name}_report.json").read_text())
     assert report == INLINE_REPORTS[name]
+
+
+#: 2-vectors (a0, a1) . (b0, b1) whose plain rounding, a0*b0 + a1*b1, differs from the fused
+#: one, fma(a1, b1, a0*b0).
+DOT_CASES = [
+    (-2.0745499247520063, -0.5297213658560812, 0.6429378865460603, 0.5044045124140286),
+    (0.11965743063739503, 0.6057925861973513, 0.5984525261738662, -1.7847787170509353),
+    (-0.11544108604104043, 0.6802084757997748, 0.36702378445715156, -0.5973206926718589),
+    (-0.6450436110093112, 0.4711394248774034, -0.7199970030156277, -2.2968912585519745),
+    (-2.4128584505198267, -0.13889123612091805, -0.2312318345827656, 1.5580658060149324),
+    (1.0529878112132203, -1.0153344789672285, -0.7019506435788719, -1.1046732202823801),
+]
+
+
+def test_the_blas_kernel_rounds_small_dots_as_the_pins_were_recorded():
+    """The pins above and in bench/golden.json hold only where np.dot rounds through an FMA."""
+    for a0, a1, b0, b1 in DOT_CASES:
+        # Fraction arithmetic is exact and float() of a Fraction rounds once, as an FMA does
+        fused = float(Fraction(a1) * Fraction(b1) + Fraction(a0 * b0))
+        assert fused != a0 * b0 + a1 * b1, "the case does not tell the two roundings apart"
+        if float(np.dot([a0, a1], [b0, b1])) != fused:
+            pytest.fail("np.dot does not round 2-vectors as one fused multiply-add on this BLAS "
+                        "kernel. The output hashes pinned here and in bench/golden.json were "
+                        "recorded on an FMA-rounding kernel (OpenBLAS SkylakeX), so the golden "
+                        "tests fail here whatever the code does.")

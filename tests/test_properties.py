@@ -2,10 +2,15 @@
 
 Two populations are two blocks of one state: a coupled run whose payoffs
 ignore the other population is the two single-population runs side by side,
-and its per-block diagnostics and Lyapunov series are their sums.
+and its per-block diagnostics and Lyapunov series are their sums.  A payoff
+scaled by c is the same flow on a clock c times as fast, and the
+exponential-coordinate solvers integrate the same flows as ``integrate``.
 """
 
+import re
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -14,11 +19,21 @@ from simplexdyn import (
     CoupledReplicator,
     CoupledState,
     Custom,
+    Ecological,
+    Linear,
+    LogLinear,
+    LotkaVolterra,
+    OrthantPoint,
     Replicator,
+    Scaled,
+    ShiftedLotkaVolterra,
     SimplexPoint,
+    coupled_exp_family_solver,
+    exp_family_solver,
     integrate,
     lyapunov_monitor,
 )
+from simplexdyn.dynamics import EXPFAM_TOL
 
 
 @st.composite
@@ -62,3 +77,101 @@ def test_decoupled_coupled_run_is_two_single_runs(game):
     q_series = lyapunov_monitor(single_q, q_hat).values[:rows]
     series = lyapunov_monitor(coupled, CoupledState(p_hat, q_hat)).values
     assert np.array_equal(series, p_series + q_series)
+
+
+ENTRIES = st.floats(-2.0, 2.0)
+#: Scaling by a power of two commutes with rounding, so the rescaled runs agree to the bit.
+FACTORS = (0.25, 0.5, 2.0, 4.0)
+KINDS = {"replicator": Replicator, "ecological": Ecological, "lotka_volterra": LotkaVolterra,
+         "shifted_lotka_volterra": ShiftedLotkaVolterra, "coupled_replicator": CoupledReplicator}
+
+
+@st.composite
+def landscape(draw, n, m, types, dissipative=False):
+    """A landscape of one of ``types`` whose matrices are (n, m)."""
+    kind = draw(st.sampled_from(types))
+    if kind == "scaled":
+        return Scaled(draw(landscape(n, m, ("linear", "log_linear"))), draw(st.floats(0.5, 2.0)))
+    matrix = draw(arrays(float, (n, m), elements=ENTRIES))
+    if dissipative:  # negative definite: abundances stay bounded, so no payoff overflows
+        matrix = -(matrix @ matrix.T) - np.eye(n)
+    if kind == "linear":
+        return Linear(matrix)
+    return LogLinear(matrix, draw(arrays(float, n, elements=ENTRIES)))
+
+
+@st.composite
+def flow(draw, solver):
+    """Landscapes, a start and a step for ``solver``: a kind of ``KINDS`` or an exp-family solver.
+
+    Simplex flows take steps long enough to lose positivity; abundance flows take steps short
+    enough for RK4 to stay stable, so that their states never overflow.
+    """
+    n, m = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    every = ("linear", "log_linear", "scaled")
+    if solver.endswith("lotka_volterra"):
+        land = draw(landscape(n, n, ("linear", "log_linear"), dissipative=True))
+        start = OrthantPoint(draw(arrays(float, n, elements=st.floats(0.2, 2.0))))
+        return (land,), start, draw(st.sampled_from([0.01, 0.025]))
+    dt = draw(st.sampled_from([0.01, 0.05, 0.25]))
+    if solver.startswith("coupled"):
+        lands = (draw(landscape(n, m, every)), draw(landscape(m, n, every)))
+        return lands, CoupledState(draw(simplex_point(n)), draw(simplex_point(m))), dt
+    land = draw(landscape(n, n, ("scaled",) if solver == "ecological" else every))
+    return (land,), draw(simplex_point(n)), dt
+
+
+def _solve(solver, lands, start, dt, steps):
+    if solver == "exp_family":
+        return exp_family_solver(*lands, start, dt, steps)
+    if solver == "coupled_exp_family":
+        return coupled_exp_family_solver(*lands, start, dt, steps)
+    return integrate(KINDS[solver](*lands), start, dt, steps)
+
+
+def _times(land, c):
+    """``land`` with its payoff multiplied by ``c``."""
+    if isinstance(land, Scaled):
+        return Scaled(land.base, land.factor * c)
+    if isinstance(land, LogLinear):
+        return LogLinear(c * land.matrix, c * land.offset)
+    return Linear(c * land.matrix)
+
+
+def _failure_step(traj):
+    return None if traj.failure is None else re.search(r"at step (\d+)", traj.failure).group(1)
+
+
+@pytest.mark.parametrize("solver", [*KINDS, "exp_family", "coupled_exp_family"])
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.sampled_from(FACTORS), st.integers(1, 60), st.data())
+def test_a_payoff_scaled_by_c_runs_the_flow_at_step_c_dt(solver, c, steps, data):
+    lands, start, dt = data.draw(flow(solver))
+    fast = _solve(solver, [_times(land, c) for land in lands], start, dt, steps)
+    slow = _solve(solver, lands, start, c * dt, steps)
+    assert np.array_equal(fast.states, slow.states)
+    fd, sd = fast.diagnostics, slow.diagnostics
+    assert fd.normalizer is sd.normalizer is None or np.array_equal(fd.normalizer, sd.normalizer)
+    assert np.array_equal(slow.times, c * fast.times)
+    assert np.array_equal(fd.mean_fitness, c * sd.mean_fitness)
+    assert np.array_equal(fd.fitness_variance, c * c * sd.fitness_variance)
+    assert fast.truncated == slow.truncated
+    assert _failure_step(fast) == _failure_step(slow)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(2, 5), st.integers(2, 5), st.booleans(), st.sampled_from([0.005, 0.01]),
+       st.integers(1, 100), st.data())
+def test_exp_family_and_direct_runs_of_random_games_agree(n, m, coupled, dt, steps, data):
+    game = data.draw(arrays(float, (n, m if coupled else n), elements=ENTRIES))
+    if coupled:
+        f, g = Linear(game), Linear(data.draw(arrays(float, (m, n), elements=ENTRIES)))
+        start = CoupledState(data.draw(simplex_point(n)), data.draw(simplex_point(m)))
+        direct = integrate(CoupledReplicator(f, g), start, dt, steps)
+        log = coupled_exp_family_solver(f, g, start, dt, steps)
+    else:
+        start = data.draw(simplex_point(n))
+        direct = integrate(Replicator(Linear(game)), start, dt, steps)
+        log = exp_family_solver(Linear(game), start, dt, steps)
+    assert not direct.truncated and not log.truncated
+    assert np.max(np.abs(direct.states - log.states)) <= EXPFAM_TOL

@@ -9,7 +9,8 @@ ignored ``.bench_build/<sha>``.  For seeds 1..N and each workload,
 ``bench/run.py`` runs once in each export, the parent first on odd seeds.
 For every end-to-end metric of ``BENCHMARK.json`` the file holds both
 sides' values, medians and quartiles, the pairs the change won, and the
-machine facts.  A run whose last stdout line is not a JSON object is kept as
+machine facts, and each side's ``src/simplexdyn/*.py`` line counts, per file
+and in total.  A run whose last stdout line is not a JSON object is kept as
 ``malformed``; it, and any run that exits nonzero, keeps the last 20 lines
 of its stderr.  After a workload's pairs, one ``--trace 1`` run per side
 (seed 3, 0 s) records its exit code, ``correct`` and the metrics that read
@@ -44,6 +45,17 @@ def export(rev: str) -> tuple[str, str]:
         subprocess.run(["tar", "-x", "-C", path + ".part"], input=archive, check=True)
         os.rename(path + ".part", path)
     return sha, path
+
+
+def line_counts(path: str) -> dict:
+    """Lines of each ``src/simplexdyn/*.py`` file of the export at ``path``, and their total."""
+    src = os.path.join(path, "src", "simplexdyn")
+    files = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), "rb") as fh:
+                files[name] = fh.read().count(b"\n")  # as wc -l counts
+    return {"files": files, "total": sum(files.values())}
 
 
 def machine_facts() -> dict:
@@ -119,7 +131,9 @@ def main() -> int:
         spec = json.load(fh)
     (parent, parent_dir), (change, change_dir) = export(args.parent), export(args.change)
     record = {"parent": parent, "change": change, "seconds": args.seconds, "pairs": args.pairs,
-              "machine": machine_facts(), "workloads": {}}
+              "machine": machine_facts(),
+              "lines": {"parent": line_counts(parent_dir), "change": line_counts(change_dir)},
+              "workloads": {}}
     for workload in args.workloads or [w["name"] for w in spec["workloads"]]:
         runs, order = [], [("parent", parent_dir), ("change", change_dir)]
         for seed in range(1, args.pairs + 1):
