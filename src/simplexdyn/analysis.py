@@ -22,7 +22,6 @@ from .core import (
     Linear,
     OrthantPoint,
     SimplexPoint,
-    evaluate_landscape_batch,
 )
 from .divergence import kl_formula
 from .dynamics import (
@@ -30,8 +29,10 @@ from .dynamics import (
     LotkaVolterra,
     Replicator,
     Trajectory,
+    _block_payoffs,
     _blocks,
     _frequencies,
+    _is_count,
     _state_vector,
     _target_vector,
     _uniform_step,
@@ -109,7 +110,7 @@ def _sampling_rng(radius: float, samples: int, seed: int) -> np.random.Generator
     """The seeded generator of a sampled check, once its radius and sample count are valid."""
     if not (float(radius) > 0.0):
         raise ValueError(f"radius must be > 0, got {radius}")
-    if int(samples) != samples or samples < 1:
+    if not _is_count(samples):
         raise ValueError(f"samples must be a positive integer, got {samples}")
     return np.random.default_rng(seed)
 
@@ -218,22 +219,18 @@ def _ess(kind, target, radius: float, samples: int, seed: int) -> EssReport:
     term by |x|, and count the samples parallel to the target.
     """
     hat, split = _state_vector(kind, target, "target")
-    blocks = _blocks(kind, split)
     rng = _sampling_rng(radius, samples, seed)
     if kind.state_type is OrthantPoint:
         points = _orthant_ball_samples(rng, hat, radius, int(samples))
         totals = (hat.sum(), points.sum(axis=1))
         parallel = int(np.sum(_sine_to_direction(points, hat) <= PARALLEL_TOL))
     else:
-        points = _tangent_ball_samples(rng, [hat[own] for own, _, _ in blocks], radius, int(samples))
+        centers = [hat[own] for own, _, _ in _blocks(kind, split)]
+        points = _tangent_ball_samples(rng, centers, radius, int(samples))
         totals, parallel = (1.0, 1.0), None  # x / 1.0 is x to the bit
-    payoffs = [
-        evaluate_landscape_batch(land, points[:, own], None if other is None else points[:, other])
-        for own, land, other in blocks
-    ]
-    margins = reduce(np.add, [payoff @ hat[own] for (own, _, _), payoff in zip(blocks, payoffs)])
-    margins = margins / totals[0]
-    for (own, _, _), payoff in zip(blocks, payoffs):
+    payoffs = _block_payoffs(kind, points, split)
+    margins = reduce(np.add, [payoff @ hat[own] for own, payoff in payoffs]) / totals[0]
+    for own, payoff in payoffs:
         margins = margins - np.einsum("ij,ij->i", points[:, own], payoff) / totals[1]
     return _ess_report(margins, points, radius, samples, parallel)
 
@@ -267,6 +264,8 @@ def coupled_ess_check(
     return _ess(CoupledReplicator(f, g), CoupledState(p_hat, q_hat), radius, samples, seed)
 
 
+# a blown-up abundance row overflows or turns NaN here, silenced as in the run that recorded it
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _sine_to_direction(states: np.ndarray, direction: np.ndarray) -> np.ndarray:
     """Row-wise sine of the angle between states and a fixed direction."""
     unit = direction / np.linalg.norm(direction)
@@ -379,7 +378,7 @@ def gradient_consistency_check(
     <grad_g V, w>_x = grad V . w must hold; returns the max absolute
     difference over the probes.
     """
-    if int(probes) != probes or probes < 1:
+    if not _is_count(probes):
         raise ValueError(f"probes must be a positive integer, got {probes}")
     grad_vec = np.asarray(potential_grad, dtype=float)
     metric_grad = shahshahani_gradient(x, grad_vec).components

@@ -42,7 +42,6 @@ from .core import (
     OrthantPoint,
     Scaled,
     SimplexPoint,
-    evaluate_landscape,
     resolve_payoff,
 )
 from .divergence import kl_formula
@@ -197,14 +196,19 @@ def _typed(value_type: str, value, field: str):
     return value
 
 
+def _pair(payload, keys: tuple, field: str, build) -> list:
+    """The two values of the coupled object ``payload``: ``build(value, f"{field}.{key}")`` each."""
+    if not isinstance(payload, dict) or any(key not in payload for key in keys):
+        raise ConfigError(f"field '{field}' must be an object with '{keys[0]}' and '{keys[1]}'")
+    _reject_unknown(payload, keys, f"{field}.")
+    return [build(payload[key], f"{field}.{key}") for key in keys]
+
+
 def _build_state(state_type: type, payload, field: str):
     """``payload`` as a ``state_type`` of a kind; errors name ``field``."""
     if state_type is CoupledState:
-        if not isinstance(payload, dict) or "p" not in payload or "q" not in payload:
-            raise ConfigError(f"field '{field}' must be an object with 'p' and 'q'")
-        _reject_unknown(payload, ("p", "q"), f"{field}.")
-        return CoupledState(*(_build_state(SimplexPoint, payload[key], f"{field}.{key}")
-                              for key in ("p", "q")))
+        return CoupledState(*_pair(payload, ("p", "q"), field,
+                                   functools.partial(_build_state, SimplexPoint)))
     coords = _typed("vector", payload, field)
     try:
         return state_type(coords)
@@ -269,7 +273,7 @@ def _check_entry(entry, prefix: str, kind, initial, target, steps: Optional[int]
         if kind.state_type is CoupledState:
             raise ConfigError(f"'{where}' needs a 'grad': a coupled payoff acts on the other "
                               "population, not on the point")
-        _refused(where, resolve_payoff, dynamics._blocks(kind, None)[0][1], point.dim)
+        _refused(where, dynamics._payoffs, kind, point.dim, None)
     elif name == "gradient_consistency" and check["grad"].size != point.dim:
         raise ConfigError(f"'{prefix}grad' must have the {point.dim} entries of its point, "
                           f"got {check['grad'].size}")
@@ -307,12 +311,9 @@ def load_scenario(path: str) -> Scenario:
 
     landscape_cfg = _require(config, "landscape")
     if kind_name == "coupled_replicator":
-        if not isinstance(landscape_cfg, dict) or "f" not in landscape_cfg or "g" not in landscape_cfg:
-            raise ConfigError("field 'landscape' must contain 'f' and 'g' for coupled dynamics")
-        _reject_unknown(landscape_cfg, ("f", "g"), "landscape.")
-        f = _build_landscape(landscape_cfg["f"], "landscape.f.")
-        g = _build_landscape(landscape_cfg["g"], "landscape.g.")
-        kind = dynamics.CoupledReplicator(f, g)
+        kind = dynamics.CoupledReplicator(*_pair(
+            landscape_cfg, ("f", "g"), "landscape",
+            lambda value, where: _build_landscape(value, where + ".")))
     else:
         kind = _KIND_NAMES[kind_name](_build_landscape(landscape_cfg, "landscape."))
 
@@ -435,7 +436,7 @@ def _run_check(check: dict, kind, initial, target, traj: Optional[dynamics.Traje
         if name == "gradient_consistency":
             grad = check["grad"]
             if grad is None:
-                grad = evaluate_landscape(dynamics._blocks(kind, None)[0][1], point.coords)
+                grad = dynamics._payoffs(kind, point.dim, None)[0](point.coords)
             probes = check["probes"]
             residual = analysis.gradient_consistency_check(point, grad, probes, check["seed"])
             passed, metrics = residual <= tol, {"residual": residual, "tol": tol, "probes": probes}

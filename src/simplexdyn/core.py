@@ -192,8 +192,8 @@ class Scaled:
     factor: float
 
     def __post_init__(self):
-        if not (float(self.factor) > 0.0):
-            raise ValueError(f"scale factor must be > 0, got {self.factor}")
+        if isinstance(self.factor, (bool, np.bool_)) or not 0.0 < float(self.factor) < np.inf:
+            raise ValueError(f"scale factor must be > 0 and finite, got {self.factor}")
         object.__setattr__(self, "factor", float(self.factor))
 
 
@@ -222,14 +222,6 @@ def _call_custom(f: Custom, *state: np.ndarray) -> np.ndarray:
     if out.shape != (n,):
         raise EvaluationFailure(f"custom landscape returned shape {out.shape}, expected ({n},)")
     return out
-
-
-def _check_shape(f: Landscape, n: int, m: int) -> None:
-    if isinstance(f, (Linear, LogLinear)) and f.matrix.shape != (n, m):
-        raise DimensionMismatchError(
-            f"{type(f).__name__} matrix shape {f.matrix.shape} does not match "
-            f"state dimensions ({n}, {m})"
-        )
 
 
 def _quiet_log(src: np.ndarray) -> np.ndarray:
@@ -262,7 +254,10 @@ def resolve_payoff(
                                   np.stack([custom(f, *row) for row in zip(x, *other)]))
     if not isinstance(f, (Linear, LogLinear)):
         raise TypeError(f"not a landscape: {f!r}")
-    _check_shape(f, n, n if m is None else m)
+    shape = (n, n if m is None else m)
+    if f.matrix.shape != shape:
+        raise DimensionMismatchError(f"{type(f).__name__} matrix shape {f.matrix.shape} does not "
+                                     f"match state dimensions {shape}")
     # s.dot(M.T) keeps the bits of M @ s on one state and of S @ M.T on rows
     mt = f.matrix.T
     if isinstance(f, Linear):

@@ -142,8 +142,9 @@ def coupled_replicator_field(
     state: CoupledState, f: Landscape, g: Landscape
 ) -> tuple[TangentVector, TangentVector]:
     """Simultaneous selection fields for two interacting populations."""
-    split = state.pop1.dim
-    dz = _make_field(CoupledReplicator(f, g), sum(state.dims), split)(state.concatenated())
+    kind = CoupledReplicator(f, g)
+    z, split = _state_vector(kind, state, "state")
+    dz = _make_field(kind, z.size, split)(z)
     return TangentVector(dz[:split]), TangentVector(dz[split:])
 
 
@@ -228,10 +229,15 @@ def _rk4_step(field, y: np.ndarray, dt: float) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
+def _is_count(value) -> bool:
+    """True for an integer >= 1 (a numpy integer too); a bool or a float is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+
+
 def _check_steps(dt: float, steps: int) -> None:
-    if not (np.isfinite(dt) and float(dt) > 0.0):
+    if isinstance(dt, (bool, np.bool_)) or not (np.isfinite(dt) and float(dt) > 0.0):
         raise StepSizeError(f"dt must be positive and finite, got {dt}")
-    if int(steps) != steps or steps < 1:
+    if not _is_count(steps):
         raise StepSizeError(f"steps must be a positive integer, got {steps}")
 
 
@@ -257,6 +263,13 @@ def _payoffs(kind: VectorFieldKind, size: int, split: Optional[int]) -> tuple:
     n = range(size)
     return tuple(resolve_payoff(land, len(n[own]), None if other is None else len(n[other]),
                                 evaluate_landscape) for own, land, other in _blocks(kind, split))
+
+
+def _block_payoffs(kind: VectorFieldKind, rows: np.ndarray, split: Optional[int]) -> list:
+    """Each population block's (slice, payoff rows) at the state ``rows``: one evaluation each."""
+    return [(own, evaluate_landscape_batch(land, rows[:, own],
+                                           None if other is None else rows[:, other]))
+            for own, land, other in _blocks(kind, split)]
 
 
 def _make_field(kind: VectorFieldKind, size: int, split: Optional[int] = None):
@@ -382,10 +395,7 @@ def _diagnostics(
     """Mean fitness, variance and divergence to ``target``, each summed over population blocks."""
     weights, target = _frequencies(kind, states, target)
     means, variances, divergences = [], [], []
-    for own, land, other in _blocks(kind, split):
-        payoff = evaluate_landscape_batch(
-            land, states[:, own], None if other is None else states[:, other]
-        )
+    for own, payoff in _block_payoffs(kind, states, split):
         w = weights[:, own]
         mean = np.einsum("ij,ij->i", w, payoff)
         means.append(mean)
@@ -553,7 +563,7 @@ def lv_correspondence_residual(traj: Trajectory) -> float:
     """
     freqs = _abundance_frequencies(traj, "correspondence residual")
     dt = _uniform_step(traj, "correspondence residual")
-    payoff = evaluate_landscape_batch(_blocks(traj.kind, traj.split)[0][1], traj.states)
+    ((_, payoff),) = _block_payoffs(traj.kind, traj.states, traj.split)
     if isinstance(traj.kind, ShiftedLotkaVolterra):
         payoff = payoff / traj.states.sum(axis=1)[:, None]
     mean = np.einsum("ij,ij->i", freqs, payoff)
@@ -566,6 +576,8 @@ def lv_correspondence_residual(traj: Trajectory) -> float:
 _GAP_BLOCK = 32
 
 
+# a blown-up row overflows or turns NaN in the distances, silenced as in the run that recorded it
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def orbit_gap(states: np.ndarray, reference: np.ndarray, stride: int = 1) -> float:
     """Largest distance from ``states`` rows to the polyline through ``reference``.
 
@@ -629,9 +641,7 @@ def orbit_gap(states: np.ndarray, reference: np.ndarray, stride: int = 1) -> flo
         step = max(len(starts), _GAP_BLOCK)  # pairs per pass: temporaries stay near (count, n)
         for i in range(0, rows.size, step):
             part = slice(i, i + step)
-            gaps = block_gaps(q[rows[part]], blocks[part])
-            with np.errstate(invalid="ignore"):  # a NaN row: the loop's min() never warned
-                np.minimum.at(best, rows[part], gaps)
+            np.minimum.at(best, rows[part], block_gaps(q[rows[part]], blocks[part]))
         minima[first : first + len(q)] = best
     # fmax skips a NaN distance, as a running max() does
     return float(np.sqrt(np.fmax.reduce(minima, initial=0.0)))

@@ -6,6 +6,8 @@ The margin oracles are exact algebra for 2x2 games: with payoff matrix
 matrices give margin exactly 0 against a central candidate.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,12 @@ def test_ess_rejects_bad_sampling_parameters():
         ess_check(CENTER, Linear(HAWK_DOVE), 0.1, 0, 0)
 
 
+@pytest.mark.parametrize("samples", [True, 10.0])
+def test_ess_refuses_a_bool_or_float_sample_count(samples):
+    with pytest.raises(ValueError, match=f"samples must be a positive integer, got {samples}"):
+        ess_check(CENTER, Linear(HAWK_DOVE), 0.1, samples, 0)
+
+
 # ---------------------------------------------------------------------------
 # coupled and denormalized variants
 # ---------------------------------------------------------------------------
@@ -187,6 +195,18 @@ def test_lyapunov_rps_is_conserved():
     assert abs(report.final_value - report.initial_value) <= 1e-6
     assert report.monotone  # numerical wiggle stays under the slack
     assert not report.converged
+
+
+def test_lyapunov_on_a_blown_up_abundance_run_is_quiet():
+    # diag(1, 0.9) from (1, 1): the abundances overflow to 4.8e172 before the run truncates
+    start = OrthantPoint(np.array([1.0, 1.0]))
+    traj = integrate(LotkaVolterra(Linear(np.diag([1.0, 0.9]))), start, 0.1, 100, target=start)
+    assert traj.truncated and traj.states.max() > 1e170
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = lyapunov_monitor(traj, start)
+    assert report.parallel_before_convergence == 0
+    assert not report.monotone and not report.converged
 
 
 def test_lyapunov_constant_trajectory_at_target():
@@ -323,3 +343,9 @@ def test_gradient_consistency_random_pairs():
 def test_gradient_consistency_rejects_bad_probes():
     with pytest.raises(ValueError):
         gradient_consistency_check(barycenter(3), np.zeros(3), 0, 0)
+
+
+@pytest.mark.parametrize("probes", [True, 4.0])
+def test_gradient_consistency_refuses_a_bool_or_float_probe_count(probes):
+    with pytest.raises(ValueError, match=f"probes must be a positive integer, got {probes}"):
+        gradient_consistency_check(barycenter(3), np.zeros(3), probes, 0)

@@ -440,6 +440,17 @@ def test_orbit_gap_on_inf_and_huge_inputs_equals_the_loop(value, where):
                      lambda: orbit_gap(states, reference))
 
 
+def test_orbit_gap_on_a_blown_up_run_equals_the_loop_without_warnings():
+    # Lotka-Volterra diag(1, 0.9) from (1, 1) overflows to 4.8e172 before it truncates
+    traj = integrate(LotkaVolterra(Linear(np.diag([1.0, 0.9]))), OrthantPoint([1.0, 1.0]), 0.1, 100)
+    assert traj.truncated and traj.states.max() > 1e170
+    with np.errstate(all="ignore"):  # the loop warns on these rows itself
+        expected = _ref_orbit_gap(traj.states, traj.states)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert orbit_gap(traj.states, traj.states) == expected
+
+
 def _tied_polyline(seed):
     """A few non-dyadic vertices visited many times: segments of different blocks tie."""
     rng = np.random.default_rng(seed)

@@ -189,6 +189,26 @@ def test_simulate_truncated_run_exits_1_with_partial_outputs(tmp_path, capsys):
     assert 1 < len(rows) < 5002
 
 
+def test_simulate_lyapunov_on_a_blown_up_abundance_run_prints_no_warning(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path / "blowup.json",
+        name="blowup",
+        kind="lotka_volterra",
+        landscape={"type": "linear", "matrix": [[1.0, 0.0], [0.0, 0.9]]},
+        initial_state=[1.0, 1.0],
+        target=[1.0, 1.0],
+        dt=0.1,
+        steps=100,
+    )
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "blowup: truncated (positivity lost at step 13 (t = 1.3))\n"
+    metrics = json.loads((out / "blowup_report.json").read_text())["checks"][0]["metrics"]
+    assert metrics["parallel_before_convergence"] == 0 and metrics["monotone"] is False
+
+
 def test_simulate_coupled_scenario(tmp_path):
     cfg = tmp_path / "mp.json"
     cfg.write_text(

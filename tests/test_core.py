@@ -211,6 +211,12 @@ def test_scaled_landscape_is_aggregate_neutral():
         Scaled(base, 0.0)
 
 
+@pytest.mark.parametrize("factor", [True, np.True_, np.inf, np.nan])
+def test_scaled_refuses_a_bool_or_non_finite_factor(factor):
+    with pytest.raises(ValueError, match=f"scale factor must be > 0 and finite, got {factor}"):
+        Scaled(Linear(np.eye(2)), factor)
+
+
 def test_custom_landscape_wraps_failures():
     def boom(x):
         raise RuntimeError("nope")

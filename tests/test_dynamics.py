@@ -179,6 +179,23 @@ def test_integrate_validates_steps_and_dt():
         integrate(kind, x0, 0.1, 0)
 
 
+@pytest.mark.parametrize("steps", [True, 2.0, np.float64(3.0)])
+def test_integrate_refuses_a_bool_or_float_step_count(steps):
+    with pytest.raises(StepSizeError, match=f"steps must be a positive integer, got {steps}"):
+        integrate(Replicator(Linear(HAWK_DOVE)), SimplexPoint([0.9, 0.1]), 0.01, steps)
+
+
+@pytest.mark.parametrize("dt", [True, np.True_])
+def test_integrate_refuses_a_bool_step_size(dt):
+    with pytest.raises(StepSizeError, match=f"dt must be positive and finite, got {dt}"):
+        integrate(Replicator(Linear(HAWK_DOVE)), SimplexPoint([0.9, 0.1]), dt, 3)
+
+
+def test_integrate_takes_a_numpy_integer_step_count():
+    traj = integrate(Replicator(Linear(HAWK_DOVE)), SimplexPoint([0.9, 0.1]), 0.01, np.int64(3))
+    assert len(traj) == 4
+
+
 def test_integrate_rejects_state_of_wrong_kind():
     with pytest.raises(KindMismatchError):
         integrate(Replicator(Linear(HAWK_DOVE)), OrthantPoint(np.array([1.0, 1.0])), 0.1, 5)
