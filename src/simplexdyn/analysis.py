@@ -22,6 +22,7 @@ from .core import (
     Linear,
     OrthantPoint,
     SimplexPoint,
+    _is_real,
 )
 from .divergence import kl_formula
 from .dynamics import (
@@ -106,13 +107,20 @@ def _ess_report(
     )
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """numpy's generator for ``seed``, an integer >= 0 (a numpy integer too), not a bool or float."""
+    if not _is_count(seed, least=0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _sampling_rng(radius: float, samples: int, seed: int) -> np.random.Generator:
     """The seeded generator of a sampled check, once its radius and sample count are valid."""
-    if not (float(radius) > 0.0):
-        raise ValueError(f"radius must be > 0, got {radius}")
+    if not (_is_real(radius) and 0.0 < radius < np.inf):
+        raise ValueError(f"radius must be > 0 and finite, got {radius}")
     if not _is_count(samples):
         raise ValueError(f"samples must be a positive integer, got {samples}")
-    return np.random.default_rng(seed)
+    return _seeded_rng(seed)
 
 
 def _ball_draws(
@@ -382,7 +390,7 @@ def gradient_consistency_check(
         raise ValueError(f"probes must be a positive integer, got {probes}")
     grad_vec = np.asarray(potential_grad, dtype=float)
     metric_grad = shahshahani_gradient(x, grad_vec).components
-    w = np.random.default_rng(seed).standard_normal((int(probes), x.dim))  # one stream, row by row
+    w = _seeded_rng(seed).standard_normal((int(probes), x.dim))  # one stream, row by row
     w = w - w.mean(axis=1, keepdims=True)
     # an overflowing gradient gives an inf or NaN defect, silenced as in fisher_theorem_check
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

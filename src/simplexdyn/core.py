@@ -8,6 +8,7 @@ values can be shared freely across threads or processes.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -17,6 +18,7 @@ from .errors import (
     DimensionMismatchError,
     DimensionTooSmallError,
     EvaluationFailure,
+    LandscapeValueError,
     NonPositiveTauError,
     NotInteriorError,
     NotNormalizedError,
@@ -36,6 +38,28 @@ def _frozen_vector(values) -> np.ndarray:
         raise DimensionTooSmallError(
             f"expected a 1-d vector with at least 2 entries, got shape {arr.shape}"
         )
+    arr.setflags(write=False)
+    return arr
+
+
+def _is_real(value) -> bool:
+    """True for a real number (a numpy float or integer too); a bool or a string is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _finite_reals(values, where: str) -> np.ndarray:
+    """Copy ``values`` into a read-only float64 array, refusing an entry that is no finite real.
+
+    ``where`` names the owner in the error: a bool, string or complex entry is
+    refused, though numpy would cast it.
+    """
+    raw = np.asarray(values)
+    for v in raw.ravel().tolist() if raw.dtype.kind not in "iuf" else ():
+        if not _is_real(v):
+            raise LandscapeValueError(f"{where} entry {v!r} is not a real number")
+    arr = np.array(raw, dtype=float)
+    if not np.isfinite(arr).all():
+        raise LandscapeValueError(f"{where} entry {float(arr[~np.isfinite(arr)][0])} is not finite")
     arr.setflags(write=False)
     return arr
 
@@ -153,10 +177,9 @@ class Linear:
     matrix: np.ndarray
 
     def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=float)
+        matrix = _finite_reals(self.matrix, "Linear matrix")
         if matrix.ndim != 2:
             raise DimensionMismatchError(f"payoff matrix must be 2-d, got shape {matrix.shape}")
-        matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
 
 
@@ -168,14 +191,12 @@ class LogLinear:
     offset: np.ndarray
 
     def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=float)
-        offset = np.array(self.offset, dtype=float)
+        matrix = _finite_reals(self.matrix, "LogLinear matrix")
+        offset = _finite_reals(self.offset, "LogLinear offset")
         if matrix.ndim != 2 or offset.ndim != 1 or matrix.shape[0] != offset.size:
             raise DimensionMismatchError(
                 f"incompatible log-linear shapes: matrix {matrix.shape}, offset {offset.shape}"
             )
-        matrix.setflags(write=False)
-        offset.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "offset", offset)
 
@@ -192,7 +213,7 @@ class Scaled:
     factor: float
 
     def __post_init__(self):
-        if isinstance(self.factor, (bool, np.bool_)) or not 0.0 < float(self.factor) < np.inf:
+        if not (_is_real(self.factor) and 0.0 < self.factor < np.inf):
             raise ValueError(f"scale factor must be > 0 and finite, got {self.factor}")
         object.__setattr__(self, "factor", float(self.factor))
 

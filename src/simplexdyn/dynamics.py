@@ -36,6 +36,7 @@ from .core import (
     OrthantPoint,
     SimplexPoint,
     TangentVector,
+    _is_real,
     evaluate_landscape,
     evaluate_landscape_batch,
     resolve_payoff,
@@ -229,13 +230,13 @@ def _rk4_step(field, y: np.ndarray, dt: float) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _is_count(value) -> bool:
-    """True for an integer >= 1 (a numpy integer too); a bool or a float is not a count."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+def _is_count(value, least: int = 1) -> bool:
+    """True for an integer >= ``least`` (a numpy integer too); a bool or a float is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
 
 
 def _check_steps(dt: float, steps: int) -> None:
-    if isinstance(dt, (bool, np.bool_)) or not (np.isfinite(dt) and float(dt) > 0.0):
+    if not (_is_real(dt) and 0.0 < dt < np.inf):
         raise StepSizeError(f"dt must be positive and finite, got {dt}")
     if not _is_count(steps):
         raise StepSizeError(f"steps must be a positive integer, got {steps}")
@@ -243,8 +244,8 @@ def _check_steps(dt: float, steps: int) -> None:
 
 def logsumexp(v: np.ndarray) -> float:
     """log sum_j exp(v_j), shifted by the largest entry so no term overflows."""
-    top = v.max()
-    return float(top + np.log(np.exp(v - top).sum()))
+    top = np.maximum.reduce(v)
+    return float(top + np.log(np.add.reduce(np.exp(v - top))))
 
 
 def _blocks(kind: VectorFieldKind, split: Optional[int]) -> tuple:
@@ -278,7 +279,7 @@ def _make_field(kind: VectorFieldKind, size: int, split: Optional[int] = None):
     if isinstance(kind, LotkaVolterra):
         return lambda x: x * pay(x)
     if isinstance(kind, ShiftedLotkaVolterra):
-        return lambda x: x * pay(x) / x.sum()
+        return lambda x: x * pay(x) / np.add.reduce(x)
     if isinstance(kind, Ecological):
 
         def field(x):
@@ -308,12 +309,19 @@ def _make_field(kind: VectorFieldKind, size: int, split: Optional[int] = None):
 
 def _direct_chart(blocks: tuple):
     """Record the integrated coordinates, each simplex block renormalized in place."""
+    if len(blocks) == 1:  # the whole state
 
-    def chart(y):
-        for block in blocks:
-            view = y[block]
-            view /= view.sum()
-        return y, y, None
+        def chart(y):
+            y /= np.add.reduce(y)
+            return y, y, None
+
+    else:
+
+        def chart(y):
+            for block in blocks:
+                view = y[block]
+                view /= np.add.reduce(view)
+            return y, y, None
 
     return chart
 
@@ -414,38 +422,38 @@ def _run(kind: VectorFieldKind, x0, dt: float, steps: int, target, log: bool) ->
     A chart maps an RK4 result to (recorded state, coordinates to continue
     from, normalizers); the direct chart may renormalize its argument in
     place.  The first recorded row is the start state exactly as given.  A
-    step whose recorded state has a coordinate at or below POS_FLOOR (or a
-    non-finite one) halts the run; the overflow, invalid-value and
-    divide-by-zero warnings of such a blow-up, in the loop and in the
-    diagnostics of the rows before it, are silenced.  Only abundance rows need
-    the test from above: a simplex row with an inf or NaN turns NaN in its chart.
+    step whose recorded state has a coordinate that is at or below POS_FLOOR,
+    NaN or +inf halts the run, tested with one exact Python comparison per
+    coordinate; the overflow, invalid-value and divide-by-zero warnings of such
+    a blow-up, in the loop and in the diagnostics of the rows before it, are
+    silenced.  Only log runs record normalizers.
     """
     _check_steps(dt, steps)
     start, split = _state_vector(kind, x0, "start")
     if target is not None:
         target = _target_vector(kind, target, start.size, split)
-    orthant = kind.state_type is OrthantPoint
-    simplex = () if orthant else tuple(own for own, _, _ in _blocks(kind, split))
+    simplex = (() if kind.state_type is OrthantPoint
+               else tuple(own for own, _, _ in _blocks(kind, split)))
     if log:
         chart = _log_chart(simplex)
         y, field = np.log(start), _log_field(kind, start.size, split, chart)
     else:
         chart = _direct_chart(simplex)
         y, field = start, _make_field(kind, start.size, split)
-    states = [start]
-    normalizers = [chart(y.copy())[2]]
+    states, normalizers = [start], [chart(y)[2]] if log else None
     truncated, failure = False, None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(int(steps)):
             x, y, big_g = chart(_rk4_step(field, y, dt))
-            if not (x.min() > POS_FLOOR and (not orthant or x.max() < np.inf)):
+            if not all(POS_FLOOR < v < np.inf for v in x.tolist()):  # a NaN fails both
                 truncated = True
                 failure = f"positivity lost at step {k + 1} (t = {(k + 1) * dt:g})"
                 break
             states.append(x)
-            normalizers.append(big_g)
+            if log:
+                normalizers.append(big_g)
         states = np.array(states)
-        normalizer = None if normalizers[0] is None else np.array(normalizers)
+        normalizer = np.array(normalizers) if log else None
         diagnostics = _diagnostics(kind, states, target, split, normalizer)
     return Trajectory(
         kind=kind,

@@ -33,6 +33,10 @@ class LengthMismatchError(SimplexDynError):
     """Paired sequences have different lengths."""
 
 
+class LandscapeValueError(SimplexDynError):
+    """A landscape matrix or offset holds an entry that is not a finite real number."""
+
+
 class EvaluationFailure(SimplexDynError):
     """A custom landscape evaluator raised or returned a malformed payoff."""
 

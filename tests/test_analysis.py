@@ -108,6 +108,40 @@ def test_ess_refuses_a_bool_or_float_sample_count(samples):
         ess_check(CENTER, Linear(HAWK_DOVE), 0.1, samples, 0)
 
 
+def test_ess_refuses_a_bool_radius():
+    with pytest.raises(ValueError, match="radius must be > 0 and finite, got True"):
+        ess_check(CENTER, Linear(HAWK_DOVE), True, 10, 0)
+
+
+def test_ess_refuses_an_infinite_radius_before_sampling():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="radius must be > 0 and finite, got inf"):
+            ess_check(CENTER, Linear(HAWK_DOVE), np.inf, 10, 0)
+
+
+def _ess_checks(seed):
+    """The three ESS checks at a stable rest point, each with ``seed``."""
+    half = SimplexPoint([0.5, 0.5])
+    yield lambda: ess_check(half, Linear(HAWK_DOVE), 0.1, 10, seed)
+    yield lambda: coupled_ess_check(half, half, Linear(-np.eye(2)), Linear(-np.eye(2)), 0.1, 10,
+                                    seed)
+    yield lambda: denormalized_ess_check(OrthantPoint([1.0, 1.0]), Linear(-np.eye(2)), 0.1, 10,
+                                         seed)
+
+
+@pytest.mark.parametrize("seed", [True, np.True_, 1.5, 2.0])
+def test_ess_checks_refuse_a_bool_or_float_seed(seed):
+    for check in _ess_checks(seed):
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed}"):
+            check()
+
+
+def test_ess_checks_take_a_numpy_integer_seed():
+    for numpy_seeded, int_seeded in zip(_ess_checks(np.int64(7)), _ess_checks(7)):
+        np.testing.assert_array_equal(numpy_seeded().margins, int_seeded().margins)
+
+
 # ---------------------------------------------------------------------------
 # coupled and denormalized variants
 # ---------------------------------------------------------------------------
@@ -349,3 +383,15 @@ def test_gradient_consistency_rejects_bad_probes():
 def test_gradient_consistency_refuses_a_bool_or_float_probe_count(probes):
     with pytest.raises(ValueError, match=f"probes must be a positive integer, got {probes}"):
         gradient_consistency_check(barycenter(3), np.zeros(3), probes, 0)
+
+
+@pytest.mark.parametrize("seed", [True, 1.5])
+def test_gradient_consistency_refuses_a_bool_or_float_seed(seed):
+    with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed}"):
+        gradient_consistency_check(barycenter(3), np.zeros(3), 4, seed)
+
+
+def test_gradient_consistency_takes_a_numpy_integer_seed():
+    grad = np.array([1.0, -2.0, 0.5])
+    assert (gradient_consistency_check(barycenter(3), grad, 4, np.int64(3))
+            == gradient_consistency_check(barycenter(3), grad, 4, 3))

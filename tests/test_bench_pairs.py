@@ -1,0 +1,73 @@
+"""The verdicts ``tools/bench_pairs.py`` writes per end-to-end metric, on synthetic runs."""
+
+import os
+import sys
+
+import pytest
+
+TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
+
+STEP = {"name": "step_us", "unit": "us", "better": "lower", "bound": 0.2}
+OK = {"name": "ok_ratio", "unit": "ratio", "better": "higher", "bound": 0.01}
+
+
+@pytest.fixture
+def bench_pairs():
+    sys.path.insert(0, TOOLS)
+    try:
+        import bench_pairs
+
+        yield bench_pairs
+    finally:
+        sys.path.remove(TOOLS)
+
+
+def _runs(parent: list, change: list, name: str = "step_us") -> list:
+    """One run record per pair, as ``main`` keeps them, holding only ``name``."""
+    return [{"seed": seed, "parent": {"values": {name: p}}, "change": {"values": {name: c}}}
+            for seed, (p, c) in enumerate(zip(parent, change), 1)]
+
+
+PARENT = [20.0, 20.2, 20.4, 20.6, 20.8, 21.0, 21.2, 21.4, 21.6, 21.8]  # median 20.9, IQR 1.1
+
+
+def _verdict(bench_pairs, parent, change, metric=STEP):
+    return bench_pairs.summary(_runs(parent, change, metric["name"]), [metric])[metric["name"]]
+
+
+@pytest.mark.parametrize(
+    "change, won, verdict",
+    [
+        ([p - 1.5 for p in PARENT], 10, "gain"),
+        # one tie counts for neither side: 9 of 10 is still a gain
+        ([PARENT[0]] + [p - 1.5 for p in PARENT[1:]], 9, "gain"),
+        # 8 of 10 is not, however far apart the medians
+        (PARENT[:2] + [p - 3.0 for p in PARENT[2:]], 8, None),
+        # every pair won, but the medians differ by less than the parent's IQR
+        ([p - 0.5 for p in PARENT], 10, None),
+        # 10 % slower: within the 20 % bound
+        ([p * 1.1 for p in PARENT], 0, None),
+        # 30 % slower: past it
+        ([p * 1.3 for p in PARENT], 0, "regression"),
+    ],
+)
+def test_a_lower_is_better_metric_gets_its_verdict(bench_pairs, change, won, verdict):
+    entry = _verdict(bench_pairs, PARENT, change)
+    assert (entry["change_won"], entry["verdict"]) == (won, verdict)
+
+
+def test_a_higher_is_better_metric_gets_its_verdict(bench_pairs):
+    ones = [1.0] * 10
+    assert _verdict(bench_pairs, ones, ones, OK)["verdict"] is None
+    assert _verdict(bench_pairs, ones, [0.995] * 10, OK)["verdict"] is None
+    assert _verdict(bench_pairs, ones, [0.9] * 10, OK)["verdict"] == "regression"
+    assert _verdict(bench_pairs, [0.5] * 10, ones, OK)["verdict"] == "gain"
+
+
+def test_the_verdict_line_names_each_metric_once(bench_pairs):
+    runs = _runs(PARENT, [p - 1.5 for p in PARENT])
+    for run, wall in zip(runs, PARENT):
+        run["parent"]["values"]["wall_s"], run["change"]["values"]["wall_s"] = wall, 1.3 * wall
+    wall = {**STEP, "name": "wall_s", "unit": "s"}
+    line = bench_pairs.verdict_line("ensemble_checks", bench_pairs.summary(runs, [STEP, wall]))
+    assert line == "ensemble_checks: gain step_us; regression wall_s"

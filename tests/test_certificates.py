@@ -1031,6 +1031,16 @@ def test_every_run_equals_the_loop_with_a_payoff_dispatch_per_call(
     _assert_same_run(*_flow(seed, kind_name, n, which, scale, dt, steps, with_target))
 
 
+def _nan_past_share(q, p):
+    """Drives the first type's share up until it passes 0.9, then the payoff is NaN."""
+    return np.array([1.0, 0.0]) if q[0] < 0.9 else np.array([0.0, np.nan])
+
+
+def _nan_past_abundance(x):
+    """Grows the second type until it passes 2, then its payoff alone is NaN."""
+    return np.array([-0.1, 1.0 if x[1] < 2.0 else np.nan, -0.1])
+
+
 @pytest.mark.parametrize(
     "kind, start, dt, failure",
     [
@@ -1040,6 +1050,16 @@ def test_every_run_equals_the_loop_with_a_payoff_dispatch_per_call(
          "step 9 (t = 0.45)"),
         (Replicator(Linear(np.diag([1000.0, -1000.0]))), SimplexPoint(np.array([0.5, 0.5])), 0.1,
          "step 1 (t = 0.1)"),
+        # the second population turns NaN while the first stays finite (a row [p, NaN, NaN])
+        (CoupledReplicator(Linear(np.zeros((2, 2))), Custom(_nan_past_share)),
+         CoupledState(SimplexPoint([0.6, 0.4]), SimplexPoint([0.5, 0.5])), 0.1,
+         "step 22 (t = 2.2)"),
+        # one abundance, not the first, turns NaN (a row [a, NaN, a])
+        (LotkaVolterra(Custom(_nan_past_abundance)), OrthantPoint(np.ones(3)), 0.1,
+         "step 7 (t = 0.7)"),
+        # the aggregate-slowed field overflows
+        (ShiftedLotkaVolterra(Linear(np.diag([1000.0, 1000.0]))), OrthantPoint(np.ones(2)), 0.1,
+         "step 29 (t = 2.9)"),
     ],
 )
 def test_blow_ups_truncate_as_before_without_warnings(kind, start, dt, failure):

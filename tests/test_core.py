@@ -16,6 +16,7 @@ from simplexdyn import (
     DimensionMismatchError,
     DimensionTooSmallError,
     EvaluationFailure,
+    LandscapeValueError,
     Linear,
     LogLinear,
     NonPositiveTauError,
@@ -215,6 +216,27 @@ def test_scaled_landscape_is_aggregate_neutral():
 def test_scaled_refuses_a_bool_or_non_finite_factor(factor):
     with pytest.raises(ValueError, match=f"scale factor must be > 0 and finite, got {factor}"):
         Scaled(Linear(np.eye(2)), factor)
+
+
+def test_scaled_refuses_a_string_factor():
+    with pytest.raises(ValueError, match="scale factor must be > 0 and finite, got 2"):
+        Scaled(Linear(np.eye(2)), "2")
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_linear_refuses_a_non_finite_entry(entry):
+    with pytest.raises(LandscapeValueError, match=f"Linear matrix entry {entry} is not finite"):
+        Linear([[1.0, entry], [0.0, 1.0]])
+
+
+def test_log_linear_refuses_a_nan_offset():
+    with pytest.raises(LandscapeValueError, match="LogLinear offset entry nan is not finite"):
+        LogLinear(np.eye(2), [np.nan, 1.0])
+
+
+def test_linear_refuses_a_bool_matrix():
+    with pytest.raises(LandscapeValueError, match="Linear matrix entry True is not a real number"):
+        Linear([[True, False], [False, True]])
 
 
 def test_custom_landscape_wraps_failures():

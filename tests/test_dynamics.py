@@ -191,6 +191,11 @@ def test_integrate_refuses_a_bool_step_size(dt):
         integrate(Replicator(Linear(HAWK_DOVE)), SimplexPoint([0.9, 0.1]), dt, 3)
 
 
+def test_integrate_refuses_a_string_step_size():
+    with pytest.raises(StepSizeError, match="dt must be positive and finite, got 0.1"):
+        integrate(Replicator(Linear(HAWK_DOVE)), SimplexPoint([0.9, 0.1]), "0.1", 3)
+
+
 def test_integrate_takes_a_numpy_integer_step_count():
     traj = integrate(Replicator(Linear(HAWK_DOVE)), SimplexPoint([0.9, 0.1]), 0.01, np.int64(3))
     assert len(traj) == 4

@@ -10,7 +10,8 @@ ignored ``.bench_build/<sha>``.  For seeds 1..N and each workload,
 For every end-to-end metric of ``BENCHMARK.json`` the file holds both
 sides' values, medians and quartiles, the pairs the change won, and the
 machine facts, and each side's ``src/simplexdyn/*.py`` line counts, per file
-and in total.  A run whose last stdout line is not a JSON object is kept as
+and in total.  Each metric's ``verdict`` is ``"gain"``, ``"regression"`` or
+null (see ``verdict``); one line per workload names them at the end.  A run whose last stdout line is not a JSON object is kept as
 ``malformed``; it, and any run that exits nonzero, keeps the last 20 lines
 of its stderr.  After a workload's pairs, one ``--trace 1`` run per side
 (seed 3, 0 s) records its exit code, ``correct`` and the metrics that read
@@ -102,6 +103,23 @@ def spread(values: list) -> dict:
     return {"median": statistics.median(values), "q1": q[0], "q3": q[2]}
 
 
+def verdict(stats: dict, lower: bool, bound: float):
+    """``"gain"``, ``"regression"`` or None for one metric's ``summary`` entry.
+
+    A gain: the change won at least 9 in 10 of the pairs (a tie counts for
+    neither side) and its median beats the parent's by more than the parent's
+    interquartile range.  A regression: the change's median is worse than the
+    parent's by more than ``bound``, a share of the parent's median.
+    """
+    parent = stats["parent"]
+    better = (parent["median"] - stats["change"]["median"]) * (1 if lower else -1)
+    if 10 * stats["change_won"] >= 9 * stats["pairs"] and better > parent["q3"] - parent["q1"]:
+        return "gain"
+    if -better > bound * abs(parent["median"]):
+        return "regression"
+    return None
+
+
 def summary(runs: list, declared: list) -> dict:
     out = {}
     for metric in declared:
@@ -115,7 +133,16 @@ def summary(runs: list, declared: list) -> dict:
         out[name] = {**metric, "parent": spread([p for p, _ in pairs]),
                      "change": spread([c for _, c in pairs]), "change_won": won,
                      "pairs": len(pairs)}
+        out[name]["verdict"] = verdict(out[name], lower, metric["bound"])
     return out
+
+
+def verdict_line(workload: str, metrics: dict) -> str:
+    """``workload: gain a, b; regression -``, from the verdicts of its summary."""
+    names = {kind: [name for name, m in metrics.items() if m["verdict"] == kind]
+             for kind in ("gain", "regression")}
+    return f"{workload}: " + "; ".join(f"{kind} {', '.join(found) or '-'}"
+                                       for kind, found in names.items())
 
 
 def main() -> int:
@@ -155,6 +182,8 @@ def main() -> int:
             json.dump(record, fh, indent=1)
         print(workload, "traced", record["workloads"][workload]["traced"], file=sys.stderr,
               flush=True)
+    for workload, entry in record["workloads"].items():
+        print(verdict_line(workload, entry["summary"]))
     return 0
 
 
