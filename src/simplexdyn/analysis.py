@@ -108,7 +108,7 @@ def _ess_report(
 
 
 def _seeded_rng(seed: int) -> np.random.Generator:
-    """numpy's generator for ``seed``, an integer >= 0 (a numpy integer too), not a bool or float."""
+    """numpy's generator for an integer ``seed`` >= 0 (a numpy integer too), not a bool or float."""
     if not _is_count(seed, least=0):
         raise ValueError(f"seed must be an integer >= 0, got {seed}")
     return np.random.default_rng(seed)

@@ -11,11 +11,12 @@ For every end-to-end metric of ``BENCHMARK.json`` the file holds both
 sides' values, medians and quartiles, the pairs the change won, and the
 machine facts, and each side's ``src/simplexdyn/*.py`` line counts, per file
 and in total.  Each metric's ``verdict`` is ``"gain"``, ``"regression"`` or
-null (see ``verdict``); one line per workload names them at the end.  A run whose last stdout line is not a JSON object is kept as
-``malformed``; it, and any run that exits nonzero, keeps the last 20 lines
-of its stderr.  After a workload's pairs, one ``--trace 1`` run per side
-(seed 3, 0 s) records its exit code, ``correct`` and the metrics that read
-null.  The file is rewritten after every pair.
+null (see ``verdict``); one line per workload names them at the end.  A run
+whose last stdout line is not a JSON object is kept as ``malformed``; it,
+and any run that exits nonzero, keeps the last 20 lines of its stderr.
+After a workload's pairs, one ``--trace 1`` run per side (seed 3, 0 s)
+records its exit code, ``correct`` and the metrics that read null.  The file
+is rewritten after every pair.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def spread(values: list) -> dict:
     return {"median": statistics.median(values), "q1": q[0], "q3": q[2]}
 
 
-def verdict(stats: dict, lower: bool, bound: float):
+def verdict(stats: dict, lower: bool, bound: float) -> str | None:
     """``"gain"``, ``"regression"`` or None for one metric's ``summary`` entry.
 
     A gain: the change won at least 9 in 10 of the pairs (a tie counts for
