@@ -22,7 +22,9 @@ from .core import (
     Linear,
     OrthantPoint,
     SimplexPoint,
+    _is_count,
     _is_real,
+    _reals,
 )
 from .divergence import kl_formula
 from .dynamics import (
@@ -33,7 +35,6 @@ from .dynamics import (
     _block_payoffs,
     _blocks,
     _frequencies,
-    _is_count,
     _state_vector,
     _target_vector,
     _uniform_step,
@@ -276,10 +277,15 @@ def coupled_ess_check(
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _sine_to_direction(states: np.ndarray, direction: np.ndarray) -> np.ndarray:
     """Row-wise sine of the angle between states and a fixed direction."""
+    norms = np.linalg.norm(states, axis=1)
+    over = ~np.isfinite(norms)
+    if over.any():  # an overflowed row keeps its angle when divided by its largest coordinate
+        states = states.copy()
+        states[over] /= np.abs(states[over]).max(axis=1)[:, None]
+        norms[over] = np.linalg.norm(states[over], axis=1)
     unit = direction / np.linalg.norm(direction)
     proj = states @ unit
     residual = states - proj[:, None] * unit
-    norms = np.linalg.norm(states, axis=1)
     return np.linalg.norm(residual, axis=1) / norms
 
 
@@ -388,7 +394,7 @@ def gradient_consistency_check(
     """
     if not _is_count(probes):
         raise ValueError(f"probes must be a positive integer, got {probes}")
-    grad_vec = np.asarray(potential_grad, dtype=float)
+    grad_vec = _reals(potential_grad, "gradient")
     metric_grad = shahshahani_gradient(x, grad_vec).components
     w = _seeded_rng(seed).standard_normal((int(probes), x.dim))  # one stream, row by row
     w = w - w.mean(axis=1, keepdims=True)

@@ -42,6 +42,7 @@ from .core import (
     OrthantPoint,
     Scaled,
     SimplexPoint,
+    _is_count,
     resolve_payoff,
 )
 from .divergence import kl_formula
@@ -77,8 +78,8 @@ _CHECKS = {
 #: Each value type: what a value must be, its test and the parser of a ``check`` option's text.
 _VALUE_TYPES = {
     "flag": ("true or false", lambda v: type(v) is bool, None),
-    "count": ("an integer >= 1", lambda v: type(v) is int and v >= 1, int),
-    "seed": ("an integer >= 0", lambda v: type(v) is int and v >= 0, int),
+    "count": ("an integer >= 1", _is_count, int),
+    "seed": ("an integer >= 0", lambda v: _is_count(v, least=0), int),
     "positive": ("a finite number > 0", lambda v: type(v) is float and 0.0 < v < np.inf, float),
     "tolerance": ("a finite number >= 0", lambda v: type(v) is float and 0.0 <= v < np.inf, float),
     "vector": ("comma-separated finite numbers or fractions", None, lambda text: text.split(",")),

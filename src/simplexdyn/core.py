@@ -31,36 +31,40 @@ SIMPLEX_TOL = 1e-9
 TANGENT_TOL = 1e-9
 
 
-def _frozen_vector(values) -> np.ndarray:
-    """Copy ``values`` into a read-only 1-d float64 array."""
-    arr = np.array(values, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise DimensionTooSmallError(
-            f"expected a 1-d vector with at least 2 entries, got shape {arr.shape}"
-        )
-    arr.setflags(write=False)
-    return arr
-
-
 def _is_real(value) -> bool:
     """True for a real number (a numpy float or integer too); a bool or a string is not one."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _finite_reals(values, where: str) -> np.ndarray:
-    """Copy ``values`` into a read-only float64 array, refusing an entry that is no finite real.
+def _is_count(value, least: int = 1) -> bool:
+    """True for an integer >= ``least`` (a numpy integer too); a bool or a float is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
 
-    ``where`` names the owner in the error: a bool, string or complex entry is
-    refused, though numpy would cast it.
+
+def _reals(values, where: str, error: type = ValueError, finite: bool = False) -> np.ndarray:
+    """Copy ``values`` into a read-only float64 array, testing each entry as the caller gave it.
+
+    An integer or float ndarray needs no entry test; any other input is read entry by entry,
+    so a bool, string or complex entry is refused though numpy would cast it.  ``error`` is
+    the owner's type and ``where`` names the argument; ``finite`` refuses inf and NaN too.
     """
-    raw = np.asarray(values)
-    for v in raw.ravel().tolist() if raw.dtype.kind not in "iuf" else ():
-        if not _is_real(v):
-            raise LandscapeValueError(f"{where} entry {v!r} is not a real number")
-    arr = np.array(raw, dtype=float)
-    if not np.isfinite(arr).all():
-        raise LandscapeValueError(f"{where} entry {float(arr[~np.isfinite(arr)][0])} is not finite")
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        for v in np.asarray(values, dtype=object).ravel().tolist():
+            if not _is_real(v):
+                raise error(f"{where} entry {v!r} is not a real number")
+    arr = np.array(values, dtype=float)
+    if finite and not np.isfinite(arr).all():
+        raise error(f"{where} entry {float(arr[~np.isfinite(arr)][0])} is not finite")
     arr.setflags(write=False)
+    return arr
+
+
+def _frozen_vector(values, where: str, error: type) -> np.ndarray:
+    """``values`` read by ``_reals`` as a 1-d vector with at least 2 entries."""
+    arr = _reals(values, where, error)
+    if arr.ndim != 1 or arr.size < 2:
+        raise DimensionTooSmallError(f"expected a 1-d vector with at least 2 entries, got "
+                                     f"shape {arr.shape}")
     return arr
 
 
@@ -71,7 +75,7 @@ class _Point:
     coords: np.ndarray
 
     def __post_init__(self):
-        coords = _frozen_vector(self.coords)
+        coords = _frozen_vector(self.coords, f"{type(self).__name__} coords", NotInteriorError)
         self._check(coords)
         object.__setattr__(self, "coords", coords)
 
@@ -119,7 +123,7 @@ class TangentVector:
     components: np.ndarray
 
     def __post_init__(self):
-        components = _frozen_vector(self.components)
+        components = _frozen_vector(self.components, "TangentVector components", NotTangentError)
         total = float(components.sum())
         if not abs(total) <= TANGENT_TOL:
             raise NotTangentError(f"components sum to {total!r}, expected 0 within {TANGENT_TOL}")
@@ -144,7 +148,7 @@ class CoupledState:
         for name in ("pop1", "pop2"):
             pop = getattr(self, name)
             if not isinstance(pop, SimplexPoint):
-                object.__setattr__(self, name, SimplexPoint(np.asarray(pop, dtype=float)))
+                object.__setattr__(self, name, SimplexPoint(pop))
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -177,7 +181,7 @@ class Linear:
     matrix: np.ndarray
 
     def __post_init__(self):
-        matrix = _finite_reals(self.matrix, "Linear matrix")
+        matrix = _reals(self.matrix, "Linear matrix", LandscapeValueError, finite=True)
         if matrix.ndim != 2:
             raise DimensionMismatchError(f"payoff matrix must be 2-d, got shape {matrix.shape}")
         object.__setattr__(self, "matrix", matrix)
@@ -191,8 +195,8 @@ class LogLinear:
     offset: np.ndarray
 
     def __post_init__(self):
-        matrix = _finite_reals(self.matrix, "LogLinear matrix")
-        offset = _finite_reals(self.offset, "LogLinear offset")
+        matrix = _reals(self.matrix, "LogLinear matrix", LandscapeValueError, finite=True)
+        offset = _reals(self.offset, "LogLinear offset", LandscapeValueError, finite=True)
         if matrix.ndim != 2 or offset.ndim != 1 or matrix.shape[0] != offset.size:
             raise DimensionMismatchError(
                 f"incompatible log-linear shapes: matrix {matrix.shape}, offset {offset.shape}"
@@ -321,19 +325,19 @@ def validate_simplex(values) -> SimplexPoint:
 
     Returns the typed point; never renormalizes silently.
     """
-    return SimplexPoint(np.asarray(values, dtype=float))
+    return SimplexPoint(values)
 
 
 def normalize(x: OrthantPoint) -> SimplexPoint:
     """Project an abundance vector to frequencies: x / |x|."""
     if not isinstance(x, OrthantPoint):
-        x = OrthantPoint(np.asarray(x, dtype=float))
+        x = OrthantPoint(x)
     return SimplexPoint(x.coords / x.total)
 
 
 def section(x: SimplexPoint, tau: float) -> OrthantPoint:
     """Embed frequencies back into the orthant at aggregate level ``tau``."""
-    if not (float(tau) > 0.0):
+    if not (_is_real(tau) and tau > 0.0):
         raise NonPositiveTauError(f"tau must be > 0, got {tau}")
     return OrthantPoint(float(tau) * x.coords)
 

@@ -36,6 +36,7 @@ from .core import (
     OrthantPoint,
     SimplexPoint,
     TangentVector,
+    _is_count,
     _is_real,
     evaluate_landscape,
     evaluate_landscape_batch,
@@ -228,11 +229,6 @@ def _rk4_step(field, y: np.ndarray, dt: float) -> np.ndarray:
     k3 = field(y + 0.5 * dt * k2)
     k4 = field(y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-
-
-def _is_count(value, least: int = 1) -> bool:
-    """True for an integer >= ``least`` (a numpy integer too); a bool or a float is not a count."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
 
 
 def _check_steps(dt: float, steps: int) -> None:
@@ -600,6 +596,8 @@ def orbit_gap(states: np.ndarray, reference: np.ndarray, stride: int = 1) -> flo
     per-segment formula.  Inputs that are not finite or exceed 1e100 in
     magnitude skip the pruning.
     """
+    if not _is_count(stride):
+        raise ValueError(f"stride must be a positive integer, got {stride}")
     states = np.asarray(states, dtype=float)
     reference = np.asarray(reference, dtype=float)
     if reference.shape[0] < 2:

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import OrthantPoint, SimplexPoint, TangentVector
+from .core import OrthantPoint, SimplexPoint, TangentVector, _is_real, _reals
 from .errors import (
     DimensionMismatchError,
     NotDiagonalError,
@@ -41,10 +41,9 @@ class MetricTensor:
     diag: np.ndarray
 
     def __post_init__(self):
-        diag = np.array(self.diag, dtype=float)
+        diag = _reals(self.diag, "metric diagonal")
         if diag.ndim != 1 or not np.all(np.isfinite(diag)) or not np.all(diag > 0.0):
             raise ValueError(f"metric diagonal must be positive and finite, got {diag}")
-        diag.setflags(write=False)
         object.__setattr__(self, "diag", diag)
 
     @property
@@ -109,7 +108,7 @@ def shahshahani_gradient(x: SimplexPoint, euclidean_grad) -> TangentVector:
     weighted mean makes the result a tangent vector, and the defining
     property <grad_g V, w>_x = grad V . w holds for every tangent w.
     """
-    grad = np.asarray(euclidean_grad, dtype=float)
+    grad = _reals(euclidean_grad, "gradient")
     if grad.shape != (x.dim,):
         raise DimensionMismatchError(
             f"gradient shape {grad.shape} does not match point dimension {x.dim}"
@@ -126,7 +125,7 @@ def exp_map(x: SimplexPoint, v) -> SimplexPoint:
     other coordinate underflows to zero, an OverflowError is raised rather
     than returning a boundary point.
     """
-    v = np.asarray(v, dtype=float)
+    v = _reals(v, "direction")
     if v.shape != (x.dim,):
         raise DimensionMismatchError(
             f"direction shape {v.shape} does not match point dimension {x.dim}"
@@ -160,7 +159,7 @@ def localize_divergence(
     diagonal form and NotDiagonalError is raised, as it is when a second
     derivative is not finite (a step so small that 4 h^2 underflows).
     """
-    if not (float(h) > 0.0):
+    if not (_is_real(h) and h > 0.0):
         raise ValueError(f"step h must be > 0, got {h}")
     base = x.coords
     n = base.size

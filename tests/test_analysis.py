@@ -36,6 +36,7 @@ from simplexdyn import (
     kl,
     lyapunov_monitor,
 )
+from simplexdyn.analysis import _sine_to_direction
 
 RPS = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
 HAWK_DOVE = np.array([[-1.0, 2.0], [0.0, 1.0]])
@@ -241,6 +242,19 @@ def test_lyapunov_on_a_blown_up_abundance_run_is_quiet():
         report = lyapunov_monitor(traj, start)
     assert report.parallel_before_convergence == 0
     assert not report.monotone and not report.converged
+
+
+def test_sines_of_a_blown_up_abundance_run_are_finite_and_quiet():
+    # the last of the 13 rows overflows np.linalg.norm; divided by its largest coordinate it
+    # keeps its angle, where inf / inf gave NaN
+    start = OrthantPoint(np.array([1.0, 1.0]))
+    traj = integrate(LotkaVolterra(Linear(np.diag([1.0, 0.9]))), start, 0.1, 100, target=start)
+    assert len(traj) == 13
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sines = _sine_to_direction(traj.states, start.coords)
+    assert np.all(np.isfinite(sines))
+    assert abs(sines[-1] - np.sqrt(0.5)) < 1e-12
 
 
 def test_lyapunov_constant_trajectory_at_target():

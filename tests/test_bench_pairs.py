@@ -71,3 +71,14 @@ def test_the_verdict_line_names_each_metric_once(bench_pairs):
     wall = {**STEP, "name": "wall_s", "unit": "s"}
     line = bench_pairs.verdict_line("ensemble_checks", bench_pairs.summary(runs, [STEP, wall]))
     assert line == "ensemble_checks: gain step_us; regression wall_s"
+
+
+@pytest.mark.parametrize("parent, change, line", [
+    (2572, 2574, "src lines: 2572 -> 2574 (+2)"),
+    (2540, 2524, "src lines: 2540 -> 2524 (-16)"),
+    (2529, 2529, "src lines: 2529 -> 2529 (+0)"),
+])
+def test_the_lines_line_reads_both_totals_and_their_delta(bench_pairs, parent, change, line):
+    lines = {side: {"files": {"core.py": total}, "total": total}
+             for side, total in (("parent", parent), ("change", change))}
+    assert bench_pairs.lines_line(lines) == line

@@ -412,6 +412,20 @@ def test_orbit_gap_needs_two_reference_states():
     assert _outcome(lambda: orbit_gap(states, states[:1]))[0] is EmptyTrajectoryError
 
 
+@pytest.mark.parametrize("stride", [True, -1, 0, 1.5, "2", np.float64(2.0)])
+def test_orbit_gap_refuses_a_stride_that_is_not_a_count(stride):
+    states = np.ones((3, 2))
+    with pytest.raises(ValueError) as info:
+        orbit_gap(states, states, stride)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"stride must be a positive integer, got {stride}"
+
+
+def test_orbit_gap_takes_a_numpy_integer_stride():
+    reference, states = _walk_and_queries(5)
+    assert orbit_gap(states, reference, np.int64(2)) == orbit_gap(states, reference, 2)
+
+
 def _walk_and_queries(seed):
     """A 100-vertex walk (four segment blocks) and queries near it."""
     rng = np.random.default_rng(seed)

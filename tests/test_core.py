@@ -25,6 +25,7 @@ from simplexdyn import (
     NotTangentError,
     OrthantPoint,
     Scaled,
+    SimplexDynError,
     SimplexPoint,
     TangentVector,
     barycenter,
@@ -237,6 +238,58 @@ def test_log_linear_refuses_a_nan_offset():
 def test_linear_refuses_a_bool_matrix():
     with pytest.raises(LandscapeValueError, match="Linear matrix entry True is not a real number"):
         Linear([[True, False], [False, True]])
+
+
+HALF = SimplexPoint(np.array([0.5, 0.5]))
+
+
+# Each value numpy would cast: the owner refuses it with its own error type, naming the
+# argument and the entry as the caller gave it.
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Linear([[True, 0.5], [0.0, 1.0]]), LandscapeValueError,
+         "Linear matrix entry True is not a real number"),
+        (lambda: Linear([[1, True], [0, 1]]), LandscapeValueError,
+         "Linear matrix entry True is not a real number"),
+        (lambda: LogLinear(np.eye(2), [True, 0.5]), LandscapeValueError,
+         "LogLinear offset entry True is not a real number"),
+        (lambda: Linear([[0.5, "1"], [0.0, 1.0]]), LandscapeValueError,
+         "Linear matrix entry '1' is not a real number"),
+        (lambda: OrthantPoint([True, True]), NotInteriorError,
+         "OrthantPoint coords entry True is not a real number"),
+        (lambda: OrthantPoint(np.array([True, True])), NotInteriorError,
+         "OrthantPoint coords entry True is not a real number"),
+        (lambda: SimplexPoint(["0.5", "0.5"]), NotInteriorError,
+         "SimplexPoint coords entry '0.5' is not a real number"),
+        (lambda: SimplexPoint([0.5 + 0j, 0.5]), NotInteriorError,
+         "SimplexPoint coords entry (0.5+0j) is not a real number"),
+        (lambda: TangentVector(["1", "-1"]), NotTangentError,
+         "TangentVector components entry '1' is not a real number"),
+        (lambda: validate_simplex(["0.5", "0.5"]), NotInteriorError,
+         "SimplexPoint coords entry '0.5' is not a real number"),
+        (lambda: normalize([1.0, "1"]), NotInteriorError,
+         "OrthantPoint coords entry '1' is not a real number"),
+        (lambda: CoupledState(["0.5", "0.5"], HALF), NotInteriorError,
+         "SimplexPoint coords entry '0.5' is not a real number"),
+        (lambda: section(HALF, True), NonPositiveTauError, "tau must be > 0, got True"),
+        (lambda: section(HALF, "2"), NonPositiveTauError, "tau must be > 0, got 2"),
+    ],
+    ids=["linear-bool-first", "linear-bool-beside-ints", "loglinear-bool-offset",
+         "linear-string", "orthant-bools", "orthant-bool-array", "simplex-strings",
+         "simplex-complex", "tangent-strings", "validate-strings", "normalize-string",
+         "coupled-strings", "section-bool", "section-string"],
+)
+def test_a_value_numpy_would_cast_is_refused_naming_it(build, error, message):
+    with pytest.raises(SimplexDynError) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_valid_entries_read_as_before():
+    assert OrthantPoint([1, np.float32(0.5), np.int64(2)]).coords.tolist() == [1.0, 0.5, 2.0]
+    assert Linear([[1, 0.5], [0, np.float64(1.0)]]).matrix.tolist() == [[1.0, 0.5], [0.0, 1.0]]
+    assert section(HALF, 2).coords.tolist() == [1.0, 1.0]
 
 
 def test_custom_landscape_wraps_failures():

@@ -13,6 +13,7 @@ import pytest
 
 from simplexdyn import (
     DimensionMismatchError,
+    MetricTensor,
     NotDiagonalError,
     OrthantMetricKind,
     OrthantPoint,
@@ -22,6 +23,7 @@ from simplexdyn import (
     barycenter,
     exp_map,
     fisher_metric_at,
+    gradient_consistency_check,
     inner_product,
     kl_formula,
     localize_divergence,
@@ -271,3 +273,24 @@ def test_localize_refuses_non_finite_derivatives_naming_the_step():
         with pytest.raises(NotDiagonalError) as info:
             localize_divergence(kl_formula, x, 1e-301)
     assert str(info.value) == "localized second derivatives are not finite at step h = 1e-301"
+
+
+# Each value numpy would cast is refused as a ValueError naming the argument and the entry.
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda x: shahshahani_gradient(x, [True, False]), "gradient entry True is not a real number"),
+        (lambda x: gradient_consistency_check(x, [1.0, "0"], 5, 0),
+         "gradient entry '0' is not a real number"),
+        (lambda x: exp_map(x, ["1", "0"]), "direction entry '1' is not a real number"),
+        (lambda x: MetricTensor([True, True]), "metric diagonal entry True is not a real number"),
+        (lambda x: localize_divergence(kl_formula, x, True), "step h must be > 0, got True"),
+        (lambda x: localize_divergence(kl_formula, x, "0.001"), "step h must be > 0, got 0.001"),
+    ],
+    ids=["gradient-bools", "gradient-check-string", "direction-strings", "metric-bools",
+         "localize-bool-step", "localize-string-step"],
+)
+def test_a_value_numpy_would_cast_is_refused_naming_it(build, message):
+    with pytest.raises(ValueError) as info:
+        build(barycenter(2))
+    assert type(info.value) is ValueError and str(info.value) == message

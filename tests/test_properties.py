@@ -11,7 +11,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -29,6 +29,7 @@ from simplexdyn import (
     ShiftedLotkaVolterra,
     SimplexPoint,
     coupled_exp_family_solver,
+    ess_check,
     exp_family_solver,
     integrate,
     lyapunov_monitor,
@@ -175,3 +176,21 @@ def test_exp_family_and_direct_runs_of_random_games_agree(n, m, coupled, dt, ste
         log = exp_family_solver(Linear(game), start, dt, steps)
     assert not direct.truncated and not log.truncated
     assert np.max(np.abs(direct.states - log.states)) <= EXPFAM_TOL
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_kl_to_a_strict_ess_descends_along_the_flow(n, seed):
+    # A = -(M M^T + I) is negative definite, so its interior rest point x_hat, proportional to
+    # (M M^T + I)^-1 1, is a strict ESS and d/dt KL(x_hat || x) = (x - x_hat)^T A (x - x_hat) < 0
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n))
+    a = -(m @ m.T + np.eye(n))
+    hat = np.linalg.solve(-a, np.ones(n))
+    hat /= hat.sum()
+    assume(hat.min() > 0.02)
+    start = np.maximum(rng.dirichlet(np.ones(n)), 0.01)
+    traj = integrate(Replicator(Linear(a)), SimplexPoint(start / start.sum()), 0.01, 300)
+    assert not traj.truncated
+    assert lyapunov_monitor(traj, SimplexPoint(hat)).monotone
+    assert ess_check(SimplexPoint(hat), Linear(a), 0.5 * hat.min(), 100, seed).is_ess

@@ -11,7 +11,8 @@ For every end-to-end metric of ``BENCHMARK.json`` the file holds both
 sides' values, medians and quartiles, the pairs the change won, and the
 machine facts, and each side's ``src/simplexdyn/*.py`` line counts, per file
 and in total.  Each metric's ``verdict`` is ``"gain"``, ``"regression"`` or
-null (see ``verdict``); one line per workload names them at the end.  A run
+null (see ``verdict``); one line per workload names them at the end, and a
+last line gives both sides' line totals and their difference.  A run
 whose last stdout line is not a JSON object is kept as ``malformed``; it,
 and any run that exits nonzero, keeps the last 20 lines of its stderr.
 After a workload's pairs, one ``--trace 1`` run per side (seed 3, 0 s)
@@ -146,6 +147,12 @@ def verdict_line(workload: str, metrics: dict) -> str:
                                        for kind, found in names.items())
 
 
+def lines_line(lines: dict) -> str:
+    """``src lines: <parent> -> <change> (<+-delta>)``, from the ``lines`` record."""
+    parent, change = lines["parent"]["total"], lines["change"]["total"]
+    return f"src lines: {parent} -> {change} ({change - parent:+d})"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD~1")
@@ -185,6 +192,7 @@ def main() -> int:
               flush=True)
     for workload, entry in record["workloads"].items():
         print(verdict_line(workload, entry["summary"]))
+    print(lines_line(record["lines"]))
     return 0
 
 
