@@ -23,7 +23,7 @@ from .core import (
     OrthantPoint,
     SimplexPoint,
     _is_count,
-    _is_real,
+    _is_positive,
     _reals,
 )
 from .divergence import kl_formula
@@ -117,7 +117,7 @@ def _seeded_rng(seed: int) -> np.random.Generator:
 
 def _sampling_rng(radius: float, samples: int, seed: int) -> np.random.Generator:
     """The seeded generator of a sampled check, once its radius and sample count are valid."""
-    if not (_is_real(radius) and 0.0 < radius < np.inf):
+    if not _is_positive(radius):
         raise ValueError(f"radius must be > 0 and finite, got {radius}")
     if not _is_count(samples):
         raise ValueError(f"samples must be a positive integer, got {samples}")

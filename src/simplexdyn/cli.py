@@ -43,11 +43,14 @@ from .core import (
     Scaled,
     SimplexPoint,
     _is_count,
+    _is_positive,
+    _is_real,
+    _reals,
     resolve_payoff,
 )
 from .divergence import kl_formula
 from .errors import ConfigError, EmptyTrajectoryError, SimplexDynError
-from .geometry import localize_divergence, metric_at
+from .geometry import localize_divergence, metric_at, shahshahani_gradient
 
 _KIND_NAMES = {
     "replicator": dynamics.Replicator,
@@ -80,7 +83,7 @@ _VALUE_TYPES = {
     "flag": ("true or false", lambda v: type(v) is bool, None),
     "count": ("an integer >= 1", _is_count, int),
     "seed": ("an integer >= 0", lambda v: _is_count(v, least=0), int),
-    "positive": ("a finite number > 0", lambda v: type(v) is float and 0.0 < v < np.inf, float),
+    "positive": ("a finite number > 0", _is_positive, float),
     "tolerance": ("a finite number >= 0", lambda v: type(v) is float and 0.0 <= v < np.inf, float),
     "vector": ("comma-separated finite numbers or fractions", None, lambda text: text.split(",")),
 }
@@ -158,39 +161,35 @@ def _build_landscape(payload, prefix: str) -> Landscape:
     if kind == "linear":
         return Linear(matrix)
     offset = _typed("vector", _require(payload, "offset", prefix), prefix + "offset")
-    if offset.size != len(matrix):
-        raise ConfigError(f"'{prefix}offset' must have the {len(matrix)} entries of the matrix's "
-                          f"rows, got {offset.size}")
-    return LogLinear(matrix, offset)
+    return _refused(prefix + "offset", LogLinear, matrix, offset)
 
 
-def _coerce_entry(value) -> float:
-    """A JSON number or a fraction string like '1/3'; never ``true`` or ``false``."""
-    if isinstance(value, bool):
-        raise TypeError(f"{json.dumps(value)} is not a number")
-    if isinstance(value, str) and "/" in value:
-        num, _, den = value.partition("/")
-        return float(num) / float(den)
-    return float(value)
+def _coerce_entry(value):
+    """A number string like '0.5' or a fraction string like '1/3' as a float; any other as given."""
+    if not isinstance(value, str):
+        return value
+    num, slash, den = value.partition("/")
+    return float(num) / float(den) if slash else float(value)
 
 
 def _typed(value_type: str, value, field: str):
     """``value`` as a ``value_type`` of ``_VALUE_TYPES``; errors name the config field or option.
 
-    Every number from outside is read here: a vector entry through ``_coerce_entry``.
+    Every number from outside is read here: a vector through ``_coerce_entry`` and ``_reals``.
     """
     if value_type == "vector":
         if not isinstance(value, list):
             raise ConfigError(f"{field!r} must be a list of numbers, got {value!r}")
-        try:  # a JSON float needs no call
-            floats = [v if type(v) is float else _coerce_entry(v) for v in value]
-        except (TypeError, ValueError, ArithmeticError) as exc:  # 1/0, an int past float range
+        try:
+            entries = [_coerce_entry(v) for v in value]
+        except (ValueError, ZeroDivisionError) as exc:  # 'abc', '1/0'
             raise ConfigError(f"invalid number in {field!r}: {exc}") from exc
-        if not all(map(math.isfinite, floats)):
-            raise ConfigError(f"{field!r} must hold finite numbers, got {value!r}")
-        return np.array(floats, dtype=float)
-    if value_type in ("positive", "tolerance") and type(value) is int:
-        value = float(value) if abs(value) <= sys.float_info.max else value  # "tol": 1 is 1.0
+        vector = _reals(entries, repr(field), ConfigError, finite=True)
+        if vector.ndim != 1:
+            raise ConfigError(f"{field!r} must be a flat list of numbers, got {value!r}")
+        return vector
+    if value_type in ("positive", "tolerance") and type(value) is int and _is_real(value):
+        value = float(value)  # "tol": 1 is 1.0
     text, valid, _ = _VALUE_TYPES[value_type]
     if not valid(value):
         raise ConfigError(f"{field!r} must be {text}, got {value!r}")
@@ -210,11 +209,7 @@ def _build_state(state_type: type, payload, field: str):
     if state_type is CoupledState:
         return CoupledState(*_pair(payload, ("p", "q"), field,
                                    functools.partial(_build_state, SimplexPoint)))
-    coords = _typed("vector", payload, field)
-    try:
-        return state_type(coords)
-    except SimplexDynError as exc:
-        raise ConfigError(f"invalid state in field '{field}': {exc}") from exc
+    return _refused(field, state_type, _typed("vector", payload, field))
 
 
 def _refused(where: str, call, *args):
@@ -275,9 +270,8 @@ def _check_entry(entry, prefix: str, kind, initial, target, steps: Optional[int]
             raise ConfigError(f"'{where}' needs a 'grad': a coupled payoff acts on the other "
                               "population, not on the point")
         _refused(where, dynamics._payoffs, kind, point.dim, None)
-    elif name == "gradient_consistency" and check["grad"].size != point.dim:
-        raise ConfigError(f"'{prefix}grad' must have the {point.dim} entries of its point, "
-                          f"got {check['grad'].size}")
+    elif name == "gradient_consistency":
+        _refused(prefix + "grad", shahshahani_gradient, point, check["grad"])
     elif name == "localize":
         h = check.get("h", keys["h"][1])
         if not h < point.coords.min():

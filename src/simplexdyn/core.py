@@ -9,6 +9,7 @@ values can be shared freely across threads or processes.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -32,8 +33,14 @@ TANGENT_TOL = 1e-9
 
 
 def _is_real(value) -> bool:
-    """True for a real number (a numpy float or integer too); a bool or a string is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """True for a real number float64 holds (inf and NaN too); not a bool, a string or 10**400."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (isinstance(value, (float, np.floating)) or abs(value) <= sys.float_info.max))
+
+
+def _is_positive(value) -> bool:
+    """True for a finite real number > 0: a step, a radius, a level or a factor."""
+    return _is_real(value) and 0.0 < value < np.inf
 
 
 def _is_count(value, least: int = 1) -> bool:
@@ -44,12 +51,14 @@ def _is_count(value, least: int = 1) -> bool:
 def _reals(values, where: str, error: type = ValueError, finite: bool = False) -> np.ndarray:
     """Copy ``values`` into a read-only float64 array, testing each entry as the caller gave it.
 
-    An integer or float ndarray needs no entry test; any other input is read entry by entry,
-    so a bool, string or complex entry is refused though numpy would cast it.  ``error`` is
-    the owner's type and ``where`` names the argument; ``finite`` refuses inf and NaN too.
+    An integer or float ndarray needs no entry test; any other input is read entry by entry, so a
+    bool, string, complex or sequence (ragged) entry is refused though numpy would cast it.
+    ``error`` is the owner's type, ``where`` names the argument; ``finite`` refuses inf and NaN.
     """
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
         for v in np.asarray(values, dtype=object).ravel().tolist():
+            if isinstance(v, (list, tuple, np.ndarray)):
+                raise error(f"{where} is ragged: entry {v!r} is a sequence, not a number")
             if not _is_real(v):
                 raise error(f"{where} entry {v!r} is not a real number")
     arr = np.array(values, dtype=float)
@@ -217,7 +226,7 @@ class Scaled:
     factor: float
 
     def __post_init__(self):
-        if not (_is_real(self.factor) and 0.0 < self.factor < np.inf):
+        if not _is_positive(self.factor):
             raise ValueError(f"scale factor must be > 0 and finite, got {self.factor}")
         object.__setattr__(self, "factor", float(self.factor))
 
@@ -337,7 +346,7 @@ def normalize(x: OrthantPoint) -> SimplexPoint:
 
 def section(x: SimplexPoint, tau: float) -> OrthantPoint:
     """Embed frequencies back into the orthant at aggregate level ``tau``."""
-    if not (_is_real(tau) and tau > 0.0):
+    if not _is_positive(tau):
         raise NonPositiveTauError(f"tau must be > 0, got {tau}")
     return OrthantPoint(float(tau) * x.coords)
 

@@ -37,7 +37,7 @@ from .core import (
     SimplexPoint,
     TangentVector,
     _is_count,
-    _is_real,
+    _is_positive,
     evaluate_landscape,
     evaluate_landscape_batch,
     resolve_payoff,
@@ -232,7 +232,7 @@ def _rk4_step(field, y: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _check_steps(dt: float, steps: int) -> None:
-    if not (_is_real(dt) and 0.0 < dt < np.inf):
+    if not _is_positive(dt):
         raise StepSizeError(f"dt must be positive and finite, got {dt}")
     if not _is_count(steps):
         raise StepSizeError(f"steps must be a positive integer, got {steps}")
@@ -600,6 +600,9 @@ def orbit_gap(states: np.ndarray, reference: np.ndarray, stride: int = 1) -> flo
         raise ValueError(f"stride must be a positive integer, got {stride}")
     states = np.asarray(states, dtype=float)
     reference = np.asarray(reference, dtype=float)
+    if states.ndim != 2 or reference.ndim != 2 or states.shape[1] != reference.shape[1]:
+        raise DimensionMismatchError(f"states of shape {states.shape} and reference of shape "
+                                     f"{reference.shape} are not rows of one dimension")
     if reference.shape[0] < 2:
         raise EmptyTrajectoryError("reference path needs at least 2 states")
     p0 = reference[:-1]

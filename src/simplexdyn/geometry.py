@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import OrthantPoint, SimplexPoint, TangentVector, _is_real, _reals
+from .core import OrthantPoint, SimplexPoint, TangentVector, _is_positive, _reals
 from .errors import (
     DimensionMismatchError,
     NotDiagonalError,
@@ -159,7 +159,7 @@ def localize_divergence(
     diagonal form and NotDiagonalError is raised, as it is when a second
     derivative is not finite (a step so small that 4 h^2 underflows).
     """
-    if not (_is_real(h) and h > 0.0):
+    if not _is_positive(h):
         raise ValueError(f"step h must be > 0, got {h}")
     base = x.coords
     n = base.size

@@ -64,6 +64,43 @@ def test_a_higher_is_better_metric_gets_its_verdict(bench_pairs):
     assert _verdict(bench_pairs, [0.5] * 10, ones, OK)["verdict"] == "gain"
 
 
+WIDE = [10.0, 14.0, 18.0, 22.0, 26.0, 30.0, 34.0, 38.0, 42.0, 46.0]  # median 28, IQR 22
+
+
+@pytest.mark.parametrize(
+    "change, verdict",
+    [
+        # the parent's IQR (22) is wider than the 20 % bound (5.6): no change reads as none
+        (WIDE, "unresolved"),
+        ([p + 3.0 for p in WIDE], "unresolved"),
+        # every pair won, by less than the IQR, and the runs still overlap
+        ([p - 20.0 for p in WIDE], "unresolved"),
+        # every change run beats every parent run: resolved, though not a gain
+        ([9.0] * 10, None),
+        # a gain and a regression are tested first
+        ([p - 25.0 for p in WIDE], "gain"),
+        ([p * 2.0 for p in WIDE], "regression"),
+    ],
+)
+def test_a_metric_whose_parent_spreads_past_its_bound_is_unresolved(bench_pairs, change, verdict):
+    assert _verdict(bench_pairs, WIDE, change)["verdict"] == verdict
+
+
+def test_a_higher_is_better_metric_can_be_unresolved(bench_pairs):
+    flaky = [0.90, 0.92, 0.94, 0.96, 0.98, 1.0, 1.0, 1.0, 1.0, 1.0]  # IQR 0.065, bound 0.0099
+    assert _verdict(bench_pairs, flaky, [1.0] * 10, OK)["verdict"] == "unresolved"
+    assert _verdict(bench_pairs, flaky, [1.001] * 10, OK)["verdict"] is None  # all above
+
+
+def test_the_verdict_line_names_unresolved_metrics_only_when_there_are_some(bench_pairs):
+    runs = _runs(WIDE, WIDE)
+    for run, step in zip(runs, PARENT):
+        run["parent"]["values"]["wall_s"] = run["change"]["values"]["wall_s"] = step
+    wall = {**STEP, "name": "wall_s", "unit": "s"}
+    line = bench_pairs.verdict_line("cli_scenarios", bench_pairs.summary(runs, [STEP, wall]))
+    assert line == "cli_scenarios: gain -; regression -; unresolved step_us"
+
+
 def test_the_verdict_line_names_each_metric_once(bench_pairs):
     runs = _runs(PARENT, [p - 1.5 for p in PARENT])
     for run, wall in zip(runs, PARENT):

@@ -412,6 +412,18 @@ def test_orbit_gap_needs_two_reference_states():
     assert _outcome(lambda: orbit_gap(states, states[:1]))[0] is EmptyTrajectoryError
 
 
+@pytest.mark.parametrize("states, reference", [
+    (np.ones((3, 2)), np.ones((4, 3))),  # numpy's broadcast error before
+    (np.ones((3, 2)), np.ones(4)),  # numpy's einsum subscripts error before
+    (np.ones(2), np.ones((4, 2))),
+    (np.ones((0, 2)), np.ones((4, 3))),
+])
+def test_orbit_gap_refuses_rows_of_other_shapes_naming_both(states, reference):
+    with pytest.raises(DimensionMismatchError) as info:
+        orbit_gap(states, reference)
+    assert f"{states.shape}" in str(info.value) and f"{reference.shape}" in str(info.value)
+
+
 @pytest.mark.parametrize("stride", [True, -1, 0, 1.5, "2", np.float64(2.0)])
 def test_orbit_gap_refuses_a_stride_that_is_not_a_count(stride):
     states = np.ones((3, 2))

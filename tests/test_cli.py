@@ -936,6 +936,22 @@ def test_a_landscape_number_is_read_like_every_other_number(tmp_path, capsys, la
     assert f"'{key}'" in err
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"initial_state": [True, 0.1]}, "'initial_state' entry True is not a real number"),
+    ({"initial_state": [[0.9], 0.1]}, "'initial_state' is ragged: "),
+    ({"initial_state": [[0.9, 0.1]]}, "'initial_state' must be a flat list of numbers"),
+    ({"target": [0.5, 10**400]}, "'target' entry 1000"),
+    ({"landscape": {"type": "linear", "matrix": [[[-1], [2]], [[0], [1]]]}},
+     "'landscape.matrix' must be a flat list of numbers"),
+])
+def test_a_vector_entry_that_is_no_number_names_its_field(tmp_path, capsys, overrides, message):
+    cfg = _write_config(tmp_path / "v.json", **overrides)
+    out = tmp_path / "o"
+    err = _one_error_and_nothing_written(
+        capsys, main(["simulate", "--config", str(cfg), "--out", str(out)]), out)
+    assert err.startswith(f"error: {message}")
+
+
 def test_a_coupled_landscape_number_names_its_population(tmp_path, capsys):
     f = {"type": "linear", "matrix": [[1.0, NAN], [-1.0, 1.0]]}
     cfg = _write_config(tmp_path / "c.json", kind="coupled_replicator", checks=[],

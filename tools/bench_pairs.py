@@ -8,11 +8,12 @@ Each revision's committed files are exported with ``git archive`` into the
 ignored ``.bench_build/<sha>``.  For seeds 1..N and each workload,
 ``bench/run.py`` runs once in each export, the parent first on odd seeds.
 For every end-to-end metric of ``BENCHMARK.json`` the file holds both
-sides' values, medians and quartiles, the pairs the change won, and the
-machine facts, and each side's ``src/simplexdyn/*.py`` line counts, per file
-and in total.  Each metric's ``verdict`` is ``"gain"``, ``"regression"`` or
-null (see ``verdict``); one line per workload names them at the end, and a
-last line gives both sides' line totals and their difference.  A run
+sides' values, medians, quartiles and extremes, the pairs the change won,
+and the machine facts, and each side's ``src/simplexdyn/*.py`` line counts,
+per file and in total.  Each metric's ``verdict`` is ``"gain"``,
+``"regression"``, ``"unresolved"`` or null (see ``verdict``); one line per
+workload names them at the end, and a last line gives both sides' line
+totals and their difference.  A run
 whose last stdout line is not a JSON object is kept as ``malformed``; it,
 and any run that exits nonzero, keeps the last 20 lines of its stderr.
 After a workload's pairs, one ``--trace 1`` run per side (seed 3, 0 s)
@@ -102,23 +103,30 @@ def run_once(path: str, workload: str, seed: int, seconds: float, trace: int = 0
 
 def spread(values: list) -> dict:
     q = statistics.quantiles(values, n=4) if len(values) > 1 else [values[0]] * 3
-    return {"median": statistics.median(values), "q1": q[0], "q3": q[2]}
+    return {"median": statistics.median(values), "q1": q[0], "q3": q[2], "min": min(values),
+            "max": max(values)}
 
 
 def verdict(stats: dict, lower: bool, bound: float) -> str | None:
-    """``"gain"``, ``"regression"`` or None for one metric's ``summary`` entry.
+    """``"gain"``, ``"regression"``, ``"unresolved"`` or None for one metric's ``summary`` entry.
 
     A gain: the change won at least 9 in 10 of the pairs (a tie counts for
     neither side) and its median beats the parent's by more than the parent's
     interquartile range.  A regression: the change's median is worse than the
-    parent's by more than ``bound``, a share of the parent's median.
+    parent's by more than ``bound``, a share of the parent's median.  Unresolved:
+    neither, and the parent's interquartile range is wider than that bound, so
+    the runs cannot tell a change within the bound from none, unless every run of
+    the change beats every run of the parent.
     """
-    parent = stats["parent"]
-    better = (parent["median"] - stats["change"]["median"]) * (1 if lower else -1)
+    parent, change = stats["parent"], stats["change"]
+    better = (parent["median"] - change["median"]) * (1 if lower else -1)
     if 10 * stats["change_won"] >= 9 * stats["pairs"] and better > parent["q3"] - parent["q1"]:
         return "gain"
     if -better > bound * abs(parent["median"]):
         return "regression"
+    apart = change["max"] < parent["min"] if lower else change["min"] > parent["max"]
+    if parent["q3"] - parent["q1"] > bound * abs(parent["median"]) and not apart:
+        return "unresolved"
     return None
 
 
@@ -140,9 +148,14 @@ def summary(runs: list, declared: list) -> dict:
 
 
 def verdict_line(workload: str, metrics: dict) -> str:
-    """``workload: gain a, b; regression -``, from the verdicts of its summary."""
+    """``workload: gain a, b; regression -``, from the verdicts of its summary.
+
+    ``; unresolved c`` follows only when some metric is unresolved.
+    """
     names = {kind: [name for name, m in metrics.items() if m["verdict"] == kind]
-             for kind in ("gain", "regression")}
+             for kind in ("gain", "regression", "unresolved")}
+    if not names["unresolved"]:
+        del names["unresolved"]
     return f"{workload}: " + "; ".join(f"{kind} {', '.join(found) or '-'}"
                                        for kind, found in names.items())
 
