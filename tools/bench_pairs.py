@@ -13,9 +13,9 @@ and the machine facts, and each side's ``src/simplexdyn/*.py`` line counts,
 per file and in total.  Each metric's ``verdict`` is ``"gain"``,
 ``"regression"``, ``"unresolved"`` or null (see ``verdict``); one line per
 workload names them at the end, and a last line gives both sides' line
-totals and their difference.  A run
-whose last stdout line is not a JSON object is kept as ``malformed``; it,
-and any run that exits nonzero, keeps the last 20 lines of its stderr.
+totals and their difference.  A run whose last stdout line is not a JSON
+object is kept as ``malformed``; it, and any run that exits nonzero, keeps
+the last 20 lines of its stderr.
 After a workload's pairs, one ``--trace 1`` run per side (seed 3, 0 s)
 records its exit code, ``correct`` and the metrics that read null.  The file
 is rewritten after every pair.
@@ -114,20 +114,19 @@ def verdict(stats: dict, lower: bool, bound: float) -> str | None:
     neither side) and its median beats the parent's by more than the parent's
     interquartile range.  A regression: the change's median is worse than the
     parent's by more than ``bound``, a share of the parent's median.  Unresolved:
-    neither, and the parent's interquartile range is wider than that bound, so
-    the runs cannot tell a change within the bound from none, unless every run of
-    the change beats every run of the parent.
+    neither, while the parent's interquartile range is wider than that bound (the
+    runs cannot tell a change within it from none), unless every run of the change
+    beats every run of the parent.
     """
     parent, change = stats["parent"], stats["change"]
     better = (parent["median"] - change["median"]) * (1 if lower else -1)
-    if 10 * stats["change_won"] >= 9 * stats["pairs"] and better > parent["q3"] - parent["q1"]:
+    iqr, allowed = parent["q3"] - parent["q1"], bound * abs(parent["median"])
+    if 10 * stats["change_won"] >= 9 * stats["pairs"] and better > iqr:
         return "gain"
-    if -better > bound * abs(parent["median"]):
+    if -better > allowed:
         return "regression"
     apart = change["max"] < parent["min"] if lower else change["min"] > parent["max"]
-    if parent["q3"] - parent["q1"] > bound * abs(parent["median"]) and not apart:
-        return "unresolved"
-    return None
+    return "unresolved" if iqr > allowed and not apart else None
 
 
 def summary(runs: list, declared: list) -> dict:
