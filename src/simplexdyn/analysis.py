@@ -25,6 +25,7 @@ from .core import (
     _is_count,
     _is_positive,
     _reals,
+    _shown,
 )
 from .divergence import kl_formula
 from .dynamics import (
@@ -111,16 +112,16 @@ def _ess_report(
 def _seeded_rng(seed: int) -> np.random.Generator:
     """numpy's generator for an integer ``seed`` >= 0 (a numpy integer too), not a bool or float."""
     if not _is_count(seed, least=0):
-        raise ValueError(f"seed must be an integer >= 0, got {seed}")
+        raise ValueError(f"seed must be an integer >= 0, got {_shown(seed)}")
     return np.random.default_rng(seed)
 
 
 def _sampling_rng(radius: float, samples: int, seed: int) -> np.random.Generator:
     """The seeded generator of a sampled check, once its radius and sample count are valid."""
     if not _is_positive(radius):
-        raise ValueError(f"radius must be > 0 and finite, got {radius}")
+        raise ValueError(f"radius must be > 0 and finite, got {_shown(radius)}")
     if not _is_count(samples):
-        raise ValueError(f"samples must be a positive integer, got {samples}")
+        raise ValueError(f"samples must be a positive integer, got {_shown(samples)}")
     return _seeded_rng(seed)
 
 
@@ -393,7 +394,7 @@ def gradient_consistency_check(
     difference over the probes.
     """
     if not _is_count(probes):
-        raise ValueError(f"probes must be a positive integer, got {probes}")
+        raise ValueError(f"probes must be a positive integer, got {_shown(probes)}")
     grad_vec = _reals(potential_grad, "gradient")
     metric_grad = shahshahani_gradient(x, grad_vec).components
     w = _seeded_rng(seed).standard_normal((int(probes), x.dim))  # one stream, row by row

@@ -10,10 +10,11 @@ by ``_typed``, and a check of either command meets the rules of
 ``_check_entry`` before it runs through ``_run_check``.
 
 Exit codes: 0 when everything passed, 2 when a requested check failed, and
-1 for configuration or runtime errors (including integrations truncated by
-positivity loss, whose partial outputs are still written with
-``"truncated": true``).  A usage error that argparse refuses (``--jobs abc``,
-a missing ``--out``) also exits 2, with a usage line on stderr.
+1 for configuration or runtime errors (a check that fails at run time writes
+nothing for its scenario; an integration truncated by positivity loss still
+writes its partial outputs, with ``"truncated": true``).  A usage error that
+argparse refuses (``--jobs abc``, a missing ``--out``) also exits 2, with a
+usage line on stderr.
 
 All outputs are deterministic functions of the configuration: CSV floats
 are printed with 17 significant digits and report JSON carries no
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import os
@@ -280,15 +282,21 @@ def _check_entry(entry, prefix: str, kind, initial, target, steps: Optional[int]
     return check
 
 
+def _read_json(stream, what: str):
+    """The JSON value of text ``stream``, or a ConfigError: '<what> is not valid JSON: <reason>'."""
+    try:
+        return json.load(stream)
+    except (ValueError, RecursionError) as exc:  # bad syntax or UTF-8, a 4,301-digit int; nesting
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def load_scenario(path: str) -> Scenario:
     """Parse and validate a scenario config file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            config = json.load(fh)
+            config = _read_json(fh, f"config {path!r}")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
     _reject_unknown(config, _ROOT_KEYS, "")
@@ -355,11 +363,16 @@ def _csv_header(traj: dynamics.Trajectory) -> list[str]:
     return ["t", *cols, *_DIAGNOSTICS]
 
 
+def _output(path: str):
+    """``path`` opened to write UTF-8 text with '\\n' line ends: every output file opens here."""
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def write_trajectory_csv(path: str, traj: dynamics.Trajectory) -> None:
     """Write one row per recorded step with 17-significant-digit floats."""
     diagnostics = (getattr(traj.diagnostics, column) for column in _DIAGNOSTICS)
     table = np.column_stack((traj.times, traj.states, *diagnostics))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _output(path) as fh:
         np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=",".join(_csv_header(traj)),
                    comments="")
 
@@ -370,18 +383,18 @@ def _json_list(values: np.ndarray) -> list:
     return values.tolist() if finite.all() else np.where(finite, values, None).tolist()
 
 
-def _write_json(path: str, payload: dict) -> None:
-    """Stream ``payload`` to ``path`` as indented strict JSON (no NaN or Infinity) and a newline."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+def _write_json(stream, payload: dict) -> None:
+    """Dump ``payload`` to ``stream`` as indented strict JSON (no NaN or Infinity) and a newline."""
+    json.dump(payload, stream, indent=2, allow_nan=False)
+    stream.write("\n")
 
 
 def write_trajectory_json(path: str, traj: dynamics.Trajectory) -> None:
     diagnostics = {column: _json_list(getattr(traj.diagnostics, column)) for column in _DIAGNOSTICS}
-    _write_json(path, {"columns": _csv_header(traj), "times": _json_list(traj.times),
-                       "states": _json_list(traj.states), **diagnostics,
-                       "truncated": traj.truncated})
+    with _output(path) as fh:
+        _write_json(fh, {"columns": _csv_header(traj), "times": _json_list(traj.times),
+                         "states": _json_list(traj.states), **diagnostics,
+                         "truncated": traj.truncated})
 
 
 # ---------------------------------------------------------------------------
@@ -482,19 +495,13 @@ def _line(stream, text: str) -> None:
 def _run_loaded(scenario: Scenario, out_dir: str, fmt: str, quiet: bool) -> tuple[int, list]:
     """Integrate, check, and write one loaded scenario: its exit code and its console lines.
 
-    A line is a (stream name, text) pair; the caller writes them, in config order.
+    Nothing is written until every check has run, so a check that fails at run time leaves no
+    file.  A line is a (stream name, text) pair; the caller writes them, in config order.
     """
     try:
-        trajectory_file, report_file = _output_files(scenario, fmt)
-        os.makedirs(out_dir, exist_ok=True)
         traj = dynamics.integrate(
             scenario.kind, scenario.initial, scenario.dt, scenario.steps, target=scenario.target
         )
-        trajectory_path = os.path.join(out_dir, trajectory_file)
-        if fmt == "json":
-            write_trajectory_json(trajectory_path, traj)
-        else:
-            write_trajectory_csv(trajectory_path, traj)
         checks = [
             _run_check(check, scenario.kind, scenario.initial, scenario.target, traj)
             for check in scenario.checks
@@ -502,8 +509,12 @@ def _run_loaded(scenario: Scenario, out_dir: str, fmt: str, quiet: bool) -> tupl
         report = {"scenario": scenario.name, "checks": checks, "truncated": traj.truncated}
         if traj.failure is not None:
             report["failure"] = traj.failure
-        report_path = os.path.join(out_dir, report_file)
-        _write_json(report_path, report)
+        os.makedirs(out_dir, exist_ok=True)
+        trajectory_path, report_path = (os.path.join(out_dir, file)
+                                        for file in _output_files(scenario, fmt))
+        (write_trajectory_json if fmt == "json" else write_trajectory_csv)(trajectory_path, traj)
+        with _output(report_path) as fh:
+            _write_json(fh, report)
     except (SimplexDynError, OSError) as exc:  # an OSError names the path it could not write
         return 1, [("stderr", f"error: {exc}")]
     lines = []
@@ -562,17 +573,14 @@ def check_command(args: argparse.Namespace) -> int:
     point = _build_state(SimplexPoint, args.point.split(","), "--point")
     kind = None
     if name == "ess":
-        try:
-            matrix = json.loads(args.matrix)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"'--matrix' is not valid JSON: {exc}") from exc
+        matrix = _read_json(io.StringIO(args.matrix), "'--matrix'")
         kind = dynamics.Replicator(_build_landscape({"type": "linear", "matrix": matrix}, "--"))
         _fit_start(kind, point, None, "--matrix")
     entry = {"name": name, **{key: getattr(args, key) for key in keys}}
     check = _check_entry(entry, "--", kind, point, point, None)
     result = _run_check(check, kind, point, point, None)
-    print(json.dumps({"check": args.check, "pass": result["pass"], "report": result["metrics"]},
-                     indent=2, allow_nan=False))
+    _write_json(sys.stdout, {"check": args.check, "pass": result["pass"],
+                             "report": result["metrics"]})
     return 0 if result["pass"] else 2
 
 

@@ -48,6 +48,15 @@ def _is_count(value, least: int = 1) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
 
 
+def _shown(value, show=str) -> str:
+    """``show(value)`` for a refusal's text, or the value's type when Python will not print it."""
+    try:
+        return show(value)
+    except ValueError:  # an int of more than 4,300 digits, or a value holding one
+        name = type(value).__name__
+        return f"{'an' if name[0] in 'aeiou' else 'a'} {name} too long to print"
+
+
 def _reals(values, where: str, error: type = ValueError, finite: bool = False) -> np.ndarray:
     """Copy ``values`` into a read-only float64 array, testing each entry as the caller gave it.
 
@@ -58,9 +67,10 @@ def _reals(values, where: str, error: type = ValueError, finite: bool = False) -
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
         for v in np.asarray(values, dtype=object).ravel().tolist():
             if isinstance(v, (list, tuple, np.ndarray)):
-                raise error(f"{where} is ragged: entry {v!r} is a sequence, not a number")
+                raise error(f"{where} is ragged: entry {_shown(v, repr)} is a sequence, "
+                            "not a number")
             if not _is_real(v):
-                raise error(f"{where} entry {v!r} is not a real number")
+                raise error(f"{where} entry {_shown(v, repr)} is not a real number")
     arr = np.array(values, dtype=float)
     if finite and not np.isfinite(arr).all():
         raise error(f"{where} entry {float(arr[~np.isfinite(arr)][0])} is not finite")
@@ -169,8 +179,9 @@ class CoupledState:
 
 def barycenter(n: int) -> SimplexPoint:
     """Uniform distribution on ``n`` types."""
-    if n < 2:
-        raise DimensionTooSmallError(f"need at least 2 types, got {n}")
+    if not _is_count(n, least=2):
+        raise DimensionTooSmallError(f"n must be an integer >= 2 (the number of types), "
+                                     f"got {_shown(n, repr)}")
     return SimplexPoint(np.full(n, 1.0 / n))
 
 
@@ -227,7 +238,7 @@ class Scaled:
 
     def __post_init__(self):
         if not _is_positive(self.factor):
-            raise ValueError(f"scale factor must be > 0 and finite, got {self.factor}")
+            raise ValueError(f"scale factor must be > 0 and finite, got {_shown(self.factor)}")
         object.__setattr__(self, "factor", float(self.factor))
 
 
@@ -347,8 +358,11 @@ def normalize(x: OrthantPoint) -> SimplexPoint:
 def section(x: SimplexPoint, tau: float) -> OrthantPoint:
     """Embed frequencies back into the orthant at aggregate level ``tau``."""
     if not _is_positive(tau):
-        raise NonPositiveTauError(f"tau must be > 0, got {tau}")
-    return OrthantPoint(float(tau) * x.coords)
+        raise NonPositiveTauError(f"tau must be > 0, got {_shown(tau)}")
+    coords = float(tau) * x.coords
+    if not np.all(coords > 0.0):
+        raise NotInteriorError(f"x * tau underflows to {coords} at level tau = {tau}")
+    return OrthantPoint(coords)
 
 
 def mean_fitness(x: SimplexPoint, f: Landscape) -> float:

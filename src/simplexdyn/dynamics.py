@@ -38,6 +38,7 @@ from .core import (
     TangentVector,
     _is_count,
     _is_positive,
+    _shown,
     evaluate_landscape,
     evaluate_landscape_batch,
     resolve_payoff,
@@ -233,9 +234,9 @@ def _rk4_step(field, y: np.ndarray, dt: float) -> np.ndarray:
 
 def _check_steps(dt: float, steps: int) -> None:
     if not _is_positive(dt):
-        raise StepSizeError(f"dt must be positive and finite, got {dt}")
+        raise StepSizeError(f"dt must be positive and finite, got {_shown(dt)}")
     if not _is_count(steps):
-        raise StepSizeError(f"steps must be a positive integer, got {steps}")
+        raise StepSizeError(f"steps must be a positive integer, got {_shown(steps)}")
 
 
 def logsumexp(v: np.ndarray) -> float:
@@ -597,7 +598,7 @@ def orbit_gap(states: np.ndarray, reference: np.ndarray, stride: int = 1) -> flo
     magnitude skip the pruning.
     """
     if not _is_count(stride):
-        raise ValueError(f"stride must be a positive integer, got {stride}")
+        raise ValueError(f"stride must be a positive integer, got {_shown(stride)}")
     states = np.asarray(states, dtype=float)
     reference = np.asarray(reference, dtype=float)
     if states.ndim != 2 or reference.ndim != 2 or states.shape[1] != reference.shape[1]:

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import OrthantPoint, SimplexPoint, TangentVector, _is_positive, _reals
+from .core import OrthantPoint, SimplexPoint, TangentVector, _is_positive, _reals, _shown
 from .errors import (
     DimensionMismatchError,
     NotDiagonalError,
@@ -160,7 +160,7 @@ def localize_divergence(
     derivative is not finite (a step so small that 4 h^2 underflows).
     """
     if not _is_positive(h):
-        raise ValueError(f"step h must be > 0, got {h}")
+        raise ValueError(f"step h must be > 0, got {_shown(h)}")
     base = x.coords
     n = base.size
     if float(base.min()) <= h:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from simplexdyn import (
     CoupledState,
+    DimensionTooSmallError,
     LandscapeValueError,
     Linear,
     LogLinear,
@@ -25,6 +26,7 @@ from simplexdyn import (
     SimplexPoint,
     StepSizeError,
     TangentVector,
+    barycenter,
     coupled_ess_check,
     coupled_exp_family_solver,
     denormalized_ess_check,
@@ -35,6 +37,7 @@ from simplexdyn import (
     integrate,
     kl_formula,
     localize_divergence,
+    orbit_gap,
     section,
     shahshahani_gradient,
 )
@@ -145,3 +148,51 @@ def _accepts(read, refusal: str, v) -> bool:
 def test_every_positive_reader_accepts_the_same_values(v):
     accepted = {name: _accepts(*reader, v) for name, reader in POSITIVE_READERS.items()}
     assert len(set(accepted.values())) == 1, accepted
+
+
+HUGE = 10**5000  # an int Python will not print: more than 4,300 digits
+
+
+@pytest.mark.parametrize(
+    "build, error, argument",
+    [
+        (lambda: SimplexPoint([HUGE, 1]), NotInteriorError, "SimplexPoint coords entry"),
+        (lambda: SimplexPoint([[HUGE, 1], [1]]), NotInteriorError, "SimplexPoint coords is ragged"),
+        (lambda: Linear([[HUGE, 0], [0, 1]]), LandscapeValueError, "Linear matrix entry"),
+        (lambda: Scaled(EYE, HUGE), ValueError, "scale factor"),
+        (lambda: section(HALF, HUGE), NonPositiveTauError, "tau"),
+        (lambda: localize_divergence(kl_formula, HALF, HUGE), ValueError, "step h"),
+        (lambda: integrate(Replicator(EYE), HALF, HUGE, 1), StepSizeError, "dt"),
+        (lambda: integrate(Replicator(EYE), HALF, 0.1, -HUGE), StepSizeError, "steps"),
+        (lambda: orbit_gap(np.ones((2, 2)), np.ones((2, 2)), stride=-HUGE), ValueError, "stride"),
+        (lambda: ess_check(HALF, EYE, -HUGE, 10, 0), ValueError, "radius"),
+        (lambda: ess_check(HALF, EYE, 0.1, -HUGE, 0), ValueError, "samples"),
+        (lambda: ess_check(HALF, EYE, 0.1, 10, -HUGE), ValueError, "seed"),
+        (lambda: gradient_consistency_check(HALF, [0, 0], -HUGE, 0), ValueError, "probes"),
+        (lambda: gradient_consistency_check(HALF, [0, 0], 10, -HUGE), ValueError, "seed"),
+        (lambda: barycenter(-HUGE), DimensionTooSmallError, "n must be"),
+    ],
+    ids=["simplex", "ragged", "linear", "scaled", "section", "localize", "dt", "steps", "stride",
+         "radius", "samples", "ess-seed", "probes", "gradient-seed", "barycenter"],
+)
+def test_a_refusal_of_an_int_too_long_to_print_is_the_owners_own(build, error, argument):
+    with pytest.raises(Exception) as info:
+        build()
+    assert type(info.value) is error and str(info.value).startswith(argument)
+    assert "too long to print" in str(info.value)  # "an int …", or "a list …" holding one
+
+
+def test_a_level_whose_product_underflows_is_refused_naming_tau():
+    with pytest.raises(NotInteriorError) as info:
+        section(HALF, 5e-324)
+    assert str(info.value) == "x * tau underflows to [0. 0.] at level tau = 5e-324"
+
+
+@pytest.mark.parametrize("n", [3.0, "3", True, 1, np.int64(1), None])
+def test_barycenter_reads_n_as_a_count(n):
+    with pytest.raises(DimensionTooSmallError, match=r"^n must be an integer >= 2 .*, got "):
+        barycenter(n)
+
+
+def test_barycenter_takes_a_numpy_integer():
+    np.testing.assert_array_equal(barycenter(np.int64(3)).coords, np.full(3, 1.0 / 3.0))

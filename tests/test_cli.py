@@ -1133,3 +1133,45 @@ def test_check_localize_with_an_underflowing_step_names_the_step_not_a_sign(caps
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: localized second derivatives are not finite at step h = 1e-301\n"
+
+
+def _good_beside(tmp_path, bad: Path, jobs: str, capfd):
+    """Simulate ``bad`` and a good config in one call: exit code, stderr lines, files written."""
+    good = _write_config(tmp_path / "good.json", name="good", steps=5)
+    out = tmp_path / "o"
+    code = main(["simulate", "--config", str(bad), str(good), "--out", str(out), "--jobs", jobs,
+                 "--quiet"])
+    err = capfd.readouterr().err.splitlines()  # fd-level: --jobs 2 writes from worker processes
+    return code, err, sorted(p.name for p in out.iterdir())
+
+
+@pytest.mark.parametrize("text", [
+    b"\xff" + json.dumps({"name": "bad"}).encode(),
+    b"[" * 100_000,
+    b'{"name": "bad", "dt": 1' + b"0" * 5000 + b"}",
+], ids=["not-utf-8", "too-deep", "long-int"])
+def test_a_config_json_cannot_read_is_one_error_line_and_the_others_run(tmp_path, capfd, text):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    code, err, files = _good_beside(tmp_path, bad, "1", capfd)
+    assert code == 1 and len(err) == 1
+    assert err[0].startswith(f"error: config {str(bad)!r} is not valid JSON: ")
+    assert files == ["good_report.json", "good_trajectory.csv"]
+
+
+@pytest.mark.parametrize("matrix", ["[" * 100_000, "[[1" + "0" * 5000 + ",2],[0,1]]"],
+                         ids=["too-deep", "long-int"])
+def test_check_ess_reads_a_matrix_json_cannot_read_as_one_error_line(tmp_path, capsys, matrix):
+    code = main(["check", "ess", "--matrix", matrix, "--point", "0.5,0.5"])
+    err = _one_error_and_nothing_written(capsys, code, tmp_path / "o")
+    assert err.startswith("error: '--matrix' is not valid JSON: ")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_check_that_fails_at_run_time_writes_nothing_for_its_scenario(tmp_path, capfd, jobs):
+    bad = _write_config(tmp_path / "bad.json", name="bad", steps=5,
+                        checks=[{"name": "ess", "radius": 0.9}])
+    code, err, files = _good_beside(tmp_path, bad, jobs, capfd)
+    assert code == 1
+    assert err == ["error: sample left the interior: radius 0.9 too large around [0.5 0.5]"]
+    assert files == ["good_report.json", "good_trajectory.csv"]
