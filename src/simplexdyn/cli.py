@@ -286,7 +286,7 @@ def _read_json(stream, what: str):
     """The JSON value of text ``stream``, or a ConfigError: '<what> is not valid JSON: <reason>'."""
     try:
         return json.load(stream)
-    except (ValueError, RecursionError) as exc:  # bad syntax or UTF-8, a 4,301-digit int; nesting
+    except (ValueError, RecursionError) as exc:  # bad syntax or UTF-8, a 4,301-digit int; too deep
         raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
 
 
