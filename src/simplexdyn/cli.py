@@ -495,10 +495,12 @@ def _line(stream, text: str) -> None:
 def _run_loaded(scenario: Scenario, out_dir: str, fmt: str, quiet: bool) -> tuple[int, list]:
     """Integrate, check, and write one loaded scenario: its exit code and its console lines.
 
-    Nothing is written until every check has run, so a check that fails at run time leaves no
+    The output directory is made first, so an ``out_dir`` that cannot be made costs no run.
+    No file is written until every check has run, so a check that fails at run time leaves no
     file.  A line is a (stream name, text) pair; the caller writes them, in config order.
     """
     try:
+        os.makedirs(out_dir, exist_ok=True)
         traj = dynamics.integrate(
             scenario.kind, scenario.initial, scenario.dt, scenario.steps, target=scenario.target
         )
@@ -509,7 +511,6 @@ def _run_loaded(scenario: Scenario, out_dir: str, fmt: str, quiet: bool) -> tupl
         report = {"scenario": scenario.name, "checks": checks, "truncated": traj.truncated}
         if traj.failure is not None:
             report["failure"] = traj.failure
-        os.makedirs(out_dir, exist_ok=True)
         trajectory_path, report_path = (os.path.join(out_dir, file)
                                         for file in _output_files(scenario, fmt))
         (write_trajectory_json if fmt == "json" else write_trajectory_csv)(trajectory_path, traj)

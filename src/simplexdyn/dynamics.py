@@ -171,6 +171,14 @@ class Diagnostics:
     state_total: np.ndarray
     normalizer: Optional[np.ndarray] = None
 
+    def __post_init__(self):
+        for name, series in self._series():
+            object.__setattr__(self, name, np.asarray(series, dtype=float))
+
+    def _series(self) -> list:
+        """(name, series) of each series held: ``normalizer`` only if present."""
+        return [(name, series) for name, series in vars(self).items() if series is not None]
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
@@ -208,6 +216,12 @@ class Trajectory:
             for own, _, _ in _blocks(self.kind, self.split):
                 if np.max(np.abs(states[:, own].sum(axis=1) - 1.0)) > SIMPLEX_TOL:
                     raise ValueError("simplex trajectory rows must sum to 1 within tolerance")
+        rows = times.size
+        for name, series in self.diagnostics._series():
+            ndim = 2 if name == "normalizer" else 1  # a normalizer may hold a column per population
+            if series.shape[:1] != (rows,) or series.ndim > ndim:
+                expected = f"({rows},)" + (f" or ({rows}, k)" if ndim == 2 else "")
+                raise ValueError(f"diagnostics {name} has shape {series.shape}, expected {expected}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
 
@@ -324,7 +338,7 @@ def _direct_chart(blocks: tuple):
 
 
 def _one_block_log_chart(v: np.ndarray) -> tuple:
-    """The log chart of a single simplex block: no slicing and no concatenate."""
+    """One population's log chart: (exp(v - G), v, G) with G = logsumexp(v)."""
     big_g = logsumexp(v)
     return np.exp(v - big_g), v, big_g
 
@@ -335,24 +349,22 @@ def _log_chart(blocks: tuple):
         return _one_block_log_chart
 
     def chart(v):
-        big_g = [logsumexp(v[block]) for block in blocks]
-        x = np.concatenate([np.exp(v[block] - g) for block, g in zip(blocks, big_g)])
-        return x, v, big_g
+        xs, _, big_g = zip(*(_one_block_log_chart(v[block]) for block in blocks))
+        return np.concatenate(xs), v, big_g
 
     return chart
 
 
-def _log_field(kind: VectorFieldKind, size: int, split: Optional[int], chart):
-    """dv = f(x) at the chart's state x = exp(v - G): the replicator flow in log coordinates."""
-    payoffs = _payoffs(kind, size, split)
-    if len(payoffs) == 1:
-        return lambda v: payoffs[0](chart(v)[0])
-    blocks = _blocks(kind, split)
+def _log_field(kind: VectorFieldKind, size: int, split: Optional[int]):
+    """dv = f(x) at x = exp(v - G) per population: the replicator flow in log coordinates."""
+    pay, *rest = _payoffs(kind, size, split)
+    if not rest:
+        return lambda v: pay(_one_block_log_chart(v)[0])
+    g_pay = rest[0]
 
     def field(v):
-        x = chart(v)[0]
-        return np.concatenate([pay(x[own], x[other]) for pay, (own, _, other)
-                               in zip(payoffs, blocks)])
+        p, q = _one_block_log_chart(v[:split])[0], _one_block_log_chart(v[split:])[0]
+        return np.concatenate([pay(p, q), g_pay(q, p)])
 
     return field
 
@@ -433,7 +445,7 @@ def _run(kind: VectorFieldKind, x0, dt: float, steps: int, target, log: bool) ->
                else tuple(own for own, _, _ in _blocks(kind, split)))
     if log:
         chart = _log_chart(simplex)
-        y, field = np.log(start), _log_field(kind, start.size, split, chart)
+        y, field = np.log(start), _log_field(kind, start.size, split)
     else:
         chart = _direct_chart(simplex)
         y, field = start, _make_field(kind, start.size, split)

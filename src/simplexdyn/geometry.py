@@ -108,7 +108,7 @@ def shahshahani_gradient(x: SimplexPoint, euclidean_grad) -> TangentVector:
     weighted mean makes the result a tangent vector, and the defining
     property <grad_g V, w>_x = grad V . w holds for every tangent w.
     """
-    grad = _reals(euclidean_grad, "gradient")
+    grad = _reals(euclidean_grad, "gradient", finite=True)
     if grad.shape != (x.dim,):
         raise DimensionMismatchError(
             f"gradient shape {grad.shape} does not match point dimension {x.dim}"
@@ -121,16 +121,18 @@ def exp_map(x: SimplexPoint, v) -> SimplexPoint:
     """Multiplicative exponential coordinate change x_i e^{v_i} / sum_j x_j e^{v_j}.
 
     The largest component of v is subtracted before exponentiating, so the
-    computation cannot overflow; if the spread of v is so extreme that every
-    other coordinate underflows to zero, an OverflowError is raised rather
-    than returning a boundary point.
+    computation cannot overflow; if the spread of v is so extreme that some
+    other coordinate underflows to zero (or the shift itself overflows), an
+    OverflowError is raised rather than returning a boundary point.  A
+    non-finite entry of v is a ValueError.
     """
-    v = _reals(v, "direction")
+    v = _reals(v, "direction", finite=True)
     if v.shape != (x.dim,):
         raise DimensionMismatchError(
             f"direction shape {v.shape} does not match point dimension {x.dim}"
         )
-    shifted = v - v.max()
+    with np.errstate(over="ignore"):  # a spread beyond float64 is the OverflowError below
+        shifted = v - v.max()
     weights = x.coords * np.exp(shifted)
     if not np.all(weights > 0.0):
         raise OverflowError(

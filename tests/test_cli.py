@@ -692,6 +692,22 @@ def test_write_error_is_an_error_line_naming_the_path(tmp_path, capfd, jobs):
     assert len(err) == 2 and all(line.startswith("error:") and str(out) in line for line in err)
 
 
+def test_an_out_that_cannot_be_made_is_refused_before_the_run(tmp_path, capsys, monkeypatch):
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated although --out cannot be made")
+
+    monkeypatch.setattr(cli.dynamics, "integrate", integrate)
+    a = _write_config(tmp_path / "a.json", name="a", steps=5)
+    b = _write_config(tmp_path / "b.json", name="b", steps=5)
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory")
+    assert main(["simulate", "--config", str(a), str(b), "--out", str(out), "--jobs", "1"]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 2
+    assert all(line.startswith("error:") and str(out) in line for line in err)
+
+
 def test_each_output_line_is_one_write(tmp_path, monkeypatch):
     """--jobs workers share stdout and stderr: a line written in two parts could interleave."""
     class Writes(io.StringIO):

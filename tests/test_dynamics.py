@@ -11,6 +11,7 @@ Closed-form oracles used below:
 
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from simplexdyn import (
     coupled_replicator_field,
     ecological_field,
     exp_family_solver,
+    fisher_theorem_check,
     integrate,
     lv_correspondence_residual,
     lv_field,
@@ -48,6 +50,7 @@ from simplexdyn import (
     replicator_field,
     shifted_lv_field,
 )
+from simplexdyn.cli import write_trajectory_json
 
 RPS = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
 HAWK_DOVE = np.array([[-1.0, 2.0], [0.0, 1.0]])
@@ -303,6 +306,47 @@ def test_trajectory_rejects_invalid_records(kind, times, states, split, error, m
     with pytest.raises(error, match=re.escape(message)) as exc:
         Trajectory(kind, np.array(times), np.array(states), diagnostics, split=split)
     assert type(exc.value) is error
+
+
+def _fisher_run():
+    """51 rows of a replicator run whose diagnostics the tests below rebuild, one series changed."""
+    kind = Replicator(Linear(np.array([[1.0, 0.5], [0.5, 2.0]])))
+    return integrate(kind, SimplexPoint(np.array([0.3, 0.7])), 0.01, 50)
+
+
+@pytest.mark.parametrize(
+    "series, change, expected",
+    [
+        ("fitness_variance", lambda s: s[:, None], "shape (51, 1), expected (51,)"),
+        ("mean_fitness", lambda s: s[:-1], "shape (50,), expected (51,)"),
+        ("normalizer", lambda s: np.zeros(50), "shape (50,), expected (51,) or (51, k)"),
+        ("normalizer", lambda s: np.zeros((51, 2, 1)), "shape (51, 2, 1), expected (51,) or (51, k)"),
+    ],
+    ids=["variance-column", "mean-row-short", "normalizer-row-short", "normalizer-3d"],
+)
+def test_trajectory_rejects_diagnostics_that_do_not_match_its_rows(series, change, expected):
+    traj = _fisher_run()
+    diagnostics = replace(traj.diagnostics, **{series: change(getattr(traj.diagnostics, series))})
+    with pytest.raises(ValueError, match=re.escape(f"diagnostics {series} has {expected}")):
+        replace(traj, diagnostics=diagnostics)
+
+
+def test_a_diagnostics_series_given_as_a_list_is_read_as_a_float_array(tmp_path):
+    traj = _fisher_run()
+    listed = replace(traj, diagnostics=replace(traj.diagnostics,
+                                               mean_fitness=traj.diagnostics.mean_fitness.tolist()))
+    assert listed.diagnostics.mean_fitness.dtype == float
+    assert fisher_theorem_check(listed) == fisher_theorem_check(traj)
+    write_trajectory_json(str(tmp_path / "array.json"), traj)
+    write_trajectory_json(str(tmp_path / "list.json"), listed)
+    assert (tmp_path / "list.json").read_bytes() == (tmp_path / "array.json").read_bytes()
+
+
+def test_normalize_lv_trajectory_shares_the_runs_diagnostics_arrays():
+    traj = integrate(LotkaVolterra(Linear(-np.eye(2))), OrthantPoint(np.array([0.5, 2.0])), 0.01, 20)
+    norm = normalize_lv_trajectory(traj)
+    assert norm.diagnostics.mean_fitness is traj.diagnostics.mean_fitness
+    assert norm.diagnostics.divergence_to_target is traj.diagnostics.divergence_to_target
 
 
 @pytest.mark.parametrize(

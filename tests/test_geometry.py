@@ -184,6 +184,31 @@ def test_exp_map_underflow_to_boundary_is_an_error():
         exp_map(barycenter(3), np.array([900.0, 0.0, -900.0]))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda x: exp_map(x, [np.nan, 0.0]), "direction entry nan is not finite"),
+        (lambda x: exp_map(x, [-np.inf, 0.0]), "direction entry -inf is not finite"),
+        (lambda x: exp_map(x, [np.inf, 0.0]), "direction entry inf is not finite"),
+        (lambda x: shahshahani_gradient(x, [np.inf, 0.0]), "gradient entry inf is not finite"),
+    ],
+    ids=["direction-nan", "direction-minus-inf", "direction-inf", "gradient-inf"],
+)
+def test_a_non_finite_direction_or_gradient_is_refused_naming_it(build, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError) as info:
+            build(barycenter(2))
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_exp_map_spread_beyond_float64_is_an_overflow_error_with_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(OverflowError, match="exponential map underflowed"):
+            exp_map(barycenter(2), [1e308, -1e308])
+
+
 # ---------------------------------------------------------------------------
 # divergence localization
 # ---------------------------------------------------------------------------
