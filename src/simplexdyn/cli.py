@@ -48,7 +48,6 @@ from .core import (
     _is_positive,
     _is_real,
     _reals,
-    resolve_payoff,
 )
 from .divergence import kl_formula
 from .errors import ConfigError, EmptyTrajectoryError, SimplexDynError
@@ -147,10 +146,8 @@ def _build_landscape(payload, prefix: str) -> Landscape:
         raise ConfigError(f"field '{field}' must be an object describing a landscape")
     kind = payload.get("type")
     if kind not in tuple(_LANDSCAPE_KEYS):  # by equality: a JSON list is not hashable
-        raise ConfigError(
-            f"field '{field}' has unknown landscape type {kind!r} "
-            "(expected 'linear', 'log_linear', or 'scaled')"
-        )
+        raise ConfigError(f"field '{field}' has unknown landscape type {kind!r} "
+                          f"(expected one of {sorted(_LANDSCAPE_KEYS)})")
     _reject_unknown(payload, _LANDSCAPE_KEYS[kind], prefix)
     if kind == "scaled":
         base = _build_landscape(_require(payload, "base", prefix), prefix + "base.")
@@ -228,11 +225,9 @@ def _fit_start(kind, initial, target, field: str) -> None:
     A landscape error names ``field`` (``.f``/``.g`` added when coupled), a target error 'target'.
     """
     start, split = dynamics._state_vector(kind, initial, "start")
-    n = range(start.size)
-    for name, (own, land, other) in zip((".f", ".g") if split else ("",),
-                                        dynamics._blocks(kind, split)):
-        _refused(field + name, resolve_payoff, land, len(n[own]),
-                 None if other is None else len(n[other]))
+    payoffs = dynamics._payoffs(kind, start.size, split)
+    for name in (".f", ".g") if split else ("",):
+        _refused(field + name, next, payoffs)
     if target is not None:
         _refused("target", dynamics._target_vector, kind, target, start.size, split)
 
@@ -271,7 +266,7 @@ def _check_entry(entry, prefix: str, kind, initial, target, steps: Optional[int]
         if kind.state_type is CoupledState:
             raise ConfigError(f"'{where}' needs a 'grad': a coupled payoff acts on the other "
                               "population, not on the point")
-        _refused(where, dynamics._payoffs, kind, point.dim, None)
+        _refused(where, next, dynamics._payoffs(kind, point.dim, None))
     elif name == "gradient_consistency":
         _refused(prefix + "grad", shahshahani_gradient, point, check["grad"])
     elif name == "localize":
@@ -444,7 +439,7 @@ def _run_check(check: dict, kind, initial, target, traj: Optional[dynamics.Traje
         if name == "gradient_consistency":
             grad = check["grad"]
             if grad is None:
-                grad = dynamics._payoffs(kind, point.dim, None)[0](point.coords)
+                grad = next(dynamics._payoffs(kind, point.dim, None))(point.coords)
             probes = check["probes"]
             residual = analysis.gradient_consistency_check(point, grad, probes, check["seed"])
             passed, metrics = residual <= tol, {"residual": residual, "tol": tol, "probes": probes}

@@ -121,33 +121,37 @@ def _state_type(kind) -> type:
 # ---------------------------------------------------------------------------
 
 
+def _field_at(kind: VectorFieldKind, state) -> tuple[np.ndarray, Optional[int]]:
+    """The field of ``kind`` at ``state``, and the state's split: one ``_state_vector`` read."""
+    z, split = _state_vector(kind, state, "state")
+    return _make_field(kind, z.size, split)(z), split
+
+
 def replicator_field(x: SimplexPoint, f: Landscape) -> TangentVector:
     """Selection field x_i (f_i(x) - x . f(x)); always tangent to the simplex."""
-    return TangentVector(_make_field(Replicator(f), x.dim)(x.coords))
+    return TangentVector(_field_at(Replicator(f), x)[0])
 
 
 def ecological_field(x: SimplexPoint, g: Landscape) -> TangentVector:
     """Field x_i g_i(x); requires the aggregate-neutrality x . g(x) = 0."""
-    return TangentVector(_make_field(Ecological(g), x.dim)(x.coords))
+    return TangentVector(_field_at(Ecological(g), x)[0])
 
 
 def lv_field(x: OrthantPoint, f: Landscape) -> np.ndarray:
     """Abundance growth field x_i f_i(x)."""
-    return _make_field(LotkaVolterra(f), x.dim)(x.coords)
+    return _field_at(LotkaVolterra(f), x)[0]
 
 
 def shifted_lv_field(x: OrthantPoint, f: Landscape) -> np.ndarray:
     """Aggregate-slowed abundance field (x_i / |x|) f_i(x)."""
-    return _make_field(ShiftedLotkaVolterra(f), x.dim)(x.coords)
+    return _field_at(ShiftedLotkaVolterra(f), x)[0]
 
 
 def coupled_replicator_field(
     state: CoupledState, f: Landscape, g: Landscape
 ) -> tuple[TangentVector, TangentVector]:
     """Simultaneous selection fields for two interacting populations."""
-    kind = CoupledReplicator(f, g)
-    z, split = _state_vector(kind, state, "state")
-    dz = _make_field(kind, z.size, split)(z)
+    dz, split = _field_at(CoupledReplicator(f, g), state)
     return TangentVector(dz[:split]), TangentVector(dz[split:])
 
 
@@ -267,14 +271,15 @@ def _blocks(kind: VectorFieldKind, split: Optional[int]) -> tuple:
     return ((slice(None), kind.g if isinstance(kind, Ecological) else kind.f, None),)
 
 
-def _payoffs(kind: VectorFieldKind, size: int, split: Optional[int]) -> tuple:
-    """Each block's payoff, resolved once for states of ``size`` coordinates: pay(own[, other]).
+def _payoffs(kind: VectorFieldKind, size: int, split: Optional[int]):
+    """Each block's payoff in block order, resolved for states of ``size`` coordinates.
 
-    A ``Custom`` landscape goes through this module's ``evaluate_landscape``.
+    A generator of pay(own[, other]): each block is resolved, and may be refused, only when it
+    is taken.  A ``Custom`` landscape goes through this module's ``evaluate_landscape``.
     """
     n = range(size)
-    return tuple(resolve_payoff(land, len(n[own]), None if other is None else len(n[other]),
-                                evaluate_landscape) for own, land, other in _blocks(kind, split))
+    return (resolve_payoff(land, len(n[own]), None if other is None else len(n[other]),
+                           evaluate_landscape) for own, land, other in _blocks(kind, split))
 
 
 def _block_payoffs(kind: VectorFieldKind, rows: np.ndarray, split: Optional[int]) -> list:

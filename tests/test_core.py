@@ -302,6 +302,13 @@ def test_custom_landscape_wraps_failures():
         evaluate_landscape(Custom(lambda x: np.zeros(3)), np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("f", [RPS, "linear", None], ids=["array", "str", "none"])
+def test_evaluate_landscape_refuses_what_is_not_a_landscape(f):
+    with pytest.raises(TypeError) as info:
+        evaluate_landscape(f, np.array([0.2, 0.3, 0.5]))
+    assert str(info.value) == f"not a landscape: {f!r}"
+
+
 def test_batch_evaluation_matches_rowwise():
     rng = np.random.default_rng(11)
     A = rng.standard_normal((3, 3))

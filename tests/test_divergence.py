@@ -85,6 +85,12 @@ def test_denormalized_examples():
     ) == pytest.approx(KL_HALF_SKEW, abs=1e-12)
 
 
+def test_denormalized_kl_refuses_abundances_of_two_dimensions():
+    with pytest.raises(DimensionMismatchError) as info:
+        denormalized_kl(OrthantPoint(np.array([1.0, 2.0])), OrthantPoint(np.ones(3)))
+    assert str(info.value) == "dimension mismatch: target has 2, state has 3"
+
+
 def test_denormalized_scale_invariance():
     rng = np.random.default_rng(23)
     t = OrthantPoint(rng.uniform(0.5, 2.0, size=4))

@@ -143,6 +143,23 @@ def test_coupled_field_constant_payoffs():
     np.testing.assert_allclose(dq.components, 0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "field, kind, land, wrong",
+    [
+        (replicator_field, Replicator, Linear(RPS), OrthantPoint(np.array([1.0, 2.0, 3.0]))),
+        (ecological_field, Ecological, Scaled(Linear(RPS), 1.0), OrthantPoint(np.ones(3))),
+        (lv_field, LotkaVolterra, Linear(RPS), SimplexPoint(np.array([0.2, 0.3, 0.5]))),
+        (shifted_lv_field, ShiftedLotkaVolterra, Linear(RPS), SimplexPoint(np.full(3, 1 / 3))),
+    ],
+    ids=["replicator", "ecological", "lotka_volterra", "shifted_lotka_volterra"],
+)
+def test_a_field_refuses_a_state_of_another_type_as_integrate_does(field, kind, land, wrong):
+    message = f"^{kind.__name__} requires a {kind.state_type.__name__} state$"
+    for state in (wrong, np.array([0.2, 0.3, 0.5]), [1.0, 2.0, 3.0]):
+        with pytest.raises(KindMismatchError, match=message):
+            field(state, land)
+
+
 # ---------------------------------------------------------------------------
 # integrate
 # ---------------------------------------------------------------------------
@@ -329,6 +346,14 @@ def test_trajectory_rejects_diagnostics_that_do_not_match_its_rows(series, chang
     diagnostics = replace(traj.diagnostics, **{series: change(getattr(traj.diagnostics, series))})
     with pytest.raises(ValueError, match=re.escape(f"diagnostics {series} has {expected}")):
         replace(traj, diagnostics=diagnostics)
+
+
+def test_a_central_difference_refuses_a_time_grid_that_is_not_uniform():
+    traj = _fisher_run()
+    times = traj.times.copy()
+    times[25] += 0.004
+    with pytest.raises(ValueError, match="^check requires a uniform time grid$"):
+        fisher_theorem_check(replace(traj, times=times))
 
 
 def test_a_diagnostics_series_given_as_a_list_is_read_as_a_float_array(tmp_path):

@@ -80,6 +80,19 @@ def test_orthant_metrics():
     )
 
 
+@pytest.mark.parametrize("diag", [[1.0, 0.0], [1.0, -2.0], [1.0, np.inf], [np.nan, 1.0]],
+                         ids=["zero", "negative", "inf", "nan"])
+def test_a_metric_diagonal_that_is_not_positive_and_finite_is_refused(diag):
+    with pytest.raises(ValueError) as info:
+        MetricTensor(np.array(diag))
+    assert str(info.value) == f"metric diagonal must be positive and finite, got {np.array(diag)}"
+
+
+def test_an_orthant_metric_kind_given_by_its_value_is_refused():
+    with pytest.raises(TypeError, match="^unknown orthant metric kind: 'akin'$"):
+        orthant_metric_at(OrthantPoint(np.array([1.0, 2.0])), "akin")
+
+
 def test_orthant_metrics_agree_on_unit_total():
     # both variants restrict to diag(1/x) when |x| = 1
     for _ in range(20):
@@ -200,6 +213,12 @@ def test_a_non_finite_direction_or_gradient_is_refused_naming_it(build, message)
         with pytest.raises(ValueError) as info:
             build(barycenter(2))
     assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_exp_map_refuses_a_direction_of_another_shape():
+    with pytest.raises(DimensionMismatchError) as info:
+        exp_map(barycenter(3), [0.0, 1.0])
+    assert str(info.value) == "direction shape (2,) does not match point dimension 3"
 
 
 def test_exp_map_spread_beyond_float64_is_an_overflow_error_with_no_warning():

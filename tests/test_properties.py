@@ -3,8 +3,9 @@
 Two populations are two blocks of one state: a coupled run whose payoffs
 ignore the other population is the two single-population runs side by side,
 and its per-block diagnostics and Lyapunov series are their sums.  A payoff
-scaled by c is the same flow on a clock c times as fast, and the
-exponential-coordinate solvers integrate the same flows as ``integrate``.
+scaled by c is the same flow on a clock c times as fast, the
+exponential-coordinate solvers integrate the same flows as ``integrate``, and
+every population of every recorded row sums to 1 within a rounding bound.
 """
 
 import re
@@ -194,3 +195,26 @@ def test_kl_to_a_strict_ess_descends_along_the_flow(n, seed):
     assert not traj.truncated
     assert lyapunov_monitor(traj, SimplexPoint(hat)).monotone
     assert ess_check(SimplexPoint(hat), Linear(a), 0.5 * hat.min(), 100, seed).is_ess
+
+
+@pytest.mark.parametrize("solver", ["replicator", "coupled_replicator", "exp_family",
+                                    "coupled_exp_family"])
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from([2, 3, 5, 8, 13, 50]), st.sampled_from([2, 3, 5, 8, 13, 50]),
+       st.floats(0.1, 300.0), st.floats(1e-3, 0.5), st.integers(1, 150), st.integers(0, 2**32 - 1))
+def test_every_population_of_every_recorded_row_sums_to_one(solver, n, m, scale, dt, steps, seed):
+    # a direct row is divided by its own sum; an exp-family row is exp(v - G), whose sum rounds
+    # in G too, so its bound grows with |G|
+    rng = np.random.default_rng(seed)
+    coupled = solver.startswith("coupled")
+    dims = (n, m) if coupled else (n,)
+    lands = [Linear(scale * rng.standard_normal((a, b))) for a, b in zip(dims, dims[::-1])]
+    points = [SimplexPoint(w / w.sum()) for w in (rng.uniform(0.05, 1.0, k) for k in dims)]
+    traj = _solve(solver, lands, CoupledState(*points) if coupled else points[0], dt, steps)
+    normalizer = traj.diagnostics.normalizer  # None for a direct run: its bound is 2 n eps
+    rows = len(traj)
+    big_g = np.zeros((rows, len(dims))) if normalizer is None else normalizer.reshape(rows, -1)
+    blocks = np.split(traj.states, np.cumsum(dims)[:-1], axis=1)
+    for block, g in zip(blocks, np.abs(big_g).T):
+        drift = np.abs(block.sum(axis=1) - 1.0)[1:]
+        assert np.all(drift <= 2.0 * (block.shape[1] + g[1:]) * np.finfo(float).eps)

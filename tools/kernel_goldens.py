@@ -27,6 +27,8 @@ KERNELS = (None, "Haswell", "Prescott")
 DEFAULT_IDS = (
     "tests/test_golden_outputs.py",
     "tests/test_cli.py::test_check_gradient_that_overflows_is_quiet_strict_json_and_exits_2",
+    "tests/test_certificates.py::"
+    "test_gradient_check_reads_a_nan_defect_as_a_nan_residual_and_refuses_a_nan_gradient",
 )
 
 
