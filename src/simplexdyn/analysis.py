@@ -34,10 +34,10 @@ from .dynamics import (
     Trajectory,
     _block_payoffs,
     _blocks,
+    _central_residual,
     _frequencies,
     _state_vector,
     _target_vector,
-    _uniform_step,
 )
 from .errors import (
     KindMismatchError,
@@ -159,27 +159,23 @@ def _ball_samples(
     the loop, so the samples do not depend on whether that happened.
     """
     dims = [(c.size, 1.0 / (c.size - 1) if tangent else 1.0 / c.size) for c in centers]
-    cols = np.cumsum([0] + [c.size for c in centers])
+
+    def direction(z):
+        """The direction of each draw along the last axis of ``z``, and its norm."""
+        if tangent:
+            z = z - z.mean(axis=-1, keepdims=True)
+        # the broadcast matmul is np.dot per draw, so the norms are np.linalg.norm's bits
+        return z, np.sqrt(np.matmul(z[..., None, :], z[..., :, None]))[..., 0, 0]
 
     def directions(normals):
-        out = []
-        for b in range(len(centers)):
-            z = normals[:, cols[b] : cols[b + 1]]
-            if tangent:
-                z = z - z.mean(axis=1, keepdims=True)
-            # the broadcast matmul is np.dot per row, so these are np.linalg.norm's bits
-            out.append((z, np.sqrt(np.matmul(z[:, None, :], z[:, :, None]))[:, 0, 0]))
-        return out
-
-    def accept(z):
-        return float(np.linalg.norm(z - z.mean() if tangent else z)) > 1e-12
+        return [direction(z) for z in np.split(normals, np.cumsum([n for n, _ in dims])[:-1], 1)]
 
     state = rng.bit_generator.state
     normals, radii = _ball_draws(rng, dims, radius, count)
     blocks = directions(normals)
     if not all(np.all(norm > 1e-12) for _, norm in blocks):
         rng.bit_generator.state = state
-        normals, radii = _ball_draws(rng, dims, radius, count, accept)
+        normals, radii = _ball_draws(rng, dims, radius, count, lambda z: direction(z)[1] > 1e-12)
         blocks = directions(normals)
     points, outside = [], []
     for (z, norm), center, scale in zip(blocks, centers, radii.T):
@@ -374,13 +370,8 @@ def fisher_theorem_check(traj: Trajectory) -> float:
     largest absolute mismatch over interior steps is returned.
     """
     _require_fisher_kind(traj.kind)
-    dt = _uniform_step(traj, "check")
-    potential = 0.5 * traj.diagnostics.mean_fitness
-    variance = traj.diagnostics.fitness_variance
-    # a blown-up run's residual is NaN or inf, silenced as in the run's own diagnostics
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        derivative = (potential[2:] - potential[:-2]) / (2.0 * dt)
-        return float(np.max(np.abs(derivative - variance[1:-1])))
+    d = traj.diagnostics
+    return _central_residual(traj, "check", 0.5 * d.mean_fitness, d.fitness_variance)
 
 
 def gradient_consistency_check(
@@ -398,7 +389,7 @@ def gradient_consistency_check(
     grad_vec = np.asarray(potential_grad, dtype=float)
     w = _seeded_rng(seed).standard_normal((int(probes), x.dim))  # one stream, row by row
     w = w - w.mean(axis=1, keepdims=True)
-    # an overflowing gradient gives an inf or NaN defect, silenced as in fisher_theorem_check
+    # an overflowing gradient gives an inf or NaN defect, silenced as in _central_residual
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         lhs = (metric_grad * w / x.coords).sum(axis=-1)  # <grad_g V, w>_x, as inner_product
         rhs = np.matmul(w[:, None, :], grad_vec[:, None])[:, 0, 0]  # np.dot per row

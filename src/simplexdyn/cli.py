@@ -546,7 +546,7 @@ def _simulate_command(args: argparse.Namespace) -> int:
     run = functools.partial(_run_loaded, out_dir=args.out, fmt=args.format, quiet=args.quiet)
     if len(scenarios) > 1 and jobs > 1:
         import concurrent.futures  # only a pool needs it; it is slow to import
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(scenarios))) as pool:
             results = list(pool.map(run, scenarios))
     else:
         results = map(run, scenarios)
@@ -621,7 +621,3 @@ def main(argv=None) -> int:
     except SimplexDynError as exc:
         _line(sys.stderr, f"error: {exc}")
         return 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -301,7 +301,8 @@ def _make_field(kind: VectorFieldKind, size: int, split: Optional[int] = None):
         def field(x):
             g = pay(x)
             residual = float(x.dot(g))
-            if abs(residual) > TANGENT_TOL:
+            # past the absolute test, relative: a blown-up stage rounds x . g at its terms' size
+            if abs(residual) > TANGENT_TOL and abs(residual) > TANGENT_TOL * np.abs(x * g).sum():
                 raise NotSimplexPreservingError(
                     f"x . g(x) = {residual!r} violates aggregate neutrality"
                 )
@@ -573,6 +574,13 @@ def _uniform_step(traj: Trajectory, use: str) -> float:
     return dt
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _central_residual(traj: Trajectory, use: str, series: np.ndarray, rhs: np.ndarray) -> float:
+    """Max |central-difference d(series)/dt - rhs| over interior steps, NaN or inf quietly."""
+    dt = _uniform_step(traj, use)
+    return float(np.max(np.abs((series[2:] - series[:-2]) / (2.0 * dt) - rhs[1:-1])))
+
+
 def lv_correspondence_residual(traj: Trajectory) -> float:
     """Defect of the normalized abundance flow against replicator form.
 
@@ -584,14 +592,12 @@ def lv_correspondence_residual(traj: Trajectory) -> float:
     right-hand side over interior time steps.
     """
     freqs = _abundance_frequencies(traj, "correspondence residual")
-    dt = _uniform_step(traj, "correspondence residual")
     ((_, payoff),) = _block_payoffs(traj.kind, traj.states, traj.split)
     if isinstance(traj.kind, ShiftedLotkaVolterra):
         payoff = payoff / traj.states.sum(axis=1)[:, None]
     mean = np.einsum("ij,ij->i", freqs, payoff)
     rhs = freqs * (payoff - mean[:, None])
-    dy = (freqs[2:] - freqs[:-2]) / (2.0 * dt)
-    return float(np.max(np.abs(dy - rhs[1:-1])))
+    return _central_residual(traj, "correspondence residual", freqs, rhs)
 
 
 #: Reference segments per bounding box in ``orbit_gap``, and queries per batch.

@@ -17,7 +17,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simplexdyn import (
@@ -149,7 +149,8 @@ def _ref_orthant_ball_samples(rng, center, radius, count):
     return out
 
 
-def _ref_gradient_consistency_check(x, potential_grad, probes, seed):
+def _ref_gradient_consistency_check(x, potential_grad, probes, seed, larger=np.maximum):
+    """The per-probe loop; ``larger`` keeps the running worst defect (np.maximum keeps a NaN)."""
     if int(probes) != probes or probes < 1:
         raise ValueError(f"probes must be a positive integer, got {probes}")
     grad_vec = np.asarray(potential_grad, dtype=float)
@@ -162,7 +163,7 @@ def _ref_gradient_consistency_check(x, potential_grad, probes, seed):
         probe = TangentVector(w)
         lhs = inner_product(x, metric_grad, probe)
         rhs = float(np.dot(grad_vec, w))
-        worst = max(worst, abs(lhs - rhs))
+        worst = larger(worst, abs(lhs - rhs))
     return float(worst)
 
 
@@ -332,6 +333,7 @@ def test_a_refused_first_draw_gives_the_same_samples(dims, value):
     scale=st.sampled_from([1e-3, 1.0, 1e3, 1e300, 1.7e308]),
     probes=st.integers(1, 60),
 )
+@example(seed=19, n=2, scale=1.7e308, probes=5)  # a NaN defect: the residual is NaN
 def test_gradient_check_equals_the_loop(seed, n, scale, probes):
     rng = np.random.default_rng(seed)
     x = SimplexPoint(_simplex(rng, n, 0.05))
@@ -352,7 +354,7 @@ def test_gradient_check_reads_a_nan_defect_as_a_nan_residual_and_refuses_a_nan_g
         defects = np.abs((x.coords * grad * w / x.coords).sum(axis=1) - w @ grad)
         assert np.isnan(defects).any() and not np.isnan(defects).all()
         # the replaced loop's max() skipped the NaN defects and read a finite residual
-        assert np.isfinite(_ref_gradient_consistency_check(x, grad, 50, 0))
+        assert np.isfinite(_ref_gradient_consistency_check(x, grad, 50, 0, larger=max))
         assert np.isnan(gradient_consistency_check(x, grad, 50, 0))
     _assert_same(
         lambda: _ref_gradient_consistency_check(x, [np.nan, 1.0], 5, 0),
@@ -859,7 +861,8 @@ def _ref_make_field(kind, split=None):
         def field(x):
             gvec = _ref_evaluate_landscape(g, x)
             residual = float(np.dot(x, gvec))
-            if abs(residual) > TANGENT_TOL:
+            # absolute, then relative to the size of the terms x_i g_i of a blown-up stage
+            if abs(residual) > TANGENT_TOL and abs(residual) > TANGENT_TOL * np.abs(x * gvec).sum():
                 raise NotSimplexPreservingError(
                     f"x . g(x) = {residual!r} violates aggregate neutrality"
                 )
@@ -1055,6 +1058,15 @@ def test_every_run_equals_the_loop_with_a_payoff_dispatch_per_call(
     seed, kind_name, n, which, scale, dt, steps, with_target
 ):
     _assert_same_run(*_flow(seed, kind_name, n, which, scale, dt, steps, with_target))
+
+
+def test_a_neutral_ecological_payoff_that_blows_up_truncates():
+    # x . g rounds to 6.4e-4 in the blown-up stage; the absolute test alone raised
+    # NotSimplexPreservingError "x . g(x) = 0.0006355343039603232 violates aggregate neutrality"
+    reference, call = _flow(0, "ecological", 2, "scaled", 300.0, 0.1, 1, False)
+    traj = call()
+    assert traj.truncated and traj.failure == "positivity lost at step 1 (t = 0.1)"
+    _assert_same_run(reference, call)
 
 
 def _nan_past_share(q, p):

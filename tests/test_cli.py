@@ -276,6 +276,38 @@ def test_jobs_1_and_jobs_2_write_the_same_bytes(tmp_path, fmt):
     assert json.loads(written["1"]["lv_report.json"])["truncated"] is True
 
 
+def test_jobs_starts_at_most_one_worker_per_config(tmp_path, monkeypatch):
+    """A pool with more workers than configs would start every idle worker at its first submit."""
+    import concurrent.futures
+
+    seen = []
+
+    class InProcessPool:  # records the size asked for and starts no process
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    configs = [str(_write_config(tmp_path / f"{name}.json", name=name, steps=50))
+               for name in ("a", "b")]
+    written = {}
+    for jobs in ("1", "1000000"):
+        out = tmp_path / f"out{jobs}"
+        assert main(["simulate", "--config", *configs, "--out", str(out), "--jobs", jobs,
+                     "--quiet"]) == 0
+        written[jobs] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert seen == [2]
+    assert written["1"] == written["1000000"] and len(written["1"]) == 4
+
+
 def test_simulate_output_collision_is_a_config_error(tmp_path, capsys):
     a = _write_config(tmp_path / "a.json", name="same")
     b = _write_config(tmp_path / "b.json", name="same")

@@ -52,6 +52,7 @@ def _tangent(n, rng=RNG):
 
 def test_metric_at_closed_form():
     np.testing.assert_allclose(metric_at(barycenter(3)).diag, [3.0, 3.0, 3.0])
+    assert metric_at(barycenter(3)).dim == 3
     np.testing.assert_allclose(metric_at(SimplexPoint(np.array([0.5, 0.5]))).diag, [2.0, 2.0])
     np.testing.assert_allclose(
         metric_at(SimplexPoint(np.array([0.5, 0.25, 0.25]))).diag, [2.0, 4.0, 4.0]

@@ -197,8 +197,8 @@ def test_kl_to_a_strict_ess_descends_along_the_flow(n, seed):
     assert ess_check(SimplexPoint(hat), Linear(a), 0.5 * hat.min(), 100, seed).is_ess
 
 
-@pytest.mark.parametrize("solver", ["replicator", "coupled_replicator", "exp_family",
-                                    "coupled_exp_family"])
+@pytest.mark.parametrize("solver", ["replicator", "ecological", "coupled_replicator",
+                                    "exp_family", "coupled_exp_family"])
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(st.sampled_from([2, 3, 5, 8, 13, 50]), st.sampled_from([2, 3, 5, 8, 13, 50]),
        st.floats(0.1, 300.0), st.floats(1e-3, 0.5), st.integers(1, 150), st.integers(0, 2**32 - 1))
@@ -209,6 +209,8 @@ def test_every_population_of_every_recorded_row_sums_to_one(solver, n, m, scale,
     coupled = solver.startswith("coupled")
     dims = (n, m) if coupled else (n,)
     lands = [Linear(scale * rng.standard_normal((a, b))) for a, b in zip(dims, dims[::-1])]
+    if solver == "ecological":  # Scaled is aggregate-neutral by construction
+        lands = [Scaled(lands[0], 1.0)]
     points = [SimplexPoint(w / w.sum()) for w in (rng.uniform(0.05, 1.0, k) for k in dims)]
     traj = _solve(solver, lands, CoupledState(*points) if coupled else points[0], dt, steps)
     normalizer = traj.diagnostics.normalizer  # None for a direct run: its bound is 2 n eps
