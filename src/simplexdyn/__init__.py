@@ -104,86 +104,6 @@ from .analysis import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SIMPLEX_TOL",
-    "TANGENT_TOL",
-    "POS_FLOOR",
-    "SimplexPoint",
-    "OrthantPoint",
-    "TangentVector",
-    "CoupledState",
-    "barycenter",
-    "Landscape",
-    "Linear",
-    "LogLinear",
-    "Scaled",
-    "Custom",
-    "evaluate_landscape",
-    "evaluate_landscape_batch",
-    "evaluate_landscape_coupled",
-    "validate_simplex",
-    "normalize",
-    "section",
-    "mean_fitness",
-    "fitness_variance",
-    "MetricTensor",
-    "LocalizationReport",
-    "OrthantMetricKind",
-    "metric_at",
-    "fisher_metric_at",
-    "orthant_metric_at",
-    "inner_product",
-    "shahshahani_gradient",
-    "exp_map",
-    "localize_divergence",
-    "kl",
-    "kl_formula",
-    "denormalized_kl",
-    "potential_information_sum",
-    "Replicator",
-    "Ecological",
-    "LotkaVolterra",
-    "ShiftedLotkaVolterra",
-    "CoupledReplicator",
-    "VectorFieldKind",
-    "Diagnostics",
-    "Trajectory",
-    "replicator_field",
-    "ecological_field",
-    "lv_field",
-    "shifted_lv_field",
-    "coupled_replicator_field",
-    "integrate",
-    "exp_family_solver",
-    "coupled_exp_family_solver",
-    "normalize_lv_trajectory",
-    "lv_correspondence_residual",
-    "orbit_gap",
-    "EssReport",
-    "LyapunovReport",
-    "ess_check",
-    "coupled_ess_check",
-    "denormalized_ess_check",
-    "lyapunov_monitor",
-    "fisher_theorem_check",
-    "gradient_consistency_check",
-    "SimplexDynError",
-    "NotInteriorError",
-    "NotNormalizedError",
-    "DimensionTooSmallError",
-    "NotTangentError",
-    "NonPositiveTauError",
-    "DimensionMismatchError",
-    "LengthMismatchError",
-    "LandscapeValueError",
-    "EvaluationFailure",
-    "NotDiagonalError",
-    "StepTooLargeError",
-    "NotSimplexPreservingError",
-    "StepSizeError",
-    "EmptyTrajectoryError",
-    "RadiusTooLargeError",
-    "KindMismatchError",
-    "NotSymmetricError",
-    "ConfigError",
-]
+# every public name the imports above bind, less the submodules they bind with them
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, type(core))]

@@ -323,6 +323,7 @@ def load_scenario(path: str) -> Scenario:
 
     dt = _typed("positive", _require(config, "dt"), "dt")
     steps = _typed("count", _require(config, "steps"), "steps")
+    _refused("dt", dynamics._check_steps, dt, steps)
 
     checks = config.get("checks", [])
     if not isinstance(checks, list):

@@ -352,7 +352,12 @@ def normalize(x: OrthantPoint) -> SimplexPoint:
     """Project an abundance vector to frequencies: x / |x|."""
     if not isinstance(x, OrthantPoint):
         x = OrthantPoint(x)
-    return SimplexPoint(x.coords / x.total)
+    with np.errstate(over="ignore"):
+        total = x.total
+    if total == np.inf:  # an overflowed total: divide by the largest coordinate first
+        coords = x.coords / x.coords.max()
+        return SimplexPoint(coords / coords.sum())
+    return SimplexPoint(x.coords / total)
 
 
 def section(x: SimplexPoint, tau: float) -> OrthantPoint:

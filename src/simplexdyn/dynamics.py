@@ -38,6 +38,7 @@ from .core import (
     TangentVector,
     _is_count,
     _is_positive,
+    _is_real,
     _shown,
     evaluate_landscape,
     evaluate_landscape_batch,
@@ -216,10 +217,8 @@ class Trajectory:
         if _state_type(self.kind) is CoupledState:
             if self.split is None or not (0 < self.split < states.shape[1]):
                 raise ValueError("coupled trajectory requires a valid split index")
-        if self.kind.state_type is not OrthantPoint:
-            for own, _, _ in _blocks(self.kind, self.split):
-                if np.max(np.abs(states[:, own].sum(axis=1) - 1.0)) > SIMPLEX_TOL:
-                    raise ValueError("simplex trajectory rows must sum to 1 within tolerance")
+        if _off_simplex(self.kind, states, self.split).size:
+            raise ValueError("simplex trajectory rows must sum to 1 within tolerance")
         rows = times.size
         for name, series in self.diagnostics._series():
             ndim = 2 if name == "normalizer" else 1  # a normalizer may hold a column per population
@@ -242,6 +241,13 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
+def _off_simplex(kind: VectorFieldKind, states: np.ndarray, split: Optional[int]) -> np.ndarray:
+    """Indices of the rows with a simplex block whose sum is off 1 by more than SIMPLEX_TOL."""
+    blocks = () if kind.state_type is OrthantPoint else _blocks(kind, split)
+    off = [np.abs(states[:, own].sum(axis=1) - 1.0) > SIMPLEX_TOL for own, _, _ in blocks]
+    return np.flatnonzero(reduce(np.logical_or, off, np.zeros(len(states), dtype=bool)))
+
+
 def _rk4_step(field, y: np.ndarray, dt: float) -> np.ndarray:
     k1 = field(y)
     k2 = field(y + 0.5 * dt * k1)
@@ -255,6 +261,10 @@ def _check_steps(dt: float, steps: int) -> None:
         raise StepSizeError(f"dt must be positive and finite, got {_shown(dt)}")
     if not _is_count(steps):
         raise StepSizeError(f"steps must be a positive integer, got {_shown(steps)}")
+    # the last time as the recorded grid computes it; a count past float range has no float time
+    if not (_is_real(steps) and float(dt) * float(steps) < np.inf):
+        raise StepSizeError(f"dt * steps must be a finite time, got dt = {_shown(dt)}, "
+                            f"steps = {_shown(steps)}")
 
 
 def logsumexp(v: np.ndarray) -> float:
@@ -441,7 +451,8 @@ def _run(kind: VectorFieldKind, x0, dt: float, steps: int, target, log: bool) ->
     NaN or +inf halts the run, tested with one exact Python comparison per
     coordinate; the overflow, invalid-value and divide-by-zero warnings of such
     a blow-up, in the loop and in the diagnostics of the rows before it, are
-    silenced.  Only log runs record normalizers.
+    silenced.  Only log runs record normalizers, and a log run also halts at
+    its first recorded row that is off the simplex, naming the normalizer.
     """
     _check_steps(dt, steps)
     start, split = _state_vector(kind, x0, "start")
@@ -469,6 +480,13 @@ def _run(kind: VectorFieldKind, x0, dt: float, steps: int, target, log: bool) ->
                 normalizers.append(big_g)
         states = np.array(states)
         normalizer = np.array(normalizers) if log else None
+        # a direct run renormalizes every row; exp(v - G) rounds at the size of G
+        off = _off_simplex(kind, states, split) if log else ()
+        if len(off):
+            k, truncated = int(off[0]), True
+            failure = (f"normalizer G = {normalizer[k].tolist()} rounds exp(v - G) off the "
+                       f"simplex at step {k} (t = {k * dt:g})")
+            states, normalizer = states[:k], normalizer[:k]
         diagnostics = _diagnostics(kind, states, target, split, normalizer)
     return Trajectory(
         kind=kind,

@@ -58,6 +58,12 @@ EYE = Linear(np.eye(2))
         (lambda: exp_family_solver(EYE, HALF, BIG, 1), StepSizeError, "dt"),
         (lambda: coupled_exp_family_solver(EYE, EYE, CoupledState(HALF, HALF), BIG, 1),
          StepSizeError, "dt"),
+        # a finite step whose time grid leaves float range
+        (lambda: integrate(Replicator(EYE), HALF, 1e308, 3), StepSizeError, "dt * steps"),
+        (lambda: exp_family_solver(EYE, HALF, 1e308, 3), StepSizeError, "dt * steps"),
+        (lambda: coupled_exp_family_solver(EYE, EYE, CoupledState(HALF, HALF), 1e308, 3),
+         StepSizeError, "dt * steps"),
+        (lambda: integrate(Replicator(EYE), HALF, 0.01, BIG), StepSizeError, "dt * steps"),
         (lambda: ess_check(HALF, EYE, BIG, 10, 0), ValueError, "radius"),
         (lambda: coupled_ess_check(HALF, HALF, EYE, EYE, BIG, 10, 0), ValueError, "radius"),
         (lambda: denormalized_ess_check(OrthantPoint([1.0, 1.0]), EYE, BIG, 10, 0), ValueError,
@@ -73,7 +79,8 @@ EYE = Linear(np.eye(2))
         (lambda: gradient_consistency_check(HALF, [BIG, 0], 10, 0), ValueError, "gradient"),
         (lambda: exp_map(HALF, [BIG, 0]), ValueError, "direction"),
     ],
-    ids=["scaled", "integrate", "exp-family", "coupled-exp-family", "ess", "coupled-ess",
+    ids=["scaled", "integrate", "exp-family", "coupled-exp-family", "integrate-grid",
+         "exp-family-grid", "coupled-exp-family-grid", "integrate-steps", "ess", "coupled-ess",
          "denorm-ess", "section", "simplex", "orthant", "tangent", "linear", "log-linear",
          "metric", "shahshahani", "gradient-check", "exp-map"],
 )

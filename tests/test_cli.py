@@ -684,6 +684,9 @@ def test_numbers_are_stored_as_float(tmp_path):
         ({"outputs": {"trajectory_csv": "t.csv", "report_json": "t.json"}}, "json", "'t.json'"),
         ({"steps": True}, "csv", "'steps'"),
         ({"dt": True}, "csv", "'dt'"),
+        ({"dt": 1e308, "steps": 3}, "csv",
+         "'dt': dt * steps must be a finite time, got dt = 1e+308, steps = 3"),
+        ({"steps": 10**400}, "json", "'dt': dt * steps must be a finite time, got dt = 0.01"),
     ],
 )
 def test_bad_output_name_or_root_value_is_one_error_before_any_write(tmp_path, capsys, overrides,
@@ -914,6 +917,20 @@ def test_importing_the_cli_does_not_import_concurrent_futures():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout == "False\n"
+
+
+def test_the_star_import_binds_every_public_name_and_no_module():
+    import simplexdyn
+
+    names = {}
+    exec("from simplexdyn import *", names)
+    del names["__builtins__"]
+    assert set(names) == set(simplexdyn.__all__)
+    assert len(set(simplexdyn.__all__)) == len(simplexdyn.__all__)
+    assert not any(isinstance(value, type(cli)) for value in names.values())
+    public = {name for name, value in vars(simplexdyn).items()
+              if not name.startswith("_") and not isinstance(value, type(cli))}
+    assert public <= set(simplexdyn.__all__)
 
 
 def _one_error_and_nothing_written(capsys, code, out):

@@ -139,6 +139,8 @@ def test_normalize_examples():
     np.testing.assert_allclose(
         normalize(OrthantPoint(np.array([2.0, 1.0, 1.0]))).coords, [0.5, 0.25, 0.25]
     )
+    # a finite abundance whose total overflows
+    np.testing.assert_array_equal(normalize(OrthantPoint([1e308, 1e308])).coords, [0.5, 0.5])
 
 
 def test_section_examples():

@@ -83,6 +83,10 @@ def test_denormalized_examples():
     assert denormalized_kl(
         OrthantPoint(np.array([1.0, 1.0])), OrthantPoint(np.array([1.0, 3.0]))
     ) == pytest.approx(KL_HALF_SKEW, abs=1e-12)
+    # a finite abundance whose total overflows
+    assert denormalized_kl(
+        OrthantPoint(np.array([1e308, 1e308])), OrthantPoint(np.array([1.0, 3.0]))
+    ) == pytest.approx(KL_HALF_SKEW, abs=1e-12)
 
 
 def test_denormalized_kl_refuses_abundances_of_two_dimensions():

@@ -10,6 +10,7 @@ Closed-form oracles used below:
 """
 
 import re
+import sys
 import warnings
 from dataclasses import replace
 
@@ -214,6 +215,17 @@ def test_integrate_refuses_a_bool_step_size(dt):
 def test_integrate_refuses_a_string_step_size():
     with pytest.raises(StepSizeError, match="dt must be positive and finite, got 0.1"):
         integrate(Replicator(Linear(HAWK_DOVE)), SimplexPoint([0.9, 0.1]), "0.1", 3)
+
+
+@pytest.mark.parametrize("solver", ["integrate", "exp_family", "coupled_exp_family"])
+def test_the_largest_finite_step_is_taken_once(solver):
+    zero, half = Linear(np.zeros((2, 2))), SimplexPoint([0.5, 0.5])
+    dt = sys.float_info.max
+    traj = {"integrate": lambda: integrate(Replicator(zero), half, dt, 1),
+            "exp_family": lambda: exp_family_solver(zero, half, dt, 1),
+            "coupled_exp_family": lambda: coupled_exp_family_solver(
+                zero, zero, CoupledState(half, half), dt, 1)}[solver]()
+    assert traj.times.tolist() == [0.0, dt] and not traj.truncated
 
 
 def test_integrate_takes_a_numpy_integer_step_count():
@@ -538,6 +550,36 @@ def test_coupled_exp_family_matches_direct():
     direct = integrate(CoupledReplicator(f, g), s0, 1e-3, 10000)
     ef = coupled_exp_family_solver(f, g, s0, 1e-3, 10000)
     assert np.max(np.abs(direct.states - ef.states)) <= 1e-6
+
+
+def _shifted_run(coupled, shift, steps):
+    """A run whose payoffs carry a constant shift, which leaves the flow as it is."""
+    if coupled:
+        s0 = CoupledState(SimplexPoint([0.6, 0.4]), SimplexPoint([0.5, 0.5]))
+        return coupled_exp_family_solver(Linear(PENNIES + shift), Linear(-PENNIES.T + shift), s0,
+                                         0.01, steps)
+    return exp_family_solver(Linear(RPS + shift), SimplexPoint([0.5, 0.3, 0.2]), 0.01, steps)
+
+
+@pytest.mark.parametrize("coupled, shift, step", [(False, 1e6, None), (False, 1e7, 168),
+                                                  (True, 1e6, None), (True, 1e7, 170)])
+def test_an_exp_family_run_whose_rows_leave_the_simplex_truncates_naming_the_normalizer(
+    coupled, shift, step
+):
+    # exp(v - G) rounds at the size of G: from G near 1.7e7 a recorded row misses 1 by > 1e-9
+    traj = _shifted_run(coupled, shift, 200)
+    if step is None:
+        assert len(traj) == 201 and not traj.truncated and traj.failure is None
+        return
+    assert traj.truncated and len(traj) == step
+    assert re.fullmatch(rf"normalizer G = \S.* rounds exp\(v - G\) off the simplex "
+                        rf"at step {step} \(t = {step * 0.01:g}\)", traj.failure)
+    shorter = _shifted_run(coupled, shift, step - 1)
+    assert not shorter.truncated
+    for a, b in [(traj.times, shorter.times), (traj.states, shorter.states),
+                 *((getattr(traj.diagnostics, name), series)
+                   for name, series in shorter.diagnostics._series())]:
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_matching_pennies_orbit_closes():
