@@ -24,6 +24,7 @@ from .core import (
     SimplexPoint,
     _is_count,
     _is_positive,
+    _per_total,
     _shown,
 )
 from .divergence import kl_formula
@@ -221,22 +222,31 @@ def _ess(kind, target, radius: float, samples: int, seed: int) -> EssReport:
 
     The margin at a sample x is sum_b hat_b . f_b(x) - sum_b x_b . f_b(x), with hat the target.
     Abundance kinds draw from the orthant ball, divide the target term by |hat| and each sample
-    term by |x|, and count the samples parallel to the target.
+    term by |x|, and count the samples parallel to the target.  A row where a total or a term
+    overflows takes, quietly, the same margin computed from the frequencies of hat and x.
     """
     hat, split = _state_vector(kind, target, "target")
     rng = _sampling_rng(radius, samples, seed)
-    if kind.state_type is OrthantPoint:
+    orthant = kind.state_type is OrthantPoint
+    if orthant:
         points = _orthant_ball_samples(rng, hat, radius, int(samples))
-        totals = (hat.sum(), points.sum(axis=1))
         parallel = int(np.sum(_sine_to_direction(points, hat) <= PARALLEL_TOL))
     else:
         centers = [hat[own] for own, _, _ in _blocks(kind, split)]
         points = _tangent_ball_samples(rng, centers, radius, int(samples))
-        totals, parallel = (1.0, 1.0), None  # x / 1.0 is x to the bit
+        parallel = None
     payoffs = _block_payoffs(kind, points, split)
-    margins = reduce(np.add, [payoff @ hat[own] for own, payoff in payoffs]) / totals[0]
-    for own, payoff in payoffs:
-        margins = margins - np.einsum("ij,ij->i", points[:, own], payoff) / totals[1]
+    with np.errstate(**({"over": "ignore", "invalid": "ignore"} if orthant else {})):
+        totals = (hat.sum(), points.sum(axis=1)) if orthant else (1.0, 1.0)  # x / 1.0 is x
+        margins = reduce(np.add, [payoff @ hat[own] for own, payoff in payoffs]) / totals[0]
+        for own, payoff in payoffs:
+            margins = margins - np.einsum("ij,ij->i", points[:, own], payoff) / totals[1]
+        if orthant:  # a row whose total or term overflows: its margin from the frequencies
+            over = ~(np.isfinite(margins) & np.isfinite(totals[0]) & np.isfinite(totals[1]))
+            if over.any():
+                ((_, payoff),) = payoffs
+                y, payoff = _per_total(points[over]), payoff[over]
+                margins[over] = payoff @ _per_total(hat) - np.einsum("ij,ij->i", y, payoff)
     return _ess_report(margins, points, radius, samples, parallel)
 
 
@@ -269,20 +279,12 @@ def coupled_ess_check(
     return _ess(CoupledReplicator(f, g), CoupledState(p_hat, q_hat), radius, samples, seed)
 
 
-# a blown-up abundance row overflows or turns NaN here, silenced as in the run that recorded it
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _sine_to_direction(states: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """Row-wise sine of the angle between states and a fixed direction."""
-    norms = np.linalg.norm(states, axis=1)
-    over = ~np.isfinite(norms)
-    if over.any():  # an overflowed row keeps its angle when divided by its largest coordinate
-        states = states.copy()
-        states[over] /= np.abs(states[over]).max(axis=1)[:, None]
-        norms[over] = np.linalg.norm(states[over], axis=1)
+    """Row-wise sine of the angle between states and a direction, both read as frequencies."""
+    states, direction = _per_total(states), _per_total(direction)
     unit = direction / np.linalg.norm(direction)
-    proj = states @ unit
-    residual = states - proj[:, None] * unit
-    return np.linalg.norm(residual, axis=1) / norms
+    residual = states - (states @ unit)[:, None] * unit
+    return np.linalg.norm(residual, axis=1) / np.linalg.norm(states, axis=1)
 
 
 def denormalized_ess_check(

@@ -348,16 +348,22 @@ def validate_simplex(values) -> SimplexPoint:
     return SimplexPoint(values)
 
 
+def _per_total(rows: np.ndarray) -> np.ndarray:
+    """Each row (last axis) over its total, y = x / |x|: the frequencies of abundance rows."""
+    with np.errstate(over="ignore"):
+        totals = rows.sum(axis=-1, keepdims=True)
+    over = totals == np.inf
+    if over.any():  # a row divided by its largest coordinate first keeps its frequencies
+        rows = np.where(over, rows / rows.max(axis=-1, keepdims=True), rows)
+        totals = rows.sum(axis=-1, keepdims=True)
+    return rows / totals
+
+
 def normalize(x: OrthantPoint) -> SimplexPoint:
     """Project an abundance vector to frequencies: x / |x|."""
     if not isinstance(x, OrthantPoint):
         x = OrthantPoint(x)
-    with np.errstate(over="ignore"):
-        total = x.total
-    if total == np.inf:  # an overflowed total: divide by the largest coordinate first
-        coords = x.coords / x.coords.max()
-        return SimplexPoint(coords / coords.sum())
-    return SimplexPoint(x.coords / total)
+    return SimplexPoint(_per_total(x.coords))
 
 
 def section(x: SimplexPoint, tau: float) -> OrthantPoint:

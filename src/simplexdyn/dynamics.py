@@ -39,6 +39,7 @@ from .core import (
     _is_count,
     _is_positive,
     _is_real,
+    _per_total,
     _shown,
     evaluate_landscape,
     evaluate_landscape_batch,
@@ -406,8 +407,8 @@ def _target_vector(kind: VectorFieldKind, target, size: int, split: Optional[int
 def _frequencies(kind: VectorFieldKind, states: np.ndarray, target: Optional[np.ndarray]):
     """Rows and target as population frequencies: abundance kinds divide each by its total."""
     if kind.state_type is OrthantPoint:
-        states = states / states.sum(axis=1)[:, None]
-        target = None if target is None else target / target.sum()
+        states = _per_total(states)
+        target = None if target is None else _per_total(target)
     return states, target
 
 

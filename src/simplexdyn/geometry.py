@@ -15,7 +15,15 @@ from typing import Callable
 
 import numpy as np
 
-from .core import OrthantPoint, SimplexPoint, TangentVector, _is_positive, _reals, _shown
+from .core import (
+    OrthantPoint,
+    SimplexPoint,
+    TangentVector,
+    _is_positive,
+    _per_total,
+    _reals,
+    _shown,
+)
 from .errors import (
     DimensionMismatchError,
     NotDiagonalError,
@@ -65,9 +73,21 @@ class LocalizationReport:
     max_offdiag: float
 
 
+def _held_metric(x: SimplexPoint | OrthantPoint, diag_of: Callable, formula: str) -> MetricTensor:
+    """The metric of diagonal ``diag_of(x.coords)``; OverflowError names an x_i it overflows at."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        diag = diag_of(x.coords)
+    held = np.isfinite(diag)
+    if not held.all():
+        i = int(np.argmin(held))
+        raise OverflowError(f"metric diagonal {formula} overflows float64 at x_{i} = "
+                            f"{float(x.coords[i])!r}")
+    return MetricTensor(diag)
+
+
 def metric_at(x: SimplexPoint) -> MetricTensor:
     """Simplex-interior metric: diagonal 1/x_i."""
-    return MetricTensor(1.0 / x.coords)
+    return _held_metric(x, lambda c: 1.0 / c, "1 / x_i")
 
 
 def fisher_metric_at(x: SimplexPoint) -> MetricTensor:
@@ -78,17 +98,26 @@ def fisher_metric_at(x: SimplexPoint) -> MetricTensor:
     E[s_i s_j] = sum_k x_k s_i(k) s_j(k) literally, without reusing
     ``metric_at``.
     """
-    scores = np.diag(1.0 / x.coords)
-    expectation = np.einsum("ik,k,jk->ij", scores, x.coords, scores)
-    return MetricTensor(np.diag(expectation).copy())
+
+    def expectation(coords):
+        scores = np.diag(1.0 / coords)
+        return np.diag(np.einsum("ik,k,jk->ij", scores, coords, scores)).copy()
+
+    return _held_metric(x, expectation, "E[s_i s_i]")
+
+
+def _shahshahani_diag(coords: np.ndarray) -> np.ndarray:
+    """|x| / x_i, read as 1 / y_i with y = x / |x| when the total |x| overflows."""
+    total = coords.sum()
+    return total / coords if total < np.inf else 1.0 / _per_total(coords)
 
 
 def orthant_metric_at(x: OrthantPoint, kind: OrthantMetricKind) -> MetricTensor:
     """Orthant extension of the simplex metric, in either convention."""
     if kind is OrthantMetricKind.SHAHSHAHANI:
-        return MetricTensor(x.total / x.coords)
+        return _held_metric(x, _shahshahani_diag, "|x| / x_i")
     if kind is OrthantMetricKind.AKIN:
-        return MetricTensor(1.0 / x.coords)
+        return _held_metric(x, lambda c: 1.0 / c, "1 / x_i")
     raise TypeError(f"unknown orthant metric kind: {kind!r}")
 
 

@@ -194,6 +194,28 @@ def test_denormalized_ess_zero_payoff():
     assert np.max(np.abs(report.margins)) == 0.0
 
 
+@pytest.mark.parametrize("radius", [0.1, 1e307])
+def test_denormalized_ess_at_a_candidate_whose_total_overflows_reads_the_frequencies(radius):
+    # |candidate| = 2e308 overflows; each margin is taken from the frequencies, quietly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = denormalized_ess_check(OrthantPoint([1e308, 1e308]), Linear(-np.eye(2)),
+                                        radius, 10, 0)
+    if radius == 0.1:  # every sample rounds to the candidate
+        np.testing.assert_array_equal(report.margins, np.zeros(10))
+        assert report.indeterminate == 10 and report.parallel_samples == 10
+        assert not report.is_ess
+    else:  # f(x) = -x: the margin is x . (y - 1/2), positive off the candidate's ray
+        x = report.samples
+        y = x / x.max(axis=1)[:, None]
+        y /= y.sum(axis=1)[:, None]
+        # both sides cancel terms near 1e308, so they agree to a few eps of that size
+        np.testing.assert_allclose(report.margins, np.einsum("ij,ij->i", x, y - 0.5), rtol=0,
+                                   atol=1e295)
+        assert np.all(np.isfinite(report.margins)) and np.all(report.margins > 0.0)
+        assert report.is_ess
+
+
 def test_denormalized_parallel_detection():
     from simplexdyn.analysis import _sine_to_direction
 

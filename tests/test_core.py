@@ -6,9 +6,12 @@ frequencies and abundances.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexdyn import (
     CoupledState,
@@ -19,6 +22,7 @@ from simplexdyn import (
     LandscapeValueError,
     Linear,
     LogLinear,
+    LotkaVolterra,
     NonPositiveTauError,
     NotInteriorError,
     NotNormalizedError,
@@ -33,13 +37,19 @@ from simplexdyn import (
     evaluate_landscape_batch,
     evaluate_landscape_coupled,
     fitness_variance,
+    integrate,
+    lv_correspondence_residual,
+    lyapunov_monitor,
     mean_fitness,
     normalize,
+    normalize_lv_trajectory,
     section,
     validate_simplex,
 )
+from simplexdyn.core import SIMPLEX_TOL, _per_total
 
 RPS = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +151,46 @@ def test_normalize_examples():
     )
     # a finite abundance whose total overflows
     np.testing.assert_array_equal(normalize(OrthantPoint([1e308, 1e308])).coords, [0.5, 0.5])
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 20), n=st.integers(3, 12),
+       exponent=st.integers(-300, 300))
+def test_rows_per_total_are_the_plain_quotient_and_an_overflowing_total_keeps_its_frequencies(
+        seed, rows, n, exponent):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(1.0, 2.0, (rows, n)) * 10.0**exponent
+    # a finite total: the bits of the plain quotient, for rows and for one point
+    np.testing.assert_array_equal(_per_total(x), x / x.sum(axis=1)[:, None])
+    np.testing.assert_array_equal(_per_total(x[0]), x[0] / float(x[0].sum()))
+    # doubled until the total overflows; coordinates in [1, 2) with n >= 3 stay finite
+    big = x[0].copy()
+    with np.errstate(over="ignore"):
+        while np.isfinite(big.sum()):
+            big *= 2.0
+    assert np.all(np.isfinite(big))
+    y = _per_total(big)
+    assert abs(y.sum() - 1.0) <= SIMPLEX_TOL
+    assert np.max(np.abs(y - _per_total(x[0]))) <= 4 * n * np.finfo(float).eps
+
+
+def test_an_abundance_run_whose_total_overflows_reads_its_frequencies():
+    # coordinates of 2.2e307 are finite; their total, 1.76e308 at the start, is inf from row 3 on;
+    # the payoff is 1 everywhere and every row lies on the target's ray
+    start = OrthantPoint(np.full(8, 2.2e307))
+    kind = LotkaVolterra(LogLinear(np.zeros((8, 8)), np.ones(8)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        traj = integrate(kind, start, 0.01, 5, target=start)
+        frequencies = normalize_lv_trajectory(traj).states
+        residual = lv_correspondence_residual(traj)
+        report = lyapunov_monitor(traj, start)
+    assert not traj.truncated and np.isinf(traj.diagnostics.state_total[-1])
+    np.testing.assert_array_equal(traj.diagnostics.mean_fitness, np.ones(6))
+    np.testing.assert_array_equal(traj.diagnostics.divergence_to_target, np.zeros(6))
+    np.testing.assert_array_equal(frequencies, np.full((6, 8), 0.125))
+    assert residual == 0.0
+    assert report.final_value == 0.0 and report.parallel_before_convergence == 0
 
 
 def test_section_examples():

@@ -79,6 +79,32 @@ def test_orthant_metrics():
     np.testing.assert_allclose(
         orthant_metric_at(z, OrthantMetricKind.SHAHSHAHANI).diag, [2.0, 4.0, 4.0]
     )
+    # the total 2e308 overflows, the diagonal |x| / x_i = 1 / y_i does not
+    big = OrthantPoint([1e308, 1e308])
+    np.testing.assert_array_equal(
+        orthant_metric_at(big, OrthantMetricKind.SHAHSHAHANI).diag, [2.0, 2.0]
+    )
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: metric_at(SimplexPoint([5e-324, 1.0])), "1 / x_i overflows float64 at x_0 = 5e-324"),
+    (lambda: fisher_metric_at(SimplexPoint([1.0, 5e-324])),
+     "E[s_i s_i] overflows float64 at x_1 = 5e-324"),
+    (lambda: orthant_metric_at(OrthantPoint([5e-324, 1.0]), OrthantMetricKind.AKIN),
+     "1 / x_i overflows float64 at x_0 = 5e-324"),
+    (lambda: orthant_metric_at(OrthantPoint([1e300, 1e-10]), OrthantMetricKind.SHAHSHAHANI),
+     "|x| / x_i overflows float64 at x_1 = 1e-10"),
+    (lambda: orthant_metric_at(OrthantPoint([1e308, 1e308, 1e-300]),
+                               OrthantMetricKind.SHAHSHAHANI),
+     "|x| / x_i overflows float64 at x_2 = 1e-300"),
+], ids=["metric", "fisher", "akin", "shahshahani", "shahshahani-total"])
+def test_a_metric_diagonal_float64_cannot_hold_is_an_overflow_error_with_no_warning(build,
+                                                                                    message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(OverflowError) as info:
+            build()
+    assert str(info.value) == f"metric diagonal {message}"
 
 
 @pytest.mark.parametrize("diag", [[1.0, 0.0], [1.0, -2.0], [1.0, np.inf], [np.nan, 1.0]],
