@@ -222,31 +222,29 @@ def _ess(kind, target, radius: float, samples: int, seed: int) -> EssReport:
 
     The margin at a sample x is sum_b hat_b . f_b(x) - sum_b x_b . f_b(x), with hat the target.
     Abundance kinds draw from the orthant ball, divide the target term by |hat| and each sample
-    term by |x|, and count the samples parallel to the target.  A row where a total or a term
-    overflows takes, quietly, the same margin computed from the frequencies of hat and x.
+    term by |x|, and count the samples parallel to the target.  A side whose total overflows is
+    read as its frequencies, whose total is 1.
     """
     hat, split = _state_vector(kind, target, "target")
     rng = _sampling_rng(radius, samples, seed)
-    orthant = kind.state_type is OrthantPoint
-    if orthant:
+    if kind.state_type is OrthantPoint:
         points = _orthant_ball_samples(rng, hat, radius, int(samples))
-        parallel = int(np.sum(_sine_to_direction(points, hat) <= PARALLEL_TOL))
+        y, y_hat = _per_total(points), _per_total(hat)
+        parallel = int(np.sum(_sine_to_direction(y, y_hat) <= PARALLEL_TOL))
+        with np.errstate(over="ignore"):
+            totals = (hat.sum(), points.sum(axis=1))
+        hat = y_hat if totals[0] == np.inf else hat
+        over = totals[1] == np.inf
+        rows = np.where(over[:, None], y, points) if over.any() else points
+        totals = tuple(np.where(total == np.inf, 1.0, total) for total in totals)
     else:
         centers = [hat[own] for own, _, _ in _blocks(kind, split)]
         points = _tangent_ball_samples(rng, centers, radius, int(samples))
-        parallel = None
+        rows, totals, parallel = points, (1.0, 1.0), None  # x / 1.0 is x to the bit
     payoffs = _block_payoffs(kind, points, split)
-    with np.errstate(**({"over": "ignore", "invalid": "ignore"} if orthant else {})):
-        totals = (hat.sum(), points.sum(axis=1)) if orthant else (1.0, 1.0)  # x / 1.0 is x
-        margins = reduce(np.add, [payoff @ hat[own] for own, payoff in payoffs]) / totals[0]
-        for own, payoff in payoffs:
-            margins = margins - np.einsum("ij,ij->i", points[:, own], payoff) / totals[1]
-        if orthant:  # a row whose total or term overflows: its margin from the frequencies
-            over = ~(np.isfinite(margins) & np.isfinite(totals[0]) & np.isfinite(totals[1]))
-            if over.any():
-                ((_, payoff),) = payoffs
-                y, payoff = _per_total(points[over]), payoff[over]
-                margins[over] = payoff @ _per_total(hat) - np.einsum("ij,ij->i", y, payoff)
+    margins = reduce(np.add, [payoff @ hat[own] for own, payoff in payoffs]) / totals[0]
+    for own, payoff in payoffs:
+        margins = margins - np.einsum("ij,ij->i", rows[:, own], payoff) / totals[1]
     return _ess_report(margins, points, radius, samples, parallel)
 
 
@@ -279,12 +277,11 @@ def coupled_ess_check(
     return _ess(CoupledReplicator(f, g), CoupledState(p_hat, q_hat), radius, samples, seed)
 
 
-def _sine_to_direction(states: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """Row-wise sine of the angle between states and a direction, both read as frequencies."""
-    states, direction = _per_total(states), _per_total(direction)
+def _sine_to_direction(freqs: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """Row-wise sine of the angle between frequency rows and a frequency direction."""
     unit = direction / np.linalg.norm(direction)
-    residual = states - (states @ unit)[:, None] * unit
-    return np.linalg.norm(residual, axis=1) / np.linalg.norm(states, axis=1)
+    residual = freqs - (freqs @ unit)[:, None] * unit
+    return np.linalg.norm(residual, axis=1) / np.linalg.norm(freqs, axis=1)
 
 
 def denormalized_ess_check(
@@ -319,8 +316,7 @@ def _divergence_series(traj: Trajectory, target) -> tuple[np.ndarray, Optional[n
     values = [
         np.maximum(kl_formula(t[own], rows[:, own]), 0.0) for own, _, _ in _blocks(kind, traj.split)
     ]
-    orthant = kind.state_type is OrthantPoint
-    sines = _sine_to_direction(traj.states, target.coords) if orthant else None
+    sines = _sine_to_direction(rows, t) if kind.state_type is OrthantPoint else None
     return reduce(np.add, values), sines
 
 

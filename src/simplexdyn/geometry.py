@@ -15,15 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (
-    OrthantPoint,
-    SimplexPoint,
-    TangentVector,
-    _is_positive,
-    _per_total,
-    _reals,
-    _shown,
-)
+from .core import OrthantPoint, SimplexPoint, TangentVector, _is_positive, _reals, _shown
 from .errors import (
     DimensionMismatchError,
     NotDiagonalError,
@@ -106,16 +98,10 @@ def fisher_metric_at(x: SimplexPoint) -> MetricTensor:
     return _held_metric(x, expectation, "E[s_i s_i]")
 
 
-def _shahshahani_diag(coords: np.ndarray) -> np.ndarray:
-    """|x| / x_i, read as 1 / y_i with y = x / |x| when the total |x| overflows."""
-    total = coords.sum()
-    return total / coords if total < np.inf else 1.0 / _per_total(coords)
-
-
 def orthant_metric_at(x: OrthantPoint, kind: OrthantMetricKind) -> MetricTensor:
     """Orthant extension of the simplex metric, in either convention."""
     if kind is OrthantMetricKind.SHAHSHAHANI:
-        return _held_metric(x, _shahshahani_diag, "|x| / x_i")
+        return _held_metric(x, lambda c: x.total / c, "|x| / x_i")
     if kind is OrthantMetricKind.AKIN:
         return _held_metric(x, lambda c: 1.0 / c, "1 / x_i")
     raise TypeError(f"unknown orthant metric kind: {kind!r}")

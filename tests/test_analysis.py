@@ -37,6 +37,7 @@ from simplexdyn import (
     lyapunov_monitor,
 )
 from simplexdyn.analysis import _sine_to_direction
+from simplexdyn.core import _per_total
 
 RPS = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
 HAWK_DOVE = np.array([[-1.0, 2.0], [0.0, 1.0]])
@@ -216,6 +217,14 @@ def test_denormalized_ess_at_a_candidate_whose_total_overflows_reads_the_frequen
         assert report.is_ess
 
 
+def test_denormalized_ess_keeps_the_warning_of_a_payoff_that_is_not_finite():
+    # the totals are finite, so the margin inf - inf is the payoff's and warns
+    inf_payoff = Custom(lambda x: np.array([np.inf, 0.0]))
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in subtract"):
+        report = denormalized_ess_check(OrthantPoint([1.0, 1.0]), inf_payoff, 0.1, 10, 0)
+    assert np.all(np.isnan(report.margins))
+
+
 def test_denormalized_parallel_detection():
     from simplexdyn.analysis import _sine_to_direction
 
@@ -267,14 +276,14 @@ def test_lyapunov_on_a_blown_up_abundance_run_is_quiet():
 
 
 def test_sines_of_a_blown_up_abundance_run_are_finite_and_quiet():
-    # the last of the 13 rows overflows np.linalg.norm; divided by its largest coordinate it
-    # keeps its angle, where inf / inf gave NaN
+    # the last of the 13 rows overflows np.linalg.norm; read as frequencies it keeps its angle,
+    # where inf / inf gave NaN
     start = OrthantPoint(np.array([1.0, 1.0]))
     traj = integrate(LotkaVolterra(Linear(np.diag([1.0, 0.9]))), start, 0.1, 100, target=start)
     assert len(traj) == 13
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sines = _sine_to_direction(traj.states, start.coords)
+        sines = _sine_to_direction(_per_total(traj.states), _per_total(start.coords))
     assert np.all(np.isfinite(sines))
     assert abs(sines[-1] - np.sqrt(0.5)) < 1e-12
 
