@@ -195,13 +195,24 @@ def test_denormalized_ess_zero_payoff():
     assert np.max(np.abs(report.margins)) == 0.0
 
 
-@pytest.mark.parametrize("radius", [0.1, 1e307])
-def test_denormalized_ess_at_a_candidate_whose_total_overflows_reads_the_frequencies(radius):
-    # |candidate| = 2e308 overflows; each margin is taken from the frequencies, quietly
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        report = denormalized_ess_check(OrthantPoint([1e308, 1e308]), Linear(-np.eye(2)),
-                                        radius, 10, 0)
+@pytest.mark.parametrize("center, payoff, radius", [
+    ([1e308, 1e308], Linear(-np.eye(2)), 0.1),
+    ([1e308, 1e308], Linear(-np.eye(2)), 1e307),
+    ([1.0, 1.0], Custom(lambda x: np.array([np.inf, 0.0])), 0.1),
+], ids=["0.1", "1e+307", "inf-payoff"])
+def test_denormalized_ess_at_a_candidate_whose_total_overflows_reads_the_frequencies(center,
+                                                                                    payoff,
+                                                                                    radius):
+    # |candidate| = 2e308 overflows; each margin is taken from the frequencies, quietly.  Where
+    # the totals are finite, a margin inf - inf is the payoff's, and it warns
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = denormalized_ess_check(OrthantPoint(center), payoff, radius, 10, 0)
+    if center == [1.0, 1.0]:
+        assert [str(w.message) for w in caught] == ["invalid value encountered in subtract"]
+        assert np.all(np.isnan(report.margins))
+        return
+    assert caught == []
     if radius == 0.1:  # every sample rounds to the candidate
         np.testing.assert_array_equal(report.margins, np.zeros(10))
         assert report.indeterminate == 10 and report.parallel_samples == 10
@@ -215,14 +226,6 @@ def test_denormalized_ess_at_a_candidate_whose_total_overflows_reads_the_frequen
                                    atol=1e295)
         assert np.all(np.isfinite(report.margins)) and np.all(report.margins > 0.0)
         assert report.is_ess
-
-
-def test_denormalized_ess_keeps_the_warning_of_a_payoff_that_is_not_finite():
-    # the totals are finite, so the margin inf - inf is the payoff's and warns
-    inf_payoff = Custom(lambda x: np.array([np.inf, 0.0]))
-    with pytest.warns(RuntimeWarning, match="invalid value encountered in subtract"):
-        report = denormalized_ess_check(OrthantPoint([1.0, 1.0]), inf_payoff, 0.1, 10, 0)
-    assert np.all(np.isnan(report.margins))
 
 
 def test_denormalized_parallel_detection():
