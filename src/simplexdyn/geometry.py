@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .core import OrthantPoint, SimplexPoint, TangentVector, _is_positive, _reals, _shown
+from .divergence import kl_formula
 from .errors import (
     DimensionMismatchError,
     NotDiagonalError,
@@ -171,7 +172,9 @@ def localize_divergence(
 
     Perturbed arguments are passed to ``divergence`` as raw vectors without
     renormalization, so the callable must be the smooth algebraic formula
-    (it is evaluated slightly off the simplex).  If the off-diagonal
+    (it is evaluated slightly off the simplex).  ``kl_formula`` itself is
+    called 2n times, once per grid row against the stacked grid; any other
+    callable is called once per pair, (2n)^2 times.  If the off-diagonal
     magnitudes exceed OFFDIAG_TOL the divergence does not localize to a
     diagonal form and NotDiagonalError is raised, as it is when a second
     derivative is not finite (a step so small that 4 h^2 underflows).
@@ -184,9 +187,12 @@ def localize_divergence(
         raise StepTooLargeError(
             f"step {h} is not smaller than the smallest coordinate {base.min()}"
         )
-    # rows x + h e_i, then x - h e_i; d[a, b] = D(grid[a], grid[b]), one call per pair
+    # rows x + h e_i, then x - h e_i; d[a, b] = D(grid[a], grid[b])
     grid = np.concatenate([base + h * np.eye(n), base - h * np.eye(n)])
-    d = np.array([[divergence(a, b) for b in grid] for a in grid], dtype=float)
+    if divergence is kl_formula:  # one stacked call per row, the bits of one call per pair
+        d = np.array([kl_formula(a, grid) for a in grid])
+    else:
+        d = np.array([[divergence(a, b) for b in grid] for a in grid], dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # 4 h^2 may underflow
         mixed = (d[:n, :n] - d[:n, n:] - d[n:, :n] + d[n:, n:]) / (4.0 * h * h)
     if not np.all(np.isfinite(mixed)):  # before the off-diagonal test, which a NaN would pass

@@ -122,6 +122,20 @@ def test_ess_refuses_an_infinite_radius_before_sampling():
             ess_check(CENTER, Linear(HAWK_DOVE), np.inf, 10, 0)
 
 
+@pytest.mark.parametrize("check", [
+    lambda: denormalized_ess_check(OrthantPoint([1.0, 1.0]), Custom(lambda x: np.zeros(2)),
+                                   1.7e308, 1, 7),
+    lambda: ess_check(CENTER, Linear(HAWK_DOVE), 1.7e308, 1, 7),
+], ids=["orthant", "tangent"])
+def test_a_radius_near_the_float64_maximum_is_too_large_with_no_warning(check):
+    # radius / |z| overflows; a coordinate float64 cannot hold has left the ball's domain
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RadiusTooLargeError, match=r"sample left the (positive orthant|"
+                                                      r"interior): radius 1\.7e\+308 too large"):
+            check()
+
+
 def _ess_checks(seed):
     """The three ESS checks at a stable rest point, each with ``seed``."""
     half = SimplexPoint([0.5, 0.5])
@@ -226,6 +240,27 @@ def test_denormalized_ess_at_a_candidate_whose_total_overflows_reads_the_frequen
                                    atol=1e295)
         assert np.all(np.isfinite(report.margins)) and np.all(report.margins > 0.0)
         assert report.is_ess
+
+
+@pytest.mark.parametrize("matrix, radius", [
+    (-np.eye(2), 0.1),
+    (np.array([[0.0, 1.0], [-1.0, 0.0]]), 1e306),
+], ids=["-eye", "antisymmetric"])
+def test_denormalized_ess_whose_terms_overflow_at_finite_totals_reads_the_frequencies(matrix,
+                                                                                      radius):
+    # |candidate| = 2e307 is finite, but each term x . f(x) is near 1e614: the frequency margin
+    # y_hat . f(x) - y . f(x) is finite, and it is taken quietly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = denormalized_ess_check(OrthantPoint([1e307, 1e307]), Linear(matrix), radius, 5, 0)
+    x = report.samples
+    if radius == 0.1:  # every sample rounds to the candidate
+        np.testing.assert_array_equal(report.margins, np.zeros(5))
+        assert report.indeterminate == 5 and report.parallel_samples == 5
+    else:  # f(x) = (x_1, -x_0): y . f(x) = 0, so the margin is (x_1 - x_0) / 2
+        np.testing.assert_allclose(report.margins, (x[:, 1] - x[:, 0]) / 2.0, rtol=0,
+                                   atol=1e294)
+        assert np.all(np.abs(report.margins) > 1e300)
 
 
 def test_denormalized_parallel_detection():
