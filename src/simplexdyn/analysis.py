@@ -224,8 +224,8 @@ def _ess(kind, target, radius: float, samples: int, seed: int) -> EssReport:
     The margin at a sample x is sum_b hat_b . f_b(x) - sum_b x_b . f_b(x), with hat the target.
     Abundance kinds draw from the orthant ball, divide the target term by |hat| and each sample
     term by |x|, and count the samples parallel to the target.  A side whose total overflows is
-    read as its frequencies, whose total is 1, and so is a sample whose payoff row is finite while
-    a term overflows: its margin is then y_hat . f(x) - y . f(x).
+    read as its frequencies, whose total is 1.  When every payoff row is finite, so is a sample
+    whose term overflows: its margin is then y_hat . f(x) - y . f(x), taken quietly.
     """
     hat, split = _state_vector(kind, target, "target")
     rng = _sampling_rng(radius, samples, seed)
@@ -239,22 +239,21 @@ def _ess(kind, target, radius: float, samples: int, seed: int) -> EssReport:
         over = totals[1] == np.inf
         rows = np.where(over[:, None], y, points) if over.any() else points
         totals = tuple(np.where(total == np.inf, 1.0, total) for total in totals)
-        quiet = {"over": "ignore", "invalid": "ignore"}  # a term that overflows is redone below
     else:
         centers = [hat[own] for own, _, _ in _blocks(kind, split)]
         points = _tangent_ball_samples(rng, centers, radius, int(samples))
-        rows, totals, parallel, quiet = points, (1.0, 1.0), None, {}  # x / 1.0 is x to the bit
+        rows, totals, parallel = points, (1.0, 1.0), None  # x / 1.0 is x to the bit
     payoffs = _block_payoffs(kind, points, split)
-    with np.errstate(**quiet):
+    # abundance terms of finite payoffs: one that overflows is read from the frequencies below
+    quiet = kind.state_type is OrthantPoint and bool(np.all(np.isfinite(payoffs[0][1])))
+    with np.errstate(**({"over": "ignore", "invalid": "ignore"} if quiet else {})):
         terms = [reduce(np.add, [payoff @ hat[own] for own, payoff in payoffs]) / totals[0]]
         terms += [np.einsum("ij,ij->i", rows[:, own], payoff) / totals[1] for own, payoff in payoffs]
-        if quiet:  # a finite payoff row whose terms are not reads the frequency margin
-            payoff = payoffs[0][1]
-            redo = ~np.all(np.isfinite(terms), axis=0) & np.all(np.isfinite(payoff), axis=1)
-            if redo.any():
-                terms = [np.where(redo, payoff @ y_hat, terms[0]),
-                         np.where(redo, np.einsum("ij,ij->i", y, payoff), terms[1])]
-    margins = reduce(np.subtract, terms)  # where a payoff is not finite, inf - inf warns here
+    if quiet and not np.all(np.isfinite(terms)):
+        payoff, redo = payoffs[0][1], ~np.all(np.isfinite(terms), axis=0)
+        terms = [np.where(redo, payoff @ y_hat, terms[0]),
+                 np.where(redo, np.einsum("ij,ij->i", y, payoff), terms[1])]
+    margins = reduce(np.subtract, terms)  # a payoff that is not finite warns here or above
     return _ess_report(margins, points, radius, samples, parallel)
 
 
