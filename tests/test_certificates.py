@@ -730,8 +730,8 @@ def _sqdist(a, b):
     data=st.data(),
 )
 def test_localize_on_one_grid_equals_the_double_loop(seed, h, which, data):
-    # "kl_formula" is the function itself, which takes one stacked call per grid row; from n = 8
-    # on, numpy sums each row with its unrolled pairwise sum
+    # "kl_formula" itself takes the stacked path, one call per grid row; up to n = 40, so numpy's
+    # unrolled pairwise row sum (n >= 8) runs too
     n = data.draw(st.integers(2, 40 if which == "kl_formula" else 8), label="n")
     rng = np.random.default_rng(seed)
     x = SimplexPoint(_simplex(rng, n, 0.02))
