@@ -183,7 +183,7 @@ def _ball_samples(
         for (z, norm), center, scale in zip(blocks, centers, radii.T):
             point = center + z * (scale / norm)[:, None]
             outside.append(~np.all((point > 0.0) & (point < np.inf), axis=1))
-            points.append(point / point.sum(axis=1, keepdims=True) if tangent else point)
+            points.append(_per_total(point) if tangent else point)
     outside = np.stack(outside, axis=1)
     if outside.any():  # the first bad draw, sample-major and block-minor
         center = centers[int(outside.argmax()) % len(centers)]

@@ -337,19 +337,12 @@ def _make_field(kind: VectorFieldKind, size: int, split: Optional[int] = None):
 
 def _direct_chart(blocks: tuple):
     """Record the integrated coordinates, each simplex block renormalized in place."""
-    if len(blocks) == 1:  # the whole state
 
-        def chart(y):
-            y /= np.add.reduce(y)
-            return y, y, None
-
-    else:
-
-        def chart(y):
-            for block in blocks:
-                view = y[block]
-                view /= np.add.reduce(view)
-            return y, y, None
+    def chart(y):
+        for block in blocks:
+            view = y[block]
+            view /= np.add.reduce(view)
+        return y, y, None
 
     return chart
 

@@ -15,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import OrthantPoint, SimplexPoint, TangentVector, _is_positive, _reals, _shown
+from .core import (OrthantPoint, SimplexPoint, TangentVector, _is_positive, _per_total, _reals,
+                   _shown)
 from .divergence import kl_formula
 from .errors import (
     DimensionMismatchError,
@@ -104,7 +105,7 @@ def orthant_metric_at(x: OrthantPoint, kind: OrthantMetricKind) -> MetricTensor:
     if kind is OrthantMetricKind.SHAHSHAHANI:
         return _held_metric(x, lambda c: x.total / c, "|x| / x_i")
     if kind is OrthantMetricKind.AKIN:
-        return _held_metric(x, lambda c: 1.0 / c, "1 / x_i")
+        return metric_at(x)
     raise TypeError(f"unknown orthant metric kind: {kind!r}")
 
 
@@ -154,7 +155,7 @@ def exp_map(x: SimplexPoint, v) -> SimplexPoint:
         raise OverflowError(
             "exponential map underflowed: direction spread too large for float64"
         )
-    return SimplexPoint(weights / weights.sum())
+    return SimplexPoint(_per_total(weights))
 
 
 def localize_divergence(

@@ -39,6 +39,7 @@ from simplexdyn import (
     ecological_field,
     ess_check,
     exp_family_solver,
+    exp_map,
     fisher_theorem_check,
     gradient_consistency_check,
     integrate,
@@ -73,7 +74,6 @@ from simplexdyn.dynamics import (
     Trajectory,
     _blocks,
     _check_steps,
-    _direct_chart,
     _frequencies,
     _kl_rows,
     _rk4_step,
@@ -755,6 +755,21 @@ def test_localize_on_one_grid_equals_the_double_loop(seed, h, which, data):
     assert len(calls) in ((0,) if tested is kl_formula else (0, 4 * n * n))
 
 
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 50),
+    scale=st.sampled_from([1e-3, 0.1, 1.0, 10.0, 30.0]),
+)
+def test_exp_map_is_the_plain_quotient_to_the_bit(seed, n, scale):
+    # from n = 8 numpy's sum is its unrolled pairwise reduction
+    rng = np.random.default_rng(seed)
+    x = SimplexPoint(_simplex(rng, n, 0.02))
+    v = rng.standard_normal(n) * scale
+    w = x.coords * np.exp(v - v.max())
+    _assert_same_bits(lambda: w / w.sum(), lambda: exp_map(x, v).coords)
+
+
 def _lv_run(seed, n, shifted, steps, dt, with_target):
     rng = np.random.default_rng(seed)
     f = _game(rng, n, bool(rng.integers(2)))
@@ -903,6 +918,25 @@ def _ref_make_field(kind, split=None):
     raise TypeError(f"unknown field kind: {kind!r}")
 
 
+def _ref_direct_chart(blocks):
+    """Record the integrated coordinates, each simplex block renormalized in place."""
+    if len(blocks) == 1:  # the whole state
+
+        def chart(y):
+            y /= np.add.reduce(y)
+            return y, y, None
+
+    else:
+
+        def chart(y):
+            for block in blocks:
+                view = y[block]
+                view /= np.add.reduce(view)
+            return y, y, None
+
+    return chart
+
+
 def _ref_log_chart(blocks):
     def chart(v):
         big_g = [logsumexp(v[block]) for block in blocks]
@@ -953,7 +987,7 @@ def _ref_run(kind, x0, dt, steps, target, log):
         chart = _ref_log_chart(simplex)
         y, field = np.log(start), _ref_log_field(blocks, chart)
     else:
-        chart = _direct_chart(simplex)
+        chart = _ref_direct_chart(simplex)
         y, field = start, _ref_make_field(kind, split)
     states = [start]
     normalizers = [chart(y.copy())[2]]

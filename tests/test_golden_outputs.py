@@ -2,9 +2,9 @@
 
 ``simulate`` on ``scenarios/*.json`` must write the same bytes on every
 run, on every change that does not mean to move a number.  Each trajectory
-file is pinned by its SHA-256.  Each report is compared exactly on the keys
-pinned here; keys a report gains later pass, so new report fields need no
-re-pinning.
+file and each report is pinned by its SHA-256.  Each report is also compared
+exactly on the values pinned here, so a report whose bytes move names the
+values that moved; keys a report gains pass that comparison.
 """
 
 import hashlib
@@ -28,6 +28,12 @@ TRAJECTORY_SHA256 = {
         "7a121db28a81062557bf0235423c0952bf94f9948f64b1a2cac0b3c8c71ab1d3",
     ("json", "rps_trajectory.json"):
         "f973fe99608d5ae828bfdb0bc37f74ed93309e48393641972fca96b689df06d0",
+}
+
+# the same bytes under --format csv and json
+REPORT_SHA256 = {
+    "hawk_dove_report.json": "8eb8acfdfca7099ee5978af63e15f752db22ff3ad2cab10262aec8b996e2951d",
+    "rps_report.json": "5e039be159163a2ba9497b9588e4057c6744c5ebd31cdc826245de4441700302",
 }
 
 REPORTS = {
@@ -148,6 +154,12 @@ def test_trajectory_bytes_match_pinned_hashes(simulated):
     for (pinned_fmt, name), digest in TRAJECTORY_SHA256.items():
         if pinned_fmt == fmt:
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_report_bytes_match_pinned_hashes(simulated):
+    _, out, _ = simulated
+    for name, digest in REPORT_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_reports_match_pinned_values(simulated):
