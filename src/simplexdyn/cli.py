@@ -233,8 +233,9 @@ def _fit_start(kind, initial, target, field: str) -> None:
 
 
 def _check_entry(entry, prefix: str, kind, initial, target, steps: Optional[int]) -> dict:
-    """``entry`` with typed values and no default filled in, or a ConfigError naming its rule.
+    """The entry ``_run_check`` runs: every key typed or defaulted, or a ConfigError naming a rule.
 
+    A ``point`` not given is the start ``initial``, and a ``grad`` not given the payoff there.
     Errors name ``prefix`` + key (``checks[i].`` in a config, ``--`` for an option) or the check;
     the load rules refuse a check that would fail on any trajectory of ``kind``.
     """
@@ -245,35 +246,33 @@ def _check_entry(entry, prefix: str, kind, initial, target, steps: Optional[int]
     name = entry["name"]
     needs, keys = _CHECKS[name]
     _reject_unknown(entry, ("name", *keys), prefix)
-    check = dict(entry)
+    check = {"name": name}
     for key, (value_type, default) in keys.items():
-        if key in entry and not (entry[key] is None and default is None):
-            check[key] = _typed(value_type, entry[key], prefix + key)
+        given = key in entry and not (entry[key] is None and default is None)
+        check[key] = _typed(value_type, entry[key], prefix + key) if given else default
     if needs is not None and (target is None or not isinstance(target, needs)):
         raise ConfigError(f"'{where}' needs a target ({needs.__name__}), got {target!r}")
-    point = initial
-    if check.get("point") is not None:
-        point = check["point"] = _build_state(SimplexPoint, entry["point"], prefix + "point")
-    elif "point" in keys and not isinstance(initial, SimplexPoint):
-        raise ConfigError(f"'{where}' needs a 'point': the start is not a simplex point")
+    if "point" in keys:
+        point = check["point"] = (initial if check["point"] is None else
+                                  _build_state(SimplexPoint, entry["point"], prefix + "point"))
+        if not isinstance(point, SimplexPoint):
+            raise ConfigError(f"'{where}' needs a 'point': the start is not a simplex point")
 
     if name == "fisher_theorem":
         _refused(where, analysis._require_fisher_kind, kind)
         if steps < 2:
             raise ConfigError(f"'{where}': a central difference needs 'steps' >= 2, got {steps}")
-    elif name == "gradient_consistency" and check.get("grad") is None:
-        # the default gradient is the payoff at the point, as _run_check takes it
+    elif name == "gradient_consistency" and check["grad"] is None:
         if kind.state_type is CoupledState:
             raise ConfigError(f"'{where}' needs a 'grad': a coupled payoff acts on the other "
                               "population, not on the point")
-        _refused(where, next, dynamics._payoffs(kind, point.dim, None))
+        pay = _refused(where, next, dynamics._payoffs(kind, point.dim, None))
+        check["grad"] = pay(point.coords)
     elif name == "gradient_consistency":
         _refused(prefix + "grad", shahshahani_gradient, point, check["grad"])
-    elif name == "localize":
-        h = check.get("h", keys["h"][1])
-        if not h < point.coords.min():
-            raise ConfigError(f"'{prefix}h' must be smaller than the point's smallest "
-                              f"coordinate {point.coords.min()}, got {h}")
+    elif name == "localize" and not check["h"] < point.coords.min():
+        raise ConfigError(f"'{prefix}h' must be smaller than the point's smallest "
+                          f"coordinate {point.coords.min()}, got {check['h']}")
     return check
 
 
@@ -404,14 +403,13 @@ def _report_metrics(report) -> dict:
     return {key: v for key, v in values if v is not None and not isinstance(v, np.ndarray)}
 
 
-def _run_check(check: dict, kind, initial, target, traj: Optional[dynamics.Trajectory]) -> dict:
+def _run_check(check: dict, kind, target, traj: Optional[dynamics.Trajectory]) -> dict:
     """One check on a scenario's parts: its ``{"name", "pass", "metrics"}`` entry.
 
-    ``check`` comes from ``_check_entry``, which typed it and applied its rules; ``traj`` is None
-    for the ``check`` subcommand, whose checks never read it.
+    ``check`` comes from ``_check_entry``, which typed it, filled its defaults and applied its
+    rules; ``traj`` is None for the ``check`` subcommand, whose checks never read it.
     """
     name = check["name"]
-    check = {**{key: default for key, (_, default) in _CHECKS[name][1].items()}, **check}
     if name == "lyapunov":
         report = analysis.lyapunov_monitor(traj, target)
         passed = report.monotone
@@ -434,15 +432,12 @@ def _run_check(check: dict, kind, initial, target, traj: Optional[dynamics.Traje
         passed = residual is not None and residual <= check["tol"]
         metrics = {"residual": residual, "tol": check["tol"]}
 
-    else:  # gradient_consistency and localize: at the check's point, else the start state
-        point = initial if check["point"] is None else check["point"]
-        tol = check["tol"]
+    else:  # gradient_consistency and localize, at the check's point
+        point, tol = check["point"], check["tol"]
         if name == "gradient_consistency":
-            grad = check["grad"]
-            if grad is None:
-                grad = next(dynamics._payoffs(kind, point.dim, None))(point.coords)
             probes = check["probes"]
-            residual = analysis.gradient_consistency_check(point, grad, probes, check["seed"])
+            residual = analysis.gradient_consistency_check(point, check["grad"], probes,
+                                                           check["seed"])
             passed, metrics = residual <= tol, {"residual": residual, "tol": tol, "probes": probes}
         else:
             # pass when the localized diagonal is 1/x_i within tol
@@ -500,10 +495,8 @@ def _run_loaded(scenario: Scenario, out_dir: str, fmt: str, quiet: bool) -> tupl
         traj = dynamics.integrate(
             scenario.kind, scenario.initial, scenario.dt, scenario.steps, target=scenario.target
         )
-        checks = [
-            _run_check(check, scenario.kind, scenario.initial, scenario.target, traj)
-            for check in scenario.checks
-        ]
+        checks = [_run_check(check, scenario.kind, scenario.target, traj)
+                  for check in scenario.checks]
         report = {"scenario": scenario.name, "checks": checks, "truncated": traj.truncated}
         if traj.failure is not None:
             report["failure"] = traj.failure
@@ -575,7 +568,7 @@ def check_command(args: argparse.Namespace) -> int:
         _fit_start(kind, point, None, "--matrix")
     entry = {"name": name, **{key: getattr(args, key) for key in keys}}
     check = _check_entry(entry, "--", kind, point, point, None)
-    result = _run_check(check, kind, point, point, None)
+    result = _run_check(check, kind, point, None)
     _write_json(sys.stdout, {"check": args.check, "pass": result["pass"],
                              "report": result["metrics"]})
     return 0 if result["pass"] else 2

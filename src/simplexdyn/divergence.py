@@ -48,10 +48,6 @@ def denormalized_kl(target: OrthantPoint, x: OrthantPoint) -> float:
 
     Invariant under independent positive rescalings of either argument.
     """
-    if target.dim != x.dim:
-        raise DimensionMismatchError(
-            f"dimension mismatch: target has {target.dim}, state has {x.dim}"
-        )
     return kl(normalize(target), normalize(x))
 
 

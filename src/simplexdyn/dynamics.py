@@ -618,7 +618,7 @@ _GAP_BLOCK = 32
 
 # a blown-up row overflows or turns NaN in the distances, silenced as in the run that recorded it
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def orbit_gap(states: np.ndarray, reference: np.ndarray, stride: int = 1) -> float:
+def orbit_gap(states: np.ndarray, reference: np.ndarray) -> float:
     """Largest distance from ``states`` rows to the polyline through ``reference``.
 
     A one-directional Hausdorff-style gap: each queried state is matched to
@@ -632,8 +632,6 @@ def orbit_gap(states: np.ndarray, reference: np.ndarray, stride: int = 1) -> flo
     per-segment formula.  Inputs that are not finite or exceed 1e100 in
     magnitude skip the pruning.
     """
-    if not _is_count(stride):
-        raise ValueError(f"stride must be a positive integer, got {_shown(stride)}")
     states = np.asarray(states, dtype=float)
     reference = np.asarray(reference, dtype=float)
     if states.ndim != 2 or reference.ndim != 2 or states.shape[1] != reference.shape[1]:
@@ -661,16 +659,15 @@ def orbit_gap(states: np.ndarray, reference: np.ndarray, stride: int = 1) -> flo
         closest = p0[idx] + t[:, None] * seg[idx]
         return ((rows - closest) ** 2).sum(axis=1).reshape(-1, _GAP_BLOCK).min(axis=1)
 
-    queries = states[::stride]
-    prune = bool(np.all(np.abs(reference) <= 1e100) and np.all(np.abs(queries) <= 1e100))
+    prune = bool(np.all(np.abs(reference) <= 1e100) and np.all(np.abs(states) <= 1e100))
     # Rounding moves a box distance and a segment distance by a relative n * eps and the
     # computed closest point off its segment by 7 eps * max|reference| per coordinate; the
     # margin bounds both with room (the absolute term also covers subnormal results).
     scale = float(np.abs(reference).max()) if prune else 0.0
     slack = n * (1e-20 * scale * scale + 1e-300)
-    minima = np.empty(len(queries))
-    for first in range(0, len(queries), _GAP_BLOCK):
-        q = queries[first : first + _GAP_BLOCK]
+    minima = np.empty(len(states))
+    for first in range(0, len(states), _GAP_BLOCK):
+        q = states[first : first + _GAP_BLOCK]
         gap = lo - q[:, None]
         np.maximum(gap, q[:, None] - hi, out=gap)
         np.maximum(gap, 0.0, out=gap)

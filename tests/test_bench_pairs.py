@@ -92,6 +92,17 @@ def test_a_higher_is_better_metric_can_be_unresolved(bench_pairs):
     assert _verdict(bench_pairs, flaky, [1.001] * 10, OK)["verdict"] is None  # all above
 
 
+def test_the_side_that_ran_first_has_its_own_median(bench_pairs):
+    # the parent runs first on odd seeds, the change on even ones; the first run reads higher
+    parent = [44.0 if seed % 2 else 43.8 for seed in range(1, 11)]
+    change = [43.8 if seed % 2 else 44.0 for seed in range(1, 11)]
+    rss = {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.05}
+    entry = _verdict(bench_pairs, parent, change, rss)
+    assert (entry["first_median"], entry["second_median"]) == (44.0, 43.8)
+    assert entry["parent"]["median"] == entry["change"]["median"] == 43.9
+    assert (entry["change_won"], entry["verdict"]) == (5, None)
+
+
 def test_the_verdict_line_names_unresolved_metrics_only_when_there_are_some(bench_pairs):
     runs = _runs(WIDE, WIDE)
     for run, step in zip(runs, PARENT):

@@ -37,7 +37,6 @@ from simplexdyn import (
     integrate,
     kl_formula,
     localize_divergence,
-    orbit_gap,
     section,
     shahshahani_gradient,
 )
@@ -171,7 +170,6 @@ HUGE = 10**5000  # an int Python will not print: more than 4,300 digits
         (lambda: localize_divergence(kl_formula, HALF, HUGE), ValueError, "step h"),
         (lambda: integrate(Replicator(EYE), HALF, HUGE, 1), StepSizeError, "dt"),
         (lambda: integrate(Replicator(EYE), HALF, 0.1, -HUGE), StepSizeError, "steps"),
-        (lambda: orbit_gap(np.ones((2, 2)), np.ones((2, 2)), stride=-HUGE), ValueError, "stride"),
         (lambda: ess_check(HALF, EYE, -HUGE, 10, 0), ValueError, "radius"),
         (lambda: ess_check(HALF, EYE, 0.1, -HUGE, 0), ValueError, "samples"),
         (lambda: ess_check(HALF, EYE, 0.1, 10, -HUGE), ValueError, "seed"),
@@ -179,7 +177,7 @@ HUGE = 10**5000  # an int Python will not print: more than 4,300 digits
         (lambda: gradient_consistency_check(HALF, [0, 0], 10, -HUGE), ValueError, "seed"),
         (lambda: barycenter(-HUGE), DimensionTooSmallError, "n must be"),
     ],
-    ids=["simplex", "ragged", "linear", "scaled", "section", "localize", "dt", "steps", "stride",
+    ids=["simplex", "ragged", "linear", "scaled", "section", "localize", "dt", "steps",
          "radius", "samples", "ess-seed", "probes", "gradient-seed", "barycenter"],
 )
 def test_a_refusal_of_an_int_too_long_to_print_is_the_owners_own(build, error, argument):

@@ -404,7 +404,7 @@ def test_orbit_gap_equals_the_loop(seed, shape, m, n, queries, scale, stride):
     states[on_path] = (reference[near] + t * (reference[near + 1] - reference[near]))[on_path]
     _assert_same(
         lambda: _ref_orbit_gap(states, reference, stride),
-        lambda: orbit_gap(states, reference, stride),
+        lambda: orbit_gap(states[::stride], reference),
     )
 
 
@@ -424,20 +424,6 @@ def test_orbit_gap_refuses_rows_of_other_shapes_naming_both(states, reference):
     with pytest.raises(DimensionMismatchError) as info:
         orbit_gap(states, reference)
     assert f"{states.shape}" in str(info.value) and f"{reference.shape}" in str(info.value)
-
-
-@pytest.mark.parametrize("stride", [True, -1, 0, 1.5, "2", np.float64(2.0)])
-def test_orbit_gap_refuses_a_stride_that_is_not_a_count(stride):
-    states = np.ones((3, 2))
-    with pytest.raises(ValueError) as info:
-        orbit_gap(states, states, stride)
-    assert type(info.value) is ValueError
-    assert str(info.value) == f"stride must be a positive integer, got {stride}"
-
-
-def test_orbit_gap_takes_a_numpy_integer_stride():
-    reference, states = _walk_and_queries(5)
-    assert orbit_gap(states, reference, np.int64(2)) == orbit_gap(states, reference, 2)
 
 
 def _walk_and_queries(seed):

@@ -466,7 +466,9 @@ def test_unknown_check_key_is_a_config_error(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 1
     assert "checks[1].sampels" in capsys.readouterr().err
     cfg = _write_config(tmp_path / "c.json", checks=[{"name": "ess", "samples": 3}])
-    assert load_scenario(str(cfg)).checks == [{"name": "ess", "samples": 3}]
+    assert load_scenario(str(cfg)).checks == [
+        {"name": "ess", "radius": 0.05, "samples": 3, "seed": 0, "expect": True}
+    ]
 
 
 MP_LANDSCAPE = {
@@ -664,8 +666,10 @@ def test_check_preconditions_fail_at_load(tmp_path, capsys, overrides, message):
 
 def test_numbers_are_stored_as_float(tmp_path):
     cfg = _write_config(tmp_path / "f.json", checks=[{"name": "localize", "tol": 1}])
-    (check,) = load_scenario(str(cfg)).checks
-    assert check == {"name": "localize", "tol": 1.0} and type(check["tol"]) is float
+    scenario = load_scenario(str(cfg))
+    (check,) = scenario.checks
+    assert check.pop("point") is scenario.initial
+    assert check == {"name": "localize", "h": 0.001, "tol": 1.0} and type(check["tol"]) is float
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     assert '"tol": 1.0\n' in (out / "hd_report.json").read_text()
@@ -800,8 +804,43 @@ def test_a_wrong_json_type_names_its_path_and_the_default_loads(tmp_path, data):
     with pytest.raises(ConfigError, match=re.escape(f"'checks[0].{key}'")):
         load_scenario(str(cfg))
     _write_config(cfg, checks=[{"name": name, key: default}], **LOADS_WITH.get(name, {}))
-    loaded = load_scenario(str(cfg)).checks[0][key]
-    assert type(loaded) is type(default) and loaded == default
+    scenario = load_scenario(str(cfg))
+    loaded = scenario.checks[0][key]
+    if key == "point":  # the start state
+        assert loaded is scenario.initial
+    elif key == "grad":  # the payoff at the point, as the run computed it when grad was None
+        point = scenario.checks[0]["point"]
+        payoff = next(cli.dynamics._payoffs(scenario.kind, point.dim, None))(point.coords)
+        assert type(loaded) is np.ndarray and loaded.tobytes() == payoff.tobytes()
+    else:
+        assert type(loaded) is type(default) and loaded == default
+
+
+@pytest.mark.parametrize("name", sorted(cli._CHECKS))
+def test_a_loaded_check_is_complete(tmp_path, name):
+    cfg = _write_config(tmp_path / "c.json", checks=[{"name": name}], **LOADS_WITH.get(name, {}))
+    assert set(load_scenario(str(cfg)).checks[0]) == {"name", *cli._CHECKS[name][1]}
+
+
+CHECK_ARGV = {
+    "ess": ["--point", "1/2,1/2", "--matrix", "[[-1,2],[0,1]]"],
+    "localize": ["--point", "1/3,1/3,1/3"],
+    "gradient": ["--point", "1/4,3/4", "--grad", "1,2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli._CHECK_COMMANDS))
+def test_each_check_command_runs_a_complete_check(monkeypatch, capsys, command):
+    run, handed = cli._run_check, []
+
+    def recording(check, *rest):
+        handed.append(check)
+        return run(check, *rest)
+
+    monkeypatch.setattr(cli, "_run_check", recording)
+    main(["check", command, *CHECK_ARGV[command]])
+    name = cli._CHECK_COMMANDS[command][0]
+    assert [set(check) for check in handed] == [{"name", *cli._CHECKS[name][1]}]
 
 
 def _readme_default(cell):

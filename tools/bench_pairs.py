@@ -9,7 +9,8 @@ ignored ``.bench_build/<sha>``.  For seeds 1..N and each workload,
 ``bench/run.py`` runs once in each export, the parent first on odd seeds.
 For every end-to-end metric of ``BENCHMARK.json`` the file holds both
 sides' values, medians, quartiles and extremes, the pairs the change won,
-and the machine facts, and each side's ``src/simplexdyn/*.py`` line counts,
+the medians of the side that ran first in each pair and of the side that ran
+second (``first_median``, ``second_median``), and the machine facts, and each side's ``src/simplexdyn/*.py`` line counts,
 per file and in total.  Each metric's ``verdict`` is ``"gain"``,
 ``"regression"``, ``"unresolved"`` or null (see ``verdict``); one line per
 workload names them at the end, and a last line gives both sides' line
@@ -133,15 +134,19 @@ def summary(runs: list, declared: list) -> dict:
     out = {}
     for metric in declared:
         name, lower = metric["name"], metric["better"] == "lower"
-        pairs = [(r["parent"]["values"][name], r["change"]["values"][name]) for r in runs
-                 if r["parent"]["values"].get(name) is not None
+        pairs = [(r["seed"], r["parent"]["values"][name], r["change"]["values"][name])
+                 for r in runs if r["parent"]["values"].get(name) is not None
                  and r["change"]["values"].get(name) is not None]
         if not pairs:
             continue
-        won = sum((c < p) if lower else (c > p) for p, c in pairs)
-        out[name] = {**metric, "parent": spread([p for p, _ in pairs]),
-                     "change": spread([c for _, c in pairs]), "change_won": won,
-                     "pairs": len(pairs)}
+        won = sum((c < p) if lower else (c > p) for _, p, c in pairs)
+        # main runs the parent first on odd seeds
+        first = [p if seed % 2 else c for seed, p, c in pairs]
+        second = [c if seed % 2 else p for seed, p, c in pairs]
+        out[name] = {**metric, "parent": spread([p for _, p, _ in pairs]),
+                     "change": spread([c for _, _, c in pairs]), "change_won": won,
+                     "pairs": len(pairs), "first_median": statistics.median(first),
+                     "second_median": statistics.median(second)}
         out[name]["verdict"] = verdict(out[name], lower, metric["bound"])
     return out
 
