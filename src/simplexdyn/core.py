@@ -285,12 +285,13 @@ def resolve_payoff(
     the logarithm of ``LogLinear``.
     """
     if isinstance(f, Scaled):
-        base, c = resolve_payoff(f.base, n, m, custom, log), f.factor
+        base, c, mean = resolve_payoff(f.base, n, m, custom, log), np.array(f.factor), np.empty(())
 
         def scaled(x, *other):
             payoff = base(x, *other)
             if x.ndim == 1:
-                return c * (payoff - float(x.dot(payoff)))
+                x.dot(payoff, mean)
+                return c * (payoff - mean)
             return c * (payoff - np.einsum("ij,ij->i", x, payoff)[:, None])
 
         return scaled

@@ -249,12 +249,14 @@ def _off_simplex(kind: VectorFieldKind, states: np.ndarray, split: Optional[int]
     return np.flatnonzero(reduce(np.logical_or, off, np.zeros(len(states), dtype=bool)))
 
 
-def _rk4_step(field, y: np.ndarray, dt: float) -> np.ndarray:
+def _rk4_step(field, y: np.ndarray, weights: tuple) -> np.ndarray:
+    half, whole, sixth = weights
     k1 = field(y)
-    k2 = field(y + 0.5 * dt * k1)
-    k3 = field(y + 0.5 * dt * k2)
-    k4 = field(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    k2 = field(y + half * k1)
+    k3 = field(y + half * k2)
+    k4 = field(y + whole * k3)
+    s = k2 + k3  # s + s is 2.0 * s exactly
+    return y + sixth * (k1 + (s + s) + k4)
 
 
 def _check_steps(dt: float, steps: int) -> None:
@@ -306,7 +308,8 @@ def _make_field(kind: VectorFieldKind, size: int, split: Optional[int] = None):
     if isinstance(kind, LotkaVolterra):
         return lambda x: x * pay(x)
     if isinstance(kind, ShiftedLotkaVolterra):
-        return lambda x: x * pay(x) / np.add.reduce(x)
+        total = np.empty(())
+        return lambda x: x * pay(x) / np.add.reduce(x, out=total)
     if isinstance(kind, Ecological):
 
         def field(x):
@@ -320,28 +323,33 @@ def _make_field(kind: VectorFieldKind, size: int, split: Optional[int] = None):
             return x * g
 
     elif isinstance(kind, Replicator):
+        mean = np.empty(())
 
         def field(x):
             f = pay(x)
-            return x * (f - float(x.dot(f)))
+            x.dot(f, mean)
+            return x * (f - mean)
 
     else:
+        p_mean, q_mean = np.empty(()), np.empty(())
 
         def field(z):
             p, q = z[:split], z[split:]
             f, g = pay(p, q), rest[0](q, p)
-            return np.concatenate([p * (f - float(p.dot(f))), q * (g - float(q.dot(g)))])
+            p.dot(f, p_mean), q.dot(g, q_mean)
+            return np.concatenate([p * (f - p_mean), q * (g - q_mean)])
 
     return field
 
 
 def _direct_chart(blocks: tuple):
     """Record the integrated coordinates, each simplex block renormalized in place."""
+    total = np.empty(())
 
     def chart(y):
         for block in blocks:
             view = y[block]
-            view /= np.add.reduce(view)
+            view /= np.add.reduce(view, out=total)
         return y, y, None
 
     return chart
@@ -462,9 +470,11 @@ def _run(kind: VectorFieldKind, x0, dt: float, steps: int, target, log: bool) ->
         y, field = start, _make_field(kind, start.size, split)
     states, normalizers = [start], [chart(y)[2]] if log else None
     truncated, failure = False, None
+    # 0-d float64 operands (these, the fields' means) cost a ufunc less than floats, same bits
+    weights = tuple(np.array(w, dtype=float) for w in (0.5 * dt, dt, dt / 6.0))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(int(steps)):
-            x, y, big_g = chart(_rk4_step(field, y, dt))
+            x, y, big_g = chart(_rk4_step(field, y, weights))
             if not all(POS_FLOOR < v < np.inf for v in x.tolist()):  # a NaN fails both
                 truncated = True
                 failure = f"positivity lost at step {k + 1} (t = {(k + 1) * dt:g})"

@@ -13,6 +13,7 @@ and every error must carry the same message.
 
 import dataclasses
 import warnings
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -76,7 +77,6 @@ from simplexdyn.dynamics import (
     _check_steps,
     _frequencies,
     _kl_rows,
-    _rk4_step,
     _state_vector,
     _target_vector,
     _uniform_step,
@@ -962,6 +962,14 @@ def _ref_diagnostics(kind, states, target, split, normalizer=None):
     return Diagnostics(mean, var, div, states.sum(axis=1), normalizer)
 
 
+def _ref_rk4_step(field, y, dt):
+    k1 = field(y)
+    k2 = field(y + 0.5 * dt * k1)
+    k3 = field(y + 0.5 * dt * k2)
+    k4 = field(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
 def _ref_run(kind, x0, dt, steps, target, log):
     _check_steps(dt, steps)
     start, split = _state_vector(kind, x0, "start")
@@ -981,7 +989,7 @@ def _ref_run(kind, x0, dt, steps, target, log):
     failure = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(int(steps)):
-            x, y, big_g = chart(_rk4_step(field, y, dt))
+            x, y, big_g = chart(_ref_rk4_step(field, y, dt))
             if not (x.min() > POS_FLOOR and x.max() < np.inf):
                 truncated = True
                 failure = f"positivity lost at step {k + 1} (t = {(k + 1) * dt:g})"
@@ -1138,6 +1146,53 @@ def test_exp_family_blow_ups_truncate_as_before_without_warnings(log):
     call = exp_family_solver if log else lambda *a: integrate(Replicator(a[0]), *a[1:])
     _assert_same_run(lambda: _ref_run(Replicator(f), start, 0.5, 50, None, log),
                      lambda: call(f, start, 0.5, 50))
+
+
+_ZEEMAN = Linear(np.array([[0.0, 6.0, -4.0], [-3.0, 0.0, 5.0], [-1.0, 3.0, 0.0]]))
+_COMPETITION = Linear(-np.array([[1.0, 0.5, 0.2], [0.3, 1.0, 0.4], [0.1, 0.6, 1.0]]))
+_TYPED_START = SimplexPoint(np.array([0.2, 0.3, 0.5]))
+
+
+def _typed_step_run(run, dt, target=None):
+    """(kind, start, log, call) of a 40-step run with step ``dt``."""
+    if run == "scaled_replicator":
+        kind, x0, log = Replicator(Scaled(_ZEEMAN, 0.5)), _TYPED_START, False
+    elif run == "shifted_lv":
+        kind, x0, log = ShiftedLotkaVolterra(_COMPETITION), OrthantPoint([0.5, 1.0, 1.5]), False
+    else:
+        kind, x0, log = Replicator(_ZEEMAN), _TYPED_START, run == "exp_family"
+    if log:
+        return kind, x0, log, lambda: exp_family_solver(_ZEEMAN, x0, dt, 40, target=target)
+    return kind, x0, log, lambda: integrate(kind, x0, dt, 40, target=target)
+
+
+@pytest.mark.parametrize("dt", [1, np.float32(0.05), np.float64(0.05), 0.05],
+                         ids=["int", "float32", "float64", "float"])
+@pytest.mark.parametrize("run", ["scaled_replicator", "shifted_lv", "exp_family"])
+def test_a_step_size_that_is_not_a_python_float_keeps_its_bits(run, dt):
+    # the step holds 0.5 * dt, dt and dt / 6 as 0-d float64 arrays: each run is the
+    # float-scalar step's, to the bit (a float32 dt rounds its weights as a float32 does)
+    kind, x0, log, call = _typed_step_run(run, dt)
+    _assert_same_run(lambda: _ref_run(kind, x0, dt, 40, None, log), call)
+
+
+@pytest.mark.parametrize("run, with_target", [("scaled_replicator", False), ("shifted_lv", False),
+                                              ("replicator", True), ("exp_family", False)])
+def test_a_fraction_step_runs_as_its_float_on_its_own_time_grid(run, with_target):
+    # The float-scalar step carried a Fraction's dt * k3 as an object array: its states were
+    # those of float(dt), but it summed the diagnostics in Python floats, and np.log of the
+    # divergence column and np.exp of the log chart raised TypeError.  The weights of a
+    # Fraction are those of float(dt); the times stay dt * arange, each multiple rounded once.
+    dt = Fraction(1, 20)
+    kind, x0, log, call = _typed_step_run(run, dt, _TYPED_START if with_target else None)
+    as_float = _ref_run(kind, x0, float(dt), 40, _TYPED_START if with_target else None, log)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = call()
+    assert np.array_equal(traj.times, np.asarray(dt * np.arange(41), dtype=float))
+    assert _bits(dataclasses.replace(traj, times=as_float.times)) == _bits(as_float)
+    if not (log or with_target):
+        assert _ref_run(kind, x0, dt, 40, None, log).states.tobytes() == traj.states.tobytes()
 
 
 _FIELDS = [

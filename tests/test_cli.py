@@ -49,7 +49,8 @@ def test_simulate_writes_csv_and_report(tmp_path):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
 
-    rows = list(csv.reader((out / "hd_trajectory.csv").open()))
+    with (out / "hd_trajectory.csv").open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == [
         "t",
         "x_1",
@@ -185,7 +186,8 @@ def test_simulate_truncated_run_exits_1_with_partial_outputs(tmp_path, capsys):
     report = json.loads((out / "coord_report.json").read_text())
     assert report["truncated"] is True
     assert "positivity" in report["failure"]
-    rows = list(csv.reader((out / "coord_trajectory.csv").open()))
+    with (out / "coord_trajectory.csv").open() as fh:
+        rows = list(csv.reader(fh))
     assert 1 < len(rows) < 5002
 
 
@@ -232,7 +234,8 @@ def test_simulate_coupled_scenario(tmp_path):
     )
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-    rows = list(csv.reader((out / "mp_trajectory.csv").open()))
+    with (out / "mp_trajectory.csv").open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0][:5] == ["t", "x_1", "x_2", "y_1", "y_2"]
     states = np.array([[float(v) for v in r[1:5]] for r in rows[1:]])
     np.testing.assert_allclose(states[:, :2].sum(axis=1), 1.0, rtol=0, atol=1e-9)

@@ -31,6 +31,9 @@ DEFAULT_IDS = (
     "test_gradient_check_reads_a_nan_defect_as_a_nan_residual_and_refuses_a_nan_gradient",
     "tests/test_analysis.py::"
     "test_denormalized_ess_whose_terms_overflow_at_finite_totals_reads_the_frequencies",
+    # the RK4 step's bits against the float-scalar reference loop
+    "tests/test_certificates.py::test_every_run_equals_the_loop_with_a_payoff_dispatch_per_call",
+    "tests/test_certificates.py::test_blow_ups_truncate_as_before_without_warnings",
 )
 
 
