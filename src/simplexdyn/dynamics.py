@@ -470,7 +470,7 @@ def _run(kind: VectorFieldKind, x0, dt: float, steps: int, target, log: bool) ->
         y, field = start, _make_field(kind, start.size, split)
     states, normalizers = [start], [chart(y)[2]] if log else None
     truncated, failure = False, None
-    # 0-d float64 operands (these, the fields' means) cost a ufunc less than floats, same bits
+    # a ufunc takes a 0-d float64 operand faster than a Python float, with the same bits
     weights = tuple(np.array(w, dtype=float) for w in (0.5 * dt, dt, dt / 6.0))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(int(steps)):

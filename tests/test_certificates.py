@@ -1183,9 +1183,9 @@ def test_a_fraction_step_runs_as_its_float_on_its_own_time_grid(run, with_target
     # those of float(dt), but it summed the diagnostics in Python floats, and np.log of the
     # divergence column and np.exp of the log chart raised TypeError.  The weights of a
     # Fraction are those of float(dt); the times stay dt * arange, each multiple rounded once.
-    dt = Fraction(1, 20)
-    kind, x0, log, call = _typed_step_run(run, dt, _TYPED_START if with_target else None)
-    as_float = _ref_run(kind, x0, float(dt), 40, _TYPED_START if with_target else None, log)
+    dt, target = Fraction(1, 20), _TYPED_START if with_target else None
+    kind, x0, log, call = _typed_step_run(run, dt, target)
+    as_float = _ref_run(kind, x0, float(dt), 40, target, log)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj = call()
