@@ -126,7 +126,7 @@ def _state_type(kind) -> type:
 def _field_at(kind: VectorFieldKind, state) -> tuple[np.ndarray, Optional[int]]:
     """The field of ``kind`` at ``state``, and the state's split: one ``_state_vector`` read."""
     z, split = _state_vector(kind, state, "state")
-    return _make_field(kind, z.size, split)(z), split
+    return _make_field(kind, z.size, split)(z, np.empty(z.size)), split
 
 
 def replicator_field(x: SimplexPoint, f: Landscape) -> TangentVector:
@@ -249,14 +249,29 @@ def _off_simplex(kind: VectorFieldKind, states: np.ndarray, split: Optional[int]
     return np.flatnonzero(reduce(np.logical_or, off, np.zeros(len(states), dtype=bool)))
 
 
-def _rk4_step(field, y: np.ndarray, weights: tuple) -> np.ndarray:
+def _rk4_step(field, y: np.ndarray, weights: tuple, work: tuple, out: np.ndarray,
+              add=np.add, multiply=np.multiply) -> np.ndarray:
+    """One RK4 step from ``y`` into ``out``, with the stage fields and sums in ``work``.
+
+    ``work`` holds four field buffers and one for ``weight * k``; each stage input is a new
+    array, so a field's argument is never overwritten later.
+    """
     half, whole, sixth = weights
-    k1 = field(y)
-    k2 = field(y + half * k1)
-    k3 = field(y + half * k2)
-    k4 = field(y + whole * k3)
-    s = k2 + k3  # s + s is 2.0 * s exactly
-    return y + sixth * (k1 + (s + s) + k4)
+    k1, k2, k3, k4, scratch = work
+    field(y, k1)
+    field(add(y, multiply(half, k1, scratch)), k2)
+    field(add(y, multiply(half, k2, scratch)), k3)
+    field(add(y, multiply(whole, k3, scratch)), k4)
+    s = add(k2, k3, k2)  # s + s is 2.0 * s exactly
+    add(k1, add(s, s, s), k1)
+    return add(y, multiply(sixth, add(k1, k4, k1), k1), out)
+
+
+def _positive(x: np.ndarray) -> bool:
+    """True when every coordinate of ``x`` is above POS_FLOOR and below +inf; a NaN is not."""
+    v = x.tolist()
+    total = sum(v)  # NaN when a coordinate is; Python floats overflow to inf without a warning
+    return POS_FLOOR < min(v) and max(v) < np.inf and total == total
 
 
 def _check_steps(dt: float, steps: int) -> None:
@@ -303,16 +318,21 @@ def _block_payoffs(kind: VectorFieldKind, rows: np.ndarray, split: Optional[int]
 
 
 def _make_field(kind: VectorFieldKind, size: int, split: Optional[int] = None):
-    """The field of ``kind`` on states of ``size`` coordinates (``split`` for coupled kinds)."""
+    """The field of ``kind`` on states of ``size`` coordinates (``split`` for coupled kinds).
+
+    The field is ``field(x, out)``: it writes the field at ``x`` into ``out``, an array the
+    package owns and shaped like ``x``, and returns ``out``.  It writes into no other array.
+    """
     pay, *rest = _payoffs(kind, size, split)
+    multiply, subtract = np.multiply, np.subtract
     if isinstance(kind, LotkaVolterra):
-        return lambda x: x * pay(x)
+        return lambda x, out: multiply(x, pay(x), out)
     if isinstance(kind, ShiftedLotkaVolterra):
-        total = np.empty(())
-        return lambda x: x * pay(x) / np.add.reduce(x, out=total)
+        total, reduce_add, divide = np.empty(()), np.add.reduce, np.divide
+        return lambda x, out: divide(multiply(x, pay(x), out), reduce_add(x, 0, None, total), out)
     if isinstance(kind, Ecological):
 
-        def field(x):
+        def field(x, out):
             g = pay(x)
             residual = float(x.dot(g))
             # past the absolute test, relative: a blown-up stage rounds x . g at its terms' size
@@ -320,24 +340,26 @@ def _make_field(kind: VectorFieldKind, size: int, split: Optional[int] = None):
                 raise NotSimplexPreservingError(
                     f"x . g(x) = {residual!r} violates aggregate neutrality"
                 )
-            return x * g
+            return multiply(x, g, out)
 
     elif isinstance(kind, Replicator):
         mean = np.empty(())
 
-        def field(x):
+        def field(x, out):
             f = pay(x)
             x.dot(f, mean)
-            return x * (f - mean)
+            return multiply(x, subtract(f, mean, out), out)
 
     else:
         p_mean, q_mean = np.empty(()), np.empty(())
 
-        def field(z):
+        def field(z, out):
             p, q = z[:split], z[split:]
             f, g = pay(p, q), rest[0](q, p)
             p.dot(f, p_mean), q.dot(g, q_mean)
-            return np.concatenate([p * (f - p_mean), q * (g - q_mean)])
+            dp, dq = out[:split], out[split:]
+            multiply(p, subtract(f, p_mean, dp), dp), multiply(q, subtract(g, q_mean, dq), dq)
+            return out
 
     return field
 
@@ -374,15 +396,24 @@ def _log_chart(blocks: tuple):
 
 
 def _log_field(kind: VectorFieldKind, size: int, split: Optional[int]):
-    """dv = f(x) at x = exp(v - G) per population: the replicator flow in log coordinates."""
+    """dv = f(x) at x = exp(v - G) per population: the replicator flow in log coordinates.
+
+    Like ``_make_field``'s fields, ``field(v, out)`` writes into ``out`` and returns it.
+    """
     pay, *rest = _payoffs(kind, size, split)
     if not rest:
-        return lambda v: pay(_one_block_log_chart(v)[0])
+
+        def field(v, out):
+            out[...] = pay(_one_block_log_chart(v)[0])
+            return out
+
+        return field
     g_pay = rest[0]
 
-    def field(v):
+    def field(v, out):
         p, q = _one_block_log_chart(v[:split])[0], _one_block_log_chart(v[split:])[0]
-        return np.concatenate([pay(p, q), g_pay(q, p)])
+        out[:split], out[split:] = pay(p, q), g_pay(q, p)
+        return out
 
     return field
 
@@ -450,11 +481,12 @@ def _run(kind: VectorFieldKind, x0, dt: float, steps: int, target, log: bool) ->
     from, normalizers); the direct chart may renormalize its argument in
     place.  The first recorded row is the start state exactly as given.  A
     step whose recorded state has a coordinate that is at or below POS_FLOOR,
-    NaN or +inf halts the run, tested with one exact Python comparison per
-    coordinate; the overflow, invalid-value and divide-by-zero warnings of such
-    a blow-up, in the loop and in the diagnostics of the rows before it, are
-    silenced.  Only log runs record normalizers, and a log run also halts at
-    its first recorded row that is off the simplex, naming the normalizer.
+    NaN or +inf halts the run (``_positive``); the overflow, invalid-value and
+    divide-by-zero warnings of such a blow-up, in the loop and in the
+    diagnostics of the rows before it, are silenced.  Only log runs record
+    normalizers, and a log run also halts at its first recorded row that is
+    off the simplex, naming the normalizer.  The work buffers hold the stage
+    fields and sums of every step.
     """
     _check_steps(dt, steps)
     start, split = _state_vector(kind, x0, "start")
@@ -472,12 +504,16 @@ def _run(kind: VectorFieldKind, x0, dt: float, steps: int, target, log: bool) ->
     truncated, failure = False, None
     # a ufunc takes a 0-d float64 operand faster than a Python float, with the same bits
     weights = tuple(np.array(w, dtype=float) for w in (0.5 * dt, dt, dt / 6.0))
+    size = start.size
+    work = tuple(np.empty(size) for _ in range(5))
+    step = float(dt)  # the recorded times, and each failure's t, are those of the float run
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(int(steps)):
-            x, y, big_g = chart(_rk4_step(field, y, weights))
-            if not all(POS_FLOOR < v < np.inf for v in x.tolist()):  # a NaN fails both
+            # each step's result is a new array: the chart may record it as the next row
+            x, y, big_g = chart(_rk4_step(field, y, weights, work, np.empty(size)))
+            if not _positive(x):
                 truncated = True
-                failure = f"positivity lost at step {k + 1} (t = {(k + 1) * dt:g})"
+                failure = f"positivity lost at step {k + 1} (t = {step * (k + 1):g})"
                 break
             states.append(x)
             if log:
@@ -489,12 +525,12 @@ def _run(kind: VectorFieldKind, x0, dt: float, steps: int, target, log: bool) ->
         if len(off):
             k, truncated = int(off[0]), True
             failure = (f"normalizer G = {normalizer[k].tolist()} rounds exp(v - G) off the "
-                       f"simplex at step {k} (t = {k * dt:g})")
+                       f"simplex at step {k} (t = {step * k:g})")
             states, normalizer = states[:k], normalizer[:k]
         diagnostics = _diagnostics(kind, states, target, split, normalizer)
     return Trajectory(
         kind=kind,
-        times=dt * np.arange(states.shape[0]),
+        times=step * np.arange(states.shape[0]),
         states=states,
         diagnostics=diagnostics,
         split=split,

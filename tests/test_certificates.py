@@ -12,6 +12,7 @@ and every error must carry the same message.
 """
 
 import dataclasses
+import itertools
 import warnings
 from fractions import Fraction
 from functools import reduce
@@ -77,6 +78,7 @@ from simplexdyn.dynamics import (
     _check_steps,
     _frequencies,
     _kl_rows,
+    _positive,
     _state_vector,
     _target_vector,
     _uniform_step,
@@ -1182,17 +1184,96 @@ def test_a_fraction_step_runs_as_its_float_on_its_own_time_grid(run, with_target
     # The float-scalar step carried a Fraction's dt * k3 as an object array: its states were
     # those of float(dt), but it summed the diagnostics in Python floats, and np.log of the
     # divergence column and np.exp of the log chart raised TypeError.  The weights of a
-    # Fraction are those of float(dt); the times stay dt * arange, each multiple rounded once.
+    # Fraction are those of float(dt), and so are the recorded times, float(dt) * arange.
     dt, target = Fraction(1, 20), _TYPED_START if with_target else None
     kind, x0, log, call = _typed_step_run(run, dt, target)
     as_float = _ref_run(kind, x0, float(dt), 40, target, log)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj = call()
-    assert np.array_equal(traj.times, np.asarray(dt * np.arange(41), dtype=float))
-    assert _bits(dataclasses.replace(traj, times=as_float.times)) == _bits(as_float)
+    assert _bits(traj) == _bits(as_float)
     if not (log or with_target):
         assert _ref_run(kind, x0, dt, 40, None, log).states.tobytes() == traj.states.tobytes()
+
+
+@pytest.mark.parametrize("run, failure", [
+    ("lotka_volterra", "positivity lost at step 13 (t = 1.3)"),
+    ("exp_family", "normalizer G = 18999999.99914747 rounds exp(v - G) off the simplex at "
+                   "step 19 (t = 0.19)"),
+], ids=["lotka_volterra", "exp_family"])
+def test_a_fraction_step_that_truncates_reads_as_the_float_run(run, failure):
+    # the failure's t was dt * k formatted with :g, which Fraction.__format__ refuses
+    if run == "lotka_volterra":
+        dt, steps, kind = Fraction(1, 10), 100, LotkaVolterra(Linear(np.diag([1.0, 0.9])))
+        call = lambda step: integrate(kind, OrthantPoint([1.0, 1.0]), step, steps)  # noqa: E731
+    else:
+        dt, steps = Fraction(1, 100), 200
+        f = Linear(np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]]) + 1e8)
+        call = lambda step: exp_family_solver(f, _TYPED_START, step, steps)  # noqa: E731
+    _assert_same_run(lambda: call(float(dt)), lambda: call(dt))
+    assert call(dt).failure == failure
+
+
+def _ref_positive(x):
+    return all(POS_FLOOR < v < np.inf for v in x.tolist())  # a NaN fails both
+
+
+_EDGES = [np.nan, np.inf, -np.inf, 0.0, -0.0, POS_FLOOR, float(np.nextafter(POS_FLOOR, 1.0)),
+          5e-324, 1.7e308, 1.0]
+
+
+def test_the_positivity_test_keeps_the_comparison_loops_verdicts_on_edge_values():
+    for row in itertools.product(_EDGES, repeat=3):
+        assert _positive(np.array(row)) == _ref_positive(np.array(row)), row
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.one_of(st.sampled_from(_EDGES), st.floats(), st.floats(1e-13, 1e308)),
+                min_size=1, max_size=60))
+def test_the_positivity_test_keeps_the_comparison_loops_verdicts(values):
+    x = np.array(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _positive(x) == _ref_positive(x)
+
+
+class _Keeper:
+    """A black-box payoff that keeps every input it is given and returns one cached array."""
+
+    def __init__(self, payoff):
+        self.payoff, self.saved, self.kept = payoff, payoff.copy(), []
+
+    def __call__(self, *state):
+        self.kept.extend((s, s.copy()) for s in state)
+        return self.payoff
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+@pytest.mark.parametrize("run", KINDS)
+def test_a_payoff_that_keeps_its_inputs_sees_none_of_them_overwritten(run, scaled):
+    keepers = [_Keeper(np.array([0.3, -0.2, 0.1])), _Keeper(np.array([0.4, -0.1]))]
+    lands = [Scaled(Custom(k), 0.5) if scaled else Custom(k) for k in keepers]
+    log = run.endswith("exp_family")
+    if run.startswith("coupled"):
+        kind, x0 = CoupledReplicator(*lands), CoupledState(_TYPED_START, SimplexPoint([0.6, 0.4]))
+    else:
+        kind = {"replicator": Replicator, "ecological": Ecological, "lotka_volterra": LotkaVolterra,
+                "shifted_lotka_volterra": ShiftedLotkaVolterra,
+                "exp_family": Replicator}[run](lands[0])
+        x0 = OrthantPoint([0.5, 1.0, 1.5]) if kind.state_type is OrthantPoint else _TYPED_START
+        keepers = keepers[:1]
+    start = _state_vector(kind, x0, "start")[0]
+    if run == "exp_family":
+        call = lambda: exp_family_solver(lands[0], x0, 0.05, 30)  # noqa: E731
+    elif run == "coupled_exp_family":
+        call = lambda: coupled_exp_family_solver(*lands, x0, 0.05, 30)  # noqa: E731
+    else:
+        call = lambda: integrate(kind, x0, 0.05, 30)  # noqa: E731
+    _assert_same_run(lambda: _ref_run(kind, x0, 0.05, 30, None, log), call)
+    for keeper in keepers:
+        assert keeper.kept and keeper.payoff.tobytes() == keeper.saved.tobytes()
+        assert all(seen.tobytes() == saved.tobytes() for seen, saved in keeper.kept)
+    assert _state_vector(kind, x0, "start")[0].tobytes() == start.tobytes()
 
 
 _FIELDS = [
@@ -1240,6 +1321,22 @@ def test_the_public_fields_equal_the_fields_they_replaced(which):
     s = CoupledState(SimplexPoint(np.array([0.5, 0.5])), SimplexPoint(np.array([0.2, 0.3, 0.5])))
     _assert_same_bits(lambda: _ref_make_field(CoupledReplicator(f, g), 2)(s.concatenated()),
                       lambda: np.concatenate(coupled_replicator_field(s, f, g)))
+
+
+def test_each_call_of_a_public_field_returns_a_new_array():
+    f = Scaled(_ZEEMAN, 1.0)
+    s = CoupledState(_TYPED_START, SimplexPoint([0.6, 0.4]))
+    a = np.array([[1.0, -1.0], [-1.0, 1.0], [0.5, 0.0]])
+    calls = [(lambda x, p=public: np.asarray(p(x, f)), x, type(x)(x.coords[::-1].copy()))
+             for public, _, x in _FIELDS]
+    calls.append((lambda z: np.concatenate(coupled_replicator_field(z, Linear(a), Linear(-a.T))),
+                  s, CoupledState(s.pop1, SimplexPoint([0.3, 0.7]))))
+    for field, x, other in calls:
+        first = field(x)
+        saved = first.copy()
+        second = field(other)
+        assert not np.shares_memory(first, second) and first.tobytes() == saved.tobytes()
+        assert second.tobytes() != saved.tobytes()
 
 
 def _payoff_states(rng, rows, n, where):
