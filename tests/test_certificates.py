@@ -1196,22 +1196,22 @@ def test_a_fraction_step_runs_as_its_float_on_its_own_time_grid(run, with_target
         assert _ref_run(kind, x0, dt, 40, None, log).states.tobytes() == traj.states.tobytes()
 
 
-@pytest.mark.parametrize("run, failure", [
-    ("lotka_volterra", "positivity lost at step 13 (t = 1.3)"),
-    ("exp_family", "normalizer G = 18999999.99914747 rounds exp(v - G) off the simplex at "
-                   "step 19 (t = 0.19)"),
-], ids=["lotka_volterra", "exp_family"])
-def test_a_fraction_step_that_truncates_reads_as_the_float_run(run, failure):
+@pytest.mark.parametrize("run", ["lotka_volterra", "exp_family"])
+def test_a_fraction_step_that_truncates_reads_as_the_float_run(run):
     # the failure's t was dt * k formatted with :g, which Fraction.__format__ refuses
     if run == "lotka_volterra":
         dt, steps, kind = Fraction(1, 10), 100, LotkaVolterra(Linear(np.diag([1.0, 0.9])))
         call = lambda step: integrate(kind, OrthantPoint([1.0, 1.0]), step, steps)  # noqa: E731
-    else:
+    else:  # the normalizer rounds exp(v - G) off the simplex
         dt, steps = Fraction(1, 100), 200
         f = Linear(np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]]) + 1e8)
         call = lambda step: exp_family_solver(f, _TYPED_START, step, steps)  # noqa: E731
     _assert_same_run(lambda: call(float(dt)), lambda: call(dt))
-    assert call(dt).failure == failure
+    traj = call(dt)
+    k = len(traj)
+    assert traj.truncated and traj.failure.endswith(f" at step {k} (t = {float(dt) * k:g})")
+    if run == "lotka_volterra":
+        assert traj.failure == "positivity lost at step 13 (t = 1.3)"
 
 
 def _ref_positive(x):
