@@ -179,7 +179,8 @@ def _ball_samples(
         normals, radii = _ball_draws(rng, dims, radius, count, lambda z: direction(z)[1] > 1e-12)
         blocks = directions(normals)
     points, outside = [], []
-    with np.errstate(over="ignore", invalid="ignore"):  # a coordinate float64 cannot hold is outside
+    # a coordinate float64 cannot hold is outside, and so is a point whose total is 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for (z, norm), center, scale in zip(blocks, centers, radii.T):
             point = center + z * (scale / norm)[:, None]
             outside.append(~np.all((point > 0.0) & (point < np.inf), axis=1))

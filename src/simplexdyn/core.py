@@ -116,7 +116,8 @@ class SimplexPoint(_Point):
     def _check(self, coords: np.ndarray) -> None:
         if not np.all(coords > 0.0):
             raise NotInteriorError(f"coordinates must be strictly positive, got {coords}")
-        total = float(coords.sum())
+        with np.errstate(over="ignore"):  # a sum past float64 is refused by its value, inf
+            total = float(coords.sum())
         if not abs(total - 1.0) <= SIMPLEX_TOL:
             raise NotNormalizedError(f"coordinates sum to {total!r}, expected 1 within {SIMPLEX_TOL}")
 
@@ -280,36 +281,44 @@ def resolve_payoff(
     """The payoff of ``f`` for own states of ``n`` coordinates, dispatched and checked once.
 
     The result takes one state (n,) or rows (T, n); given ``m``, it takes
-    ``(own, other)`` with opposing states of ``m`` coordinates.  A ``Custom``
-    landscape is evaluated as ``custom(f, *state)`` once per state; ``log`` is
-    the logarithm of ``LogLinear``.
+    ``(own, other)`` with opposing states of ``m`` coordinates.  On one state an optional
+    ``out`` may follow: a ``Linear``, ``LogLinear`` or ``Scaled`` payoff writes into it and
+    returns it, with the bits it returns without one; a ``Custom`` payoff returns its own
+    array, which the caller reads and never writes.  A ``Custom`` landscape is evaluated as
+    ``custom(f, *state)`` once per state; ``log`` is the logarithm of ``LogLinear``.
     """
     if isinstance(f, Scaled):
         base, c, mean = resolve_payoff(f.base, n, m, custom, log), np.array(f.factor), np.empty(())
 
-        def scaled(x, *other):
-            payoff = base(x, *other)
+        def rescaled(x, payoff, out):
             if x.ndim == 1:
                 x.dot(payoff, mean)
-                return c * (payoff - mean)
+                return np.multiply(c, np.subtract(payoff, mean, out), out)
             return c * (payoff - np.einsum("ij,ij->i", x, payoff)[:, None])
 
-        return scaled
-    if isinstance(f, Custom):
-        return lambda x, *other: (custom(f, x, *other) if x.ndim == 1 else
-                                  np.stack([custom(f, *row) for row in zip(x, *other)]))
+        if m is None:
+            return lambda x, out=None: rescaled(x, base(x, out), out)
+        return lambda x, other, out=None: rescaled(x, base(x, other, out), out)
+    if isinstance(f, Custom):  # ``out`` goes unused: the evaluator's array is the payoff
+        if m is None:
+            return lambda x, out=None: (custom(f, x) if x.ndim == 1 else
+                                        np.stack([custom(f, row) for row in x]))
+        return lambda x, other, out=None: (custom(f, x, other) if x.ndim == 1 else
+                                           np.stack([custom(f, *row) for row in zip(x, other)]))
     if not isinstance(f, (Linear, LogLinear)):
         raise TypeError(f"not a landscape: {f!r}")
     shape = (n, n if m is None else m)
     if f.matrix.shape != shape:
         raise DimensionMismatchError(f"{type(f).__name__} matrix shape {f.matrix.shape} does not "
                                      f"match state dimensions {shape}")
-    # s.dot(M.T) keeps the bits of M @ s on one state and of S @ M.T on rows
+    # s.dot(M.T) keeps the bits of M @ s on one state, into ``out`` too, and of S @ M.T on rows
     mt = f.matrix.T
     if isinstance(f, Linear):
-        return (lambda x: x.dot(mt)) if m is None else lambda x, other: other.dot(mt)
-    b = f.offset
-    return (lambda x: log(x).dot(mt) + b) if m is None else lambda x, other: log(other).dot(mt) + b
+        return ((lambda x, out=None: x.dot(mt, out)) if m is None
+                else lambda x, other, out=None: other.dot(mt, out))
+    b, add = f.offset, np.add
+    return ((lambda x, out=None: add(log(x).dot(mt, out), b, out)) if m is None
+            else lambda x, other, out=None: add(log(other).dot(mt, out), b, out))
 
 
 def evaluate_landscape(

@@ -321,19 +321,21 @@ def _make_field(kind: VectorFieldKind, size: int, split: Optional[int] = None):
     """The field of ``kind`` on states of ``size`` coordinates (``split`` for coupled kinds).
 
     The field is ``field(x, out)``: it writes the field at ``x`` into ``out``, an array the
-    package owns and shaped like ``x``, and returns ``out``.  It writes into no other array.
+    package owns and shaped like ``x``, and returns ``out``.  It writes into no other array
+    but its own payoff buffers, and a ``Custom`` payoff's array is only read.
     """
     pay, *rest = _payoffs(kind, size, split)
     multiply, subtract = np.multiply, np.subtract
     if isinstance(kind, LotkaVolterra):
-        return lambda x, out: multiply(x, pay(x), out)
+        return lambda x, out: multiply(x, pay(x, out), out)
     if isinstance(kind, ShiftedLotkaVolterra):
         total, reduce_add, divide = np.empty(()), np.add.reduce, np.divide
-        return lambda x, out: divide(multiply(x, pay(x), out), reduce_add(x, 0, None, total), out)
+        return lambda x, out: divide(multiply(x, pay(x, out), out), reduce_add(x, 0, None, total),
+                                     out)
     if isinstance(kind, Ecological):
 
         def field(x, out):
-            g = pay(x)
+            g = pay(x, out)
             residual = float(x.dot(g))
             # past the absolute test, relative: a blown-up stage rounds x . g at its terms' size
             if abs(residual) > TANGENT_TOL and abs(residual) > TANGENT_TOL * np.abs(x * g).sum():
@@ -346,16 +348,18 @@ def _make_field(kind: VectorFieldKind, size: int, split: Optional[int] = None):
         mean = np.empty(())
 
         def field(x, out):
-            f = pay(x)
+            f = pay(x, out)
             x.dot(f, mean)
             return multiply(x, subtract(f, mean, out), out)
 
     else:
-        p_mean, q_mean = np.empty(()), np.empty(())
+        # each payoff goes into a new array's memory, not a view of ``out``: a BLAS dot may
+        # round by its second operand's alignment (OpenBLAS Prescott), and out[split:] moves it
+        p_mean, q_mean, fb, gb = np.empty(()), np.empty(()), np.empty(split), np.empty(size - split)
 
         def field(z, out):
             p, q = z[:split], z[split:]
-            f, g = pay(p, q), rest[0](q, p)
+            f, g = pay(p, q, fb), rest[0](q, p, gb)
             p.dot(f, p_mean), q.dot(g, q_mean)
             dp, dq = out[:split], out[split:]
             multiply(p, subtract(f, p_mean, dp), dp), multiply(q, subtract(g, q_mean, dq), dq)
@@ -365,54 +369,61 @@ def _make_field(kind: VectorFieldKind, size: int, split: Optional[int] = None):
 
 
 def _direct_chart(blocks: tuple):
-    """Record the integrated coordinates, each simplex block renormalized in place."""
+    """Record the integrated coordinates ``y``, the row itself: each simplex block renormalized."""
     total = np.empty(())
 
-    def chart(y):
+    def chart(y, row):
         for block in blocks:
             view = y[block]
             view /= np.add.reduce(view, out=total)
-        return y, y, None
 
     return chart
 
 
-def _one_block_log_chart(v: np.ndarray) -> tuple:
-    """One population's log chart: (exp(v - G), v, G) with G = logsumexp(v)."""
-    big_g = logsumexp(v)
-    return np.exp(v - big_g), v, big_g
+def _block_chart(v: np.ndarray) -> np.ndarray:
+    """One population's x = exp(v - G), with G = logsumexp(v)."""
+    return np.exp(v - logsumexp(v))
 
 
-def _log_chart(blocks: tuple):
-    """Record exp(v - G) per block, with G = logsumexp(v) recomputed, never integrated."""
-    if len(blocks) == 1:
-        return _one_block_log_chart
+def _log_chart(blocks: tuple, memo: list):
+    """Record exp(v - G) per block into ``row``, with G = logsumexp(v) recomputed, never integrated.
 
-    def chart(v):
-        xs, _, big_g = zip(*(_one_block_log_chart(v[block]) for block in blocks))
-        return np.concatenate(xs), v, big_g
+    ``memo`` keeps ``v`` and its blocks of ``row`` for the field at the same ``v``.  The
+    normalizer is G, or one G per block for two populations.
+    """
+    exp, subtract = np.exp, np.subtract
+
+    def chart(v, row):
+        memo[:] = v, [row[block] for block in blocks]
+        big_g = [logsumexp(v[block]) for block in blocks]
+        for block, g, x in zip(blocks, big_g, memo[1]):
+            exp(subtract(v[block], g, x), x)
+        return big_g if len(blocks) > 1 else big_g[0]
 
     return chart
 
 
-def _log_field(kind: VectorFieldKind, size: int, split: Optional[int]):
+def _log_field(kind: VectorFieldKind, size: int, split: Optional[int], memo: list):
     """dv = f(x) at x = exp(v - G) per population: the replicator flow in log coordinates.
 
-    Like ``_make_field``'s fields, ``field(v, out)`` writes into ``out`` and returns it.
+    Like ``_make_field``'s fields, ``field(v, out)`` writes into ``out`` and returns it.  At the
+    ``v`` the log chart last recorded (``memo``), x is read from its recorded row.
     """
     pay, *rest = _payoffs(kind, size, split)
     if not rest:
 
         def field(v, out):
-            out[...] = pay(_one_block_log_chart(v)[0])
+            f = pay(memo[1][0] if v is memo[0] else _block_chart(v), out)
+            if f is not out:  # a Custom payoff returns its own array
+                out[...] = f
             return out
 
         return field
-    g_pay = rest[0]
+    g_pay, fb, gb = rest[0], np.empty(split), np.empty(size - split)  # as in _make_field
 
     def field(v, out):
-        p, q = _one_block_log_chart(v[:split])[0], _one_block_log_chart(v[split:])[0]
-        out[:split], out[split:] = pay(p, q), g_pay(q, p)
+        p, q = memo[1] if v is memo[0] else (_block_chart(v[:split]), _block_chart(v[split:]))
+        out[:split], out[split:] = pay(p, q, fb), g_pay(q, p, gb)
         return out
 
     return field
@@ -474,11 +485,15 @@ def _diagnostics(
     return Diagnostics(mean, var, div, states.sum(axis=1), normalizer)
 
 
+#: Rows of a run's first record; a longer run doubles it, up to its steps + 1 rows.
+_RECORD_CHUNK = 1024
+
+
 def _run(kind: VectorFieldKind, x0, dt: float, steps: int, target, log: bool) -> Trajectory:
     """The RK4 loop shared by every integrator, in direct or log coordinates.
 
-    A chart maps an RK4 result to (recorded state, coordinates to continue
-    from, normalizers); the direct chart may renormalize its argument in
+    A chart writes the recorded state of an RK4 result into its row of the record and
+    returns the normalizers; the direct chart renormalizes the result, which is its row, in
     place.  The first recorded row is the start state exactly as given.  A
     step whose recorded state has a coordinate that is at or below POS_FLOOR,
     NaN or +inf halts the run (``_positive``); the overflow, invalid-value and
@@ -486,7 +501,8 @@ def _run(kind: VectorFieldKind, x0, dt: float, steps: int, target, log: bool) ->
     diagnostics of the rows before it, are silenced.  Only log runs record
     normalizers, and a log run also halts at its first recorded row that is
     off the simplex, naming the normalizer.  The work buffers hold the stage
-    fields and sums of every step.
+    fields and sums of every step.  No recorded row is written again, and a run
+    that halts keeps a copy of the rows before its failure, not the whole record.
     """
     _check_steps(dt, steps)
     start, split = _state_vector(kind, x0, "start")
@@ -494,47 +510,52 @@ def _run(kind: VectorFieldKind, x0, dt: float, steps: int, target, log: bool) ->
         target = _target_vector(kind, target, start.size, split)
     simplex = (() if kind.state_type is OrthantPoint
                else tuple(own for own, _, _ in _blocks(kind, split)))
+    size, rows = start.size, int(steps) + 1
     if log:
-        chart = _log_chart(simplex)
-        y, field = np.log(start), _log_field(kind, start.size, split)
+        memo = [None, None]
+        chart = _log_chart(simplex, memo)
+        y, field = np.log(start), _log_field(kind, size, split, memo)
+        normalizers = [chart(y, np.empty(size))]
     else:
         chart = _direct_chart(simplex)
-        y, field = start, _make_field(kind, start.size, split)
-    states, normalizers = [start], [chart(y)[2]] if log else None
-    truncated, failure = False, None
+        y, field = start, _make_field(kind, size, split)
+    record, done, failure = np.empty((min(rows, _RECORD_CHUNK), size)), rows, None
+    record[0] = start
     # a ufunc takes a 0-d float64 operand faster than a Python float, with the same bits
     weights = tuple(np.array(w, dtype=float) for w in (0.5 * dt, dt, dt / 6.0))
-    size = start.size
     work = tuple(np.empty(size) for _ in range(5))
     step = float(dt)  # the recorded times, and each failure's t, are those of the float run
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(int(steps)):
-            # each step's result is a new array: the chart may record it as the next row
-            x, y, big_g = chart(_rk4_step(field, y, weights, work, np.empty(size)))
-            if not _positive(x):
-                truncated = True
-                failure = f"positivity lost at step {k + 1} (t = {step * (k + 1):g})"
+        for k in range(1, rows):
+            if k == len(record):  # untouched rows of np.empty take no memory until written
+                record, filled = np.empty((min(2 * k, rows), size)), record
+                record[:k] = filled
+            row = record[k]
+            # a direct step's result is its row; a log step's is new coordinates v
+            y = _rk4_step(field, y, weights, work, np.empty(size) if log else row)
+            big_g = chart(y, row)
+            if not _positive(row):
+                done, failure = k, f"positivity lost at step {k} (t = {step * k:g})"
                 break
-            states.append(x)
             if log:
                 normalizers.append(big_g)
-        states = np.array(states)
         normalizer = np.array(normalizers) if log else None
         # a direct run renormalizes every row; exp(v - G) rounds at the size of G
-        off = _off_simplex(kind, states, split) if log else ()
+        off = _off_simplex(kind, record[:done], split) if log else ()
         if len(off):
-            k, truncated = int(off[0]), True
-            failure = (f"normalizer G = {normalizer[k].tolist()} rounds exp(v - G) off the "
-                       f"simplex at step {k} (t = {step * k:g})")
-            states, normalizer = states[:k], normalizer[:k]
+            done = int(off[0])
+            failure = (f"normalizer G = {normalizer[done].tolist()} rounds exp(v - G) off the "
+                       f"simplex at step {done} (t = {step * done:g})")
+            normalizer = normalizer[:done]
+        states = record if done == len(record) else record[:done].copy()
         diagnostics = _diagnostics(kind, states, target, split, normalizer)
     return Trajectory(
         kind=kind,
-        times=step * np.arange(states.shape[0]),
+        times=step * np.arange(done),
         states=states,
         diagnostics=diagnostics,
         split=split,
-        truncated=truncated,
+        truncated=failure is not None,
         failure=failure,
     )
 

@@ -136,6 +136,19 @@ def test_a_radius_near_the_float64_maximum_is_too_large_with_no_warning(check):
             check()
 
 
+@pytest.mark.parametrize("radius, shown", [(2**63, "9223372036854775808"), (1e300, "1e+300"),
+                                           (1.7e308, "1.7e+308")],
+                         ids=["2**63", "1e300", "1.7e308"])
+def test_a_radius_whose_samples_total_zero_is_too_large_with_no_warning(radius, shown):
+    # at n = 3 some of 300 samples have coordinates that sum to 0, and x / |x| divided by it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RadiusTooLargeError) as info:
+            ess_check(SimplexPoint(np.full(3, 1 / 3)), Linear(RPS), radius, 300, 1)
+    assert str(info.value) == (f"sample left the interior: radius {shown} too large around "
+                               "[0.33333333 0.33333333 0.33333333]")
+
+
 def _ess_checks(seed):
     """The three ESS checks at a stable rest point, each with ``seed``."""
     half = SimplexPoint([0.5, 0.5])

@@ -13,6 +13,7 @@ and every error must carry the same message.
 
 import dataclasses
 import itertools
+import tracemalloc
 import warnings
 from fractions import Fraction
 from functools import reduce
@@ -68,8 +69,10 @@ from simplexdyn.core import (
     TangentVector,
     evaluate_landscape,
     evaluate_landscape_batch,
+    resolve_payoff,
 )
 from simplexdyn.dynamics import (
+    _RECORD_CHUNK,
     POS_FLOOR,
     CoupledReplicator,
     Diagnostics,
@@ -1274,6 +1277,70 @@ def test_a_payoff_that_keeps_its_inputs_sees_none_of_them_overwritten(run, scale
         assert keeper.kept and keeper.payoff.tobytes() == keeper.saved.tobytes()
         assert all(seen.tobytes() == saved.tobytes() for seen, saved in keeper.kept)
     assert _state_vector(kind, x0, "start")[0].tobytes() == start.tobytes()
+
+
+def test_a_run_of_a_trillion_steps_that_blows_up_holds_only_its_rows():
+    # the record grows in chunks: all steps + 1 rows up front asked numpy for 14.6 TiB
+    tracemalloc.start()
+    try:
+        traj = integrate(LotkaVolterra(Linear(np.diag([1.0, 0.9]))), OrthantPoint([1.0, 1.0]),
+                         0.1, 10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 13 and traj.truncated
+    assert traj.failure == "positivity lost at step 13 (t = 1.3)"
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("run", ["replicator", "coupled", "exp_family", "coupled_exp_family"])
+def test_a_run_one_step_longer_than_the_first_record_chunk_equals_the_loop(run):
+    # steps + 1 rows: the record grows once, and the run that completes returns all of it
+    reference, call = _flow(5, run, 3, "linear", 1.0, 0.01, _RECORD_CHUNK, True)
+    _assert_same_run(reference, call)
+    assert len(call()) == _RECORD_CHUNK + 1
+
+
+@pytest.mark.parametrize("log", [False, True])
+def test_a_payoff_that_keeps_its_inputs_across_the_records_growth_sees_none_overwritten(log):
+    keeper = _Keeper(np.array([0.3, -0.2, 0.1]))
+    kind = Replicator(Custom(keeper))
+    call = exp_family_solver if log else lambda f, *args: integrate(Replicator(f), *args)
+    _assert_same_run(lambda: _ref_run(kind, _TYPED_START, 0.01, _RECORD_CHUNK, None, log),
+                     lambda: call(kind.f, _TYPED_START, 0.01, _RECORD_CHUNK))
+    assert len(keeper.kept) > 8 * _RECORD_CHUNK
+    assert all(seen.tobytes() == saved.tobytes() for seen, saved in keeper.kept)
+
+
+@PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    m=st.integers(2, 8),
+    which=st.sampled_from(["linear", "log_linear", "custom"]),
+    scaled=st.booleans(),
+    coupled=st.booleans(),
+)
+def test_a_payoff_writes_into_out_the_bits_it_returns_without_one(seed, n, m, which, scaled,
+                                                                   coupled):
+    rng = np.random.default_rng(seed)
+    m = m if coupled else n
+    f = _landscape(rng, n, m, which, 10.0 ** rng.uniform(-1, 1))
+    if which == "custom":  # an evaluator that returns one array of its own
+        f = Custom(_Keeper(rng.standard_normal(n)))
+    f = Scaled(f, rng.uniform(0.5, 2.0)) if scaled else f
+    state = [_payoff_states(rng, None, k, "interior") for k in ((n, m) if coupled else (n,))]
+    pay = resolve_payoff(f, n, m if coupled else None)
+    expected = pay(*state)
+    assert pay(*state, out=None).tobytes() == pay(*state, None).tobytes() == expected.tobytes()
+    for call in (lambda buf: pay(*state, out=buf), lambda buf: pay(*state, buf)):
+        buf = np.full(n, -7.0)
+        got = call(buf)
+        if which == "custom" and not scaled:  # the evaluator's array; ``out`` is not touched
+            assert got is f.evaluator.payoff and buf.tobytes() == np.full(n, -7.0).tobytes()
+        else:
+            assert got is buf
+        assert got.tobytes() == expected.tobytes()
 
 
 _FIELDS = [

@@ -242,6 +242,20 @@ def test_simulate_coupled_scenario(tmp_path):
     np.testing.assert_allclose(states[:, 2:].sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
 
+def test_a_coupled_target_that_sums_past_float64_is_one_config_error_with_no_warning(tmp_path,
+                                                                                      capsys):
+    # numpy's "overflow encountered in reduce" came before the refusal
+    cfg = _write_config(tmp_path / "mp.json", name="mp", kind="coupled_replicator",
+                        landscape=MP_LANDSCAPE, initial_state=MP_STATE,
+                        target={"p": [0.5, 0.5], "q": [1e308, 1e308]}, checks=[])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 1 and not (tmp_path / "o").exists()
+    assert capsys.readouterr().err == ("error: 'target.q': coordinates sum to inf, expected 1 "
+                                       "within 1e-09\n")
+
+
 def test_simulate_multiple_configs_and_jobs(tmp_path):
     a = _write_config(tmp_path / "a.json", name="a", steps=50)
     b = _write_config(tmp_path / "b.json", name="b", steps=50)

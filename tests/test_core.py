@@ -81,6 +81,15 @@ def test_validate_simplex_rejects_nan_sum():
         validate_simplex((np.nan, 0.5))
 
 
+def test_coordinates_that_sum_past_float64_are_refused_without_a_warning():
+    # numpy's "overflow encountered in reduce" came before the refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotNormalizedError) as info:
+            SimplexPoint([1e308, 1e308])
+    assert str(info.value) == "coordinates sum to inf, expected 1 within 1e-09"
+
+
 def test_simplex_point_rejects_scalar_and_short():
     with pytest.raises(DimensionTooSmallError):
         SimplexPoint(np.array(1.0))

@@ -34,6 +34,13 @@ DEFAULT_IDS = (
     # the RK4 step's bits against the float-scalar reference loop
     "tests/test_certificates.py::test_every_run_equals_the_loop_with_a_payoff_dispatch_per_call",
     "tests/test_certificates.py::test_blow_ups_truncate_as_before_without_warnings",
+    # a payoff into the caller's ``out``, and the record that grows in chunks
+    "tests/test_certificates.py::test_a_payoff_writes_into_out_the_bits_it_returns_without_one",
+    "tests/test_certificates.py::test_a_run_of_a_trillion_steps_that_blows_up_holds_only_its_rows",
+    "tests/test_certificates.py::"
+    "test_a_run_one_step_longer_than_the_first_record_chunk_equals_the_loop",
+    "tests/test_certificates.py::"
+    "test_a_payoff_that_keeps_its_inputs_across_the_records_growth_sees_none_overwritten",
 )
 
 
