@@ -125,6 +125,15 @@ def _sampling_rng(radius: float, samples: int, seed: int) -> np.random.Generator
     return _seeded_rng(seed)
 
 
+def _draw_array(count: int, width: int, what: str) -> np.ndarray:
+    """An empty (count, width) array for a check's draws, made before the first draw."""
+    try:
+        return np.empty((count, width))
+    except (ValueError, MemoryError) as exc:  # past numpy's index range, or past memory
+        raise MemoryError(f"{what} = {count} asks for {width} random draws each, more than one "
+                          "array can hold") from exc
+
+
 def _ball_draws(
     rng: np.random.Generator, dims: list, radius: float, count: int, accept=None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -137,7 +146,7 @@ def _ball_draws(
     Returns the normals, one row per sample, and the radii, one column per block.
     """
     normal, uniform = rng.standard_normal, rng.random
-    normals, radii = [], []
+    rows, normals, radii = _draw_array(count, sum(n for n, _ in dims), "samples"), [], []
     for _ in range(count):
         for n, power in dims:
             z = normal(n)
@@ -145,7 +154,8 @@ def _ball_draws(
                 z = normal(n)
             normals.append(z)
             radii.append(radius * uniform() ** power)
-    return np.concatenate(normals).reshape(count, -1), np.array(radii).reshape(count, len(dims))
+    np.concatenate(normals, out=rows.reshape(-1))
+    return rows, np.array(radii).reshape(count, len(dims))
 
 
 def _ball_samples(
@@ -330,6 +340,8 @@ def _divergence_series(traj: Trajectory, target) -> tuple[np.ndarray, Optional[n
     return reduce(np.add, values), sines
 
 
+# a frequency that underflows to 0 is an infinite divergence, as in the run's own diagnostics
+@np.errstate(invalid="ignore", divide="ignore")
 def lyapunov_monitor(traj: Trajectory, target) -> LyapunovReport:
     """Monitor the kind-appropriate divergence-to-target along a trajectory.
 
@@ -395,7 +407,7 @@ def gradient_consistency_check(
         raise ValueError(f"probes must be a positive integer, got {_shown(probes)}")
     metric_grad = shahshahani_gradient(x, potential_grad).components  # refuses a bad gradient
     grad_vec = np.asarray(potential_grad, dtype=float)
-    w = _seeded_rng(seed).standard_normal((int(probes), x.dim))  # one stream, row by row
+    w = _seeded_rng(seed).standard_normal(out=_draw_array(probes, x.dim, "probes"))  # row by row
     w = w - w.mean(axis=1, keepdims=True)
     # an overflowing gradient gives an inf or NaN defect, silenced as in _central_residual
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

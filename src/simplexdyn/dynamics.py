@@ -368,8 +368,8 @@ def _make_field(kind: VectorFieldKind, size: int, split: Optional[int] = None):
     return field
 
 
-def _direct_chart(blocks: tuple):
-    """Record the integrated coordinates ``y``, the row itself: each simplex block renormalized."""
+def _direct_coordinates(kind: VectorFieldKind, start, split: Optional[int], blocks: tuple):
+    """(y0, chart, field, None): the chart renormalizes each simplex block of ``y``, its row."""
     total = np.empty(())
 
     def chart(y, row):
@@ -377,7 +377,7 @@ def _direct_chart(blocks: tuple):
             view = y[block]
             view /= np.add.reduce(view, out=total)
 
-    return chart
+    return start, chart, _make_field(kind, start.size, split), None
 
 
 def _block_chart(v: np.ndarray) -> np.ndarray:
@@ -385,48 +385,43 @@ def _block_chart(v: np.ndarray) -> np.ndarray:
     return np.exp(v - logsumexp(v))
 
 
-def _log_chart(blocks: tuple, memo: list):
-    """Record exp(v - G) per block into ``row``, with G = logsumexp(v) recomputed, never integrated.
+def _log_coordinates(kind: VectorFieldKind, start, split: Optional[int], blocks: tuple):
+    """(v0, chart, field, normalizers) in coordinates x = exp(v - G) with dv = f(x).
 
-    ``memo`` keeps ``v`` and its blocks of ``row`` for the field at the same ``v``.  The
-    normalizer is G, or one G per block for two populations.
+    The chart writes exp(v - G) per block into ``row`` and appends G = logsumexp(v), recomputed,
+    never integrated (one G per block for two populations); the start is charted first.  The
+    field, ``field(v, out)`` as in ``_make_field``, reads x from the last chart at its ``v``.
     """
+    pay, *rest = _payoffs(kind, start.size, split)
     exp, subtract = np.exp, np.subtract
+    normalizers, last_v, last_x = [], None, None
 
     def chart(v, row):
-        memo[:] = v, [row[block] for block in blocks]
+        nonlocal last_v, last_x
+        last_v, last_x = v, [row[block] for block in blocks]
         big_g = [logsumexp(v[block]) for block in blocks]
-        for block, g, x in zip(blocks, big_g, memo[1]):
+        for block, g, x in zip(blocks, big_g, last_x):
             exp(subtract(v[block], g, x), x)
-        return big_g if len(blocks) > 1 else big_g[0]
+        normalizers.append(big_g if len(blocks) > 1 else big_g[0])
 
-    return chart
-
-
-def _log_field(kind: VectorFieldKind, size: int, split: Optional[int], memo: list):
-    """dv = f(x) at x = exp(v - G) per population: the replicator flow in log coordinates.
-
-    Like ``_make_field``'s fields, ``field(v, out)`` writes into ``out`` and returns it.  At the
-    ``v`` the log chart last recorded (``memo``), x is read from its recorded row.
-    """
-    pay, *rest = _payoffs(kind, size, split)
     if not rest:
 
         def field(v, out):
-            f = pay(memo[1][0] if v is memo[0] else _block_chart(v), out)
+            f = pay(last_x[0] if v is last_v else _block_chart(v), out)
             if f is not out:  # a Custom payoff returns its own array
                 out[...] = f
             return out
 
-        return field
-    g_pay, fb, gb = rest[0], np.empty(split), np.empty(size - split)  # as in _make_field
+    else:
+        g_pay, fb, gb = rest[0], np.empty(split), np.empty(start.size - split)  # as in _make_field
 
-    def field(v, out):
-        p, q = memo[1] if v is memo[0] else (_block_chart(v[:split]), _block_chart(v[split:]))
-        out[:split], out[split:] = pay(p, q, fb), g_pay(q, p, gb)
-        return out
+        def field(v, out):
+            p, q = last_x if v is last_v else (_block_chart(v[:split]), _block_chart(v[split:]))
+            out[:split], out[split:] = pay(p, q, fb), g_pay(q, p, gb)
+            return out
 
-    return field
+    chart(np.log(start), np.empty(start.size))  # so last_v is v0, and G0 the first normalizer
+    return last_v, chart, field, normalizers
 
 
 def _state_vector(kind: VectorFieldKind, state, role: str) -> tuple[np.ndarray, Optional[int]]:
@@ -492,9 +487,9 @@ _RECORD_CHUNK = 1024
 def _run(kind: VectorFieldKind, x0, dt: float, steps: int, target, log: bool) -> Trajectory:
     """The RK4 loop shared by every integrator, in direct or log coordinates.
 
-    A chart writes the recorded state of an RK4 result into its row of the record and
-    returns the normalizers; the direct chart renormalizes the result, which is its row, in
-    place.  The first recorded row is the start state exactly as given.  A
+    A chart writes the recorded state of an RK4 result into its row of the record; the
+    direct chart renormalizes the result, which is its row, in place, and the log chart
+    appends its normalizers.  The first recorded row is the start state exactly as given.  A
     step whose recorded state has a coordinate that is at or below POS_FLOOR,
     NaN or +inf halts the run (``_positive``); the overflow, invalid-value and
     divide-by-zero warnings of such a blow-up, in the loop and in the
@@ -511,14 +506,8 @@ def _run(kind: VectorFieldKind, x0, dt: float, steps: int, target, log: bool) ->
     simplex = (() if kind.state_type is OrthantPoint
                else tuple(own for own, _, _ in _blocks(kind, split)))
     size, rows = start.size, int(steps) + 1
-    if log:
-        memo = [None, None]
-        chart = _log_chart(simplex, memo)
-        y, field = np.log(start), _log_field(kind, size, split, memo)
-        normalizers = [chart(y, np.empty(size))]
-    else:
-        chart = _direct_chart(simplex)
-        y, field = start, _make_field(kind, size, split)
+    coordinates = _log_coordinates if log else _direct_coordinates
+    y, chart, field, normalizers = coordinates(kind, start, split, simplex)
     record, done, failure = np.empty((min(rows, _RECORD_CHUNK), size)), rows, None
     record[0] = start
     # a ufunc takes a 0-d float64 operand faster than a Python float, with the same bits
@@ -533,20 +522,17 @@ def _run(kind: VectorFieldKind, x0, dt: float, steps: int, target, log: bool) ->
             row = record[k]
             # a direct step's result is its row; a log step's is new coordinates v
             y = _rk4_step(field, y, weights, work, np.empty(size) if log else row)
-            big_g = chart(y, row)
+            chart(y, row)
             if not _positive(row):
                 done, failure = k, f"positivity lost at step {k} (t = {step * k:g})"
                 break
-            if log:
-                normalizers.append(big_g)
-        normalizer = np.array(normalizers) if log else None
         # a direct run renormalizes every row; exp(v - G) rounds at the size of G
         off = _off_simplex(kind, record[:done], split) if log else ()
         if len(off):
             done = int(off[0])
-            failure = (f"normalizer G = {normalizer[done].tolist()} rounds exp(v - G) off the "
-                       f"simplex at step {done} (t = {step * done:g})")
-            normalizer = normalizer[:done]
+            failure = (f"normalizer G = {normalizers[done]} rounds exp(v - G) off the simplex "
+                       f"at step {done} (t = {step * done:g})")
+        normalizer = np.array(normalizers[:done]) if log else None
         states = record if done == len(record) else record[:done].copy()
         diagnostics = _diagnostics(kind, states, target, split, normalizer)
     return Trajectory(

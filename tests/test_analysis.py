@@ -171,6 +171,25 @@ def test_ess_checks_take_a_numpy_integer_seed():
         np.testing.assert_array_equal(numpy_seeded().margins, int_seeded().margins)
 
 
+@pytest.mark.parametrize("count", [2**62, 2**63])
+def test_a_count_whose_draws_no_array_holds_is_a_memory_error_before_any_draw(count):
+    # the ESS samplers drew in a Python loop until memory ran out, and the gradient check let
+    # numpy's ValueError "Maximum allowed dimension exceeded" through
+    half, pair = SimplexPoint([0.5, 0.5]), OrthantPoint([1.0, 1.0])
+    checks = [
+        ("samples", 2, lambda: ess_check(half, Linear(HAWK_DOVE), 0.1, count, 0)),
+        ("samples", 4, lambda: coupled_ess_check(half, half, Linear(-np.eye(2)),
+                                                 Linear(-np.eye(2)), 0.1, count, 0)),
+        ("samples", 2, lambda: denormalized_ess_check(pair, Linear(-np.eye(2)), 0.1, count, 0)),
+        ("probes", 2, lambda: gradient_consistency_check(half, [0.5, 0.5], count, 0)),
+    ]
+    for what, width, check in checks:
+        with pytest.raises(MemoryError) as info:
+            check()
+        assert str(info.value) == (f"{what} = {count} asks for {width} random draws each, "
+                                   "more than one array can hold")
+
+
 # ---------------------------------------------------------------------------
 # coupled and denormalized variants
 # ---------------------------------------------------------------------------
@@ -324,6 +343,16 @@ def test_lyapunov_on_a_blown_up_abundance_run_is_quiet():
         report = lyapunov_monitor(traj, start)
     assert report.parallel_before_convergence == 0
     assert not report.monotone and not report.converged
+
+
+def test_lyapunov_of_a_start_frequency_that_underflows_to_zero_is_infinite_and_quiet():
+    # 5e-324 / 2.0 rounds to 0, and its log warned "divide by zero encountered in log"
+    kind, target = LotkaVolterra(Linear(np.array([[-1.0, -0.2], [-0.3, -1.0]]))), [0.8, 0.7]
+    traj = integrate(kind, OrthantPoint([5e-324, 2.0]), 0.01, 150, target=OrthantPoint(target))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = lyapunov_monitor(traj, OrthantPoint(target))
+    assert traj.truncated and report.initial_value == report.final_value == np.inf
 
 
 def test_sines_of_a_blown_up_abundance_run_are_finite_and_quiet():

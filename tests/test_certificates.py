@@ -39,6 +39,7 @@ from simplexdyn import (
     coupled_exp_family_solver,
     coupled_replicator_field,
     denormalized_ess_check,
+    dynamics,
     ecological_field,
     ess_check,
     exp_family_solver,
@@ -1144,13 +1145,41 @@ def test_blow_ups_truncate_as_before_without_warnings(kind, start, dt, failure):
     assert integrate(kind, start, dt, 100).failure == f"positivity lost at {failure}"
 
 
-@pytest.mark.parametrize("log", [False, True])
-def test_exp_family_blow_ups_truncate_as_before_without_warnings(log):
-    f = Linear(np.diag([1000.0, -1000.0, 3.0]))
+@pytest.mark.parametrize("log, coupled", [(False, False), (True, False), (True, True)],
+                         ids=["False", "True", "coupled"])
+def test_exp_family_blow_ups_truncate_as_before_without_warnings(log, coupled):
     start = SimplexPoint(np.array([0.2, 0.3, 0.5]))
-    call = exp_family_solver if log else lambda *a: integrate(Replicator(a[0]), *a[1:])
-    _assert_same_run(lambda: _ref_run(Replicator(f), start, 0.5, 50, None, log),
-                     lambda: call(f, start, 0.5, 50))
+    if coupled:  # the chart appends the failing row's two normalizers before the cut
+        f = Linear(np.array([[10.0, -10.0], [-10.0, 10.0], [3.0, 0.0]]))
+        g = Linear(np.array([[10.0, -10.0, 0.0], [-10.0, 10.0, 1.0]]))
+        kind, start = CoupledReplicator(f, g), CoupledState(start, SimplexPoint([0.4, 0.6]))
+        call = lambda: coupled_exp_family_solver(f, g, start, 0.5, 50)  # noqa: E731
+    else:
+        f = Linear(np.diag([1000.0, -1000.0, 3.0]))
+        kind = Replicator(f)
+        call = ((lambda: exp_family_solver(f, start, 0.5, 50)) if log  # noqa: E731
+                else lambda: integrate(kind, start, 0.5, 50))
+    _assert_same_run(lambda: _ref_run(kind, start, 0.5, 50, None, log), call)
+    if coupled:
+        traj = call()
+        assert traj.failure == "positivity lost at step 4 (t = 2)"
+        assert traj.diagnostics.normalizer.shape == (4, 2)
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_an_exp_family_step_charts_four_times_per_population(coupled, monkeypatch):
+    # the first stage reads the chart of the row just recorded: four charts per step and
+    # population, and one for the start; a chart per stage would make five per step
+    calls = []
+    monkeypatch.setattr(dynamics, "logsumexp", lambda v: calls.append(v) or logsumexp(v))
+    pennies = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    if coupled:
+        start = CoupledState(SimplexPoint([0.6, 0.4]), SimplexPoint([0.5, 0.5]))
+        coupled_exp_family_solver(Linear(pennies), Linear(-pennies.T), start, 0.01, 25)
+    else:
+        rps = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
+        exp_family_solver(Linear(rps), SimplexPoint([0.5, 0.3, 0.2]), 0.01, 25)
+    assert len(calls) == (202 if coupled else 101)
 
 
 _ZEEMAN = Linear(np.array([[0.0, 6.0, -4.0], [-3.0, 0.0, 5.0], [-1.0, 3.0, 0.0]]))

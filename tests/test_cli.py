@@ -12,12 +12,13 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from simplexdyn import cli
@@ -1296,3 +1297,77 @@ def test_a_check_that_fails_at_run_time_writes_nothing_for_its_scenario(tmp_path
     assert code == 1
     assert err == ["error: sample left the interior: radius 0.9 too large around [0.5 0.5]"]
     assert files == ["good_report.json", "good_trajectory.csv"]
+
+
+# Configs nobody wrote: the bundled scenarios and four inline configs with one or two JSON
+# leaves replaced from a pool of edge values, each run in process with warnings as errors.
+FUZZ_CONFIGS = {
+    **{path.stem: json.loads(path.read_text())
+       for path in sorted((Path(__file__).parent.parent / "scenarios").glob("*.json"))},
+    "lv": {"name": "lv", "kind": "lotka_volterra",
+           "landscape": {"type": "linear", "matrix": [[-1.0, -0.2], [-0.3, -1.0]]},
+           "initial_state": [0.5, 2.0], "target": [0.8, 0.7], "dt": 0.01, "steps": 150,
+           "checks": [{"name": "lyapunov"},
+                      {"name": "denorm_ess", "radius": 0.1, "samples": 50, "seed": 9}]},
+    "shifted_lv": {"name": "slv", "kind": "shifted_lotka_volterra",
+                   "landscape": {"type": "log_linear", "matrix": [[-1.2, 0.3], [-0.2, -0.9]],
+                                 "offset": [0.4, -0.1]},
+                   "initial_state": [2.0, 0.5], "dt": 0.02, "steps": 100,
+                   "checks": [{"name": "lyapunov"}]},
+    # fisher_theorem needs a replicator run: this config exercises the loader's refusals
+    "ecological": {"name": "eco", "kind": "ecological",
+                   "landscape": {"type": "scaled", "factor": 2.0, "base": {
+                       "type": "linear", "matrix": [[1.0, 2.0], [2.0, 1.0]]}},
+                   "initial_state": [0.3, 0.7], "dt": 0.05, "steps": 100,
+                   "checks": [{"name": "fisher_theorem", "tol": 1e-3}]},
+    "coupled": {"name": "cpl", "kind": "coupled_replicator", "landscape": MP_LANDSCAPE,
+                "initial_state": MP_STATE, "target": {"p": [0.5, 0.5], "q": [0.5, 0.5]},
+                "dt": 0.01, "steps": 100,
+                "checks": [{"name": "coupled_ess", "expect": False, "radius": 0.05,
+                            "samples": 50, "seed": 5}]},
+}
+FUZZ_VALUES = [0, 1, -1, 2, 0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, 1e-300, 1e308, -1e308,
+               1.7e308, -1.7e308, 2**63, -(2**63), None, True, False, "", "x", "1/3", "1/0",
+               "nan", "inf", "1e400", "linear", [], [0.5], [0.5, 0.5], [0.2, 0.3, 0.5],
+               [1e308, 1e308], [[1.0, 2.0], [3.0, 4.0]], [[]], [[None]], {}]
+
+
+def _leaves(value, path=()):
+    """The path of every leaf of a JSON value: a number, string, bool, null or empty container."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    found = [leaf for key, item in items for leaf in _leaves(item, path + (key,))]
+    return found or [path]
+
+
+def _replaced(value, path, new):
+    """A copy of the JSON value ``value`` with its leaf at ``path`` replaced by ``new``."""
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(name=st.sampled_from(sorted(FUZZ_CONFIGS)),
+       edits=st.lists(st.tuples(st.integers(0, 99), st.sampled_from(FUZZ_VALUES)),
+                      min_size=1, max_size=2))
+@example(name="hawk_dove", edits=[(17, 2**63)])  # ess samples: a Python loop past memory
+@example(name="hawk_dove", edits=[(24, 2**63)])  # gradient probes: numpy's ValueError
+@example(name="lv", edits=[(7, 5e-324)])  # a start frequency that underflows to 0
+@example(name="lv", edits=[(4, -1.7e308), (10, 1)])  # sample payoffs that overflow
+def test_a_config_with_mutated_leaves_runs_or_refuses_without_raising_or_warning(name, edits):
+    config = FUZZ_CONFIGS[name]
+    for where, value in edits:
+        leaves = _leaves(config)
+        config = _replaced(config, leaves[where % len(leaves)], value)
+    if type(config.get("steps")) is int and config["steps"] > 200:  # a run of at most 200 steps
+        config = {**config, "steps": 200}
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        code = main(["simulate", "--config", path, "--out", os.path.join(tmp, "out"), "--quiet"])
+    assert code in (0, 1, 2)

@@ -41,6 +41,14 @@ DEFAULT_IDS = (
     "test_a_run_one_step_longer_than_the_first_record_chunk_equals_the_loop",
     "tests/test_certificates.py::"
     "test_a_payoff_that_keeps_its_inputs_across_the_records_growth_sees_none_overwritten",
+    # the exp-family chart: its normalizer cuts and one chart per stage after the first
+    "tests/test_certificates.py::test_exp_family_blow_ups_truncate_as_before_without_warnings",
+    "tests/test_dynamics.py::"
+    "test_an_exp_family_run_whose_rows_leave_the_simplex_truncates_naming_the_normalizer",
+    "tests/test_certificates.py::test_an_exp_family_step_charts_four_times_per_population",
+    # configs nobody wrote, through simulate
+    "tests/test_cli.py::"
+    "test_a_config_with_mutated_leaves_runs_or_refuses_without_raising_or_warning",
 )
 
 
