@@ -1157,8 +1157,8 @@ def test_exp_family_blow_ups_truncate_as_before_without_warnings(log, coupled):
     else:
         f = Linear(np.diag([1000.0, -1000.0, 3.0]))
         kind = Replicator(f)
-        call = ((lambda: exp_family_solver(f, start, 0.5, 50)) if log  # noqa: E731
-                else lambda: integrate(kind, start, 0.5, 50))
+        call = lambda: (exp_family_solver(f, start, 0.5, 50) if log  # noqa: E731
+                        else integrate(kind, start, 0.5, 50))
     _assert_same_run(lambda: _ref_run(kind, start, 0.5, 50, None, log), call)
     if coupled:
         traj = call()

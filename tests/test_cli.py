@@ -1371,3 +1371,15 @@ def test_a_config_with_mutated_leaves_runs_or_refuses_without_raising_or_warning
             json.dump(config, fh)
         code = main(["simulate", "--config", path, "--out", os.path.join(tmp, "out"), "--quiet"])
     assert code in (0, 1, 2)
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["ess", "--matrix", json.dumps(HAWK_DOVE), "--samples", str(2**63)], "samples"),
+    (["gradient", "--grad", "0.5,0.5", "--probes", str(2**63)], "probes"),
+])
+def test_a_check_count_whose_draws_no_array_holds_is_one_error_line(tmp_path, capsys, argv,
+                                                                     what):
+    code = main(["check", *argv, "--point", "0.5,0.5"])
+    err = _one_error_and_nothing_written(capsys, code, tmp_path / "o")
+    assert err == (f"error: {what} = {2**63} asks for 2 random draws each, more than one "
+                   "array can hold")
