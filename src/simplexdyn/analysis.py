@@ -5,7 +5,9 @@ against seeded random neighborhood samples.  Margins within the floating
 point indeterminacy band (|margin| <= 1e-12) are counted separately and are
 neutral evidence — they never flip the verdict in either direction, so a
 flat landscape (margin identically zero) is reported as not stable rather
-than flapping on rounding noise.
+than flapping on rounding noise.  A NaN margin is counted as indeterminate
+too, but a margin set that holds one certifies nothing: stability needs every
+margin to be >= -1e-12, and NaN is not.
 """
 
 from __future__ import annotations
@@ -94,15 +96,15 @@ class LyapunovReport:
 def _ess_report(
     margins: np.ndarray, points: np.ndarray, radius: float, samples: int, parallel=None
 ) -> EssReport:
-    """Apply the indeterminacy-band semantics to sampled margins."""
-    any_negative = bool(np.any(margins < -INDETERMINATE_BAND))
-    any_positive = bool(np.any(margins > INDETERMINATE_BAND))
+    """Apply the indeterminacy-band semantics to sampled margins; a NaN margin is indeterminate."""
+    stable = bool(np.all(margins >= -INDETERMINATE_BAND))  # False when a margin is NaN
+    decided = int(np.sum(np.abs(margins) > INDETERMINATE_BAND))
     return EssReport(
-        is_ess=(not any_negative) and any_positive,
+        is_ess=stable and bool(np.any(margins > INDETERMINATE_BAND)),
         min_margin=float(margins.min()),
         samples_tested=int(samples),
         radius=float(radius),
-        indeterminate=int(np.sum(np.abs(margins) <= INDETERMINATE_BAND)),
+        indeterminate=margins.size - decided,
         margins=margins,
         samples=points,
         parallel_samples=parallel,

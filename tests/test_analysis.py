@@ -36,7 +36,7 @@ from simplexdyn import (
     kl,
     lyapunov_monitor,
 )
-from simplexdyn.analysis import _sine_to_direction
+from simplexdyn.analysis import _ess_report, _sine_to_direction
 from simplexdyn.core import _per_total
 
 RPS = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
@@ -90,6 +90,18 @@ def test_ess_is_deterministic_given_seed():
     np.testing.assert_array_equal(a.margins, b.margins)
     c = ess_check(CENTER, Linear(HAWK_DOVE), 0.2, 100, 43)
     assert not np.array_equal(a.samples, c.samples)
+
+
+def test_a_nan_margin_is_indeterminate_and_certifies_nothing():
+    report = _ess_report(np.array([1.0, np.nan]), np.zeros((2, 2)), 0.1, 2)
+    assert not report.is_ess and report.indeterminate == 1 and np.isnan(report.min_margin)
+    # a payoff that reads NaN past x_0 = 0.55: every other margin is positive
+    def payoff(x):
+        return HAWK_DOVE @ x if x[0] < 0.55 else np.full(2, np.nan)
+    report = ess_check(CENTER, Custom(payoff), 0.2, 100, 7)
+    assert not report.is_ess
+    assert report.indeterminate == np.sum(np.isnan(report.margins)) == 27
+    assert np.all(report.margins[~np.isnan(report.margins)] > 1e-12)
 
 
 def test_ess_radius_too_large_near_boundary():
@@ -274,6 +286,7 @@ def test_denormalized_ess_at_a_candidate_whose_total_overflows_reads_the_frequen
         assert report.is_ess
 
 
+@pytest.mark.kernel_pinned
 @pytest.mark.parametrize("matrix, radius", [
     (-np.eye(2), 0.1),
     (np.array([[0.0, 1.0], [-1.0, 0.0]]), 1e306),

@@ -351,6 +351,7 @@ def test_gradient_check_equals_the_loop(seed, n, scale, probes):
         )
 
 
+@pytest.mark.kernel_pinned
 def test_gradient_check_reads_a_nan_defect_as_a_nan_residual_and_refuses_a_nan_gradient():
     x = SimplexPoint(np.array([0.5, 0.5]))
     grad = np.array([1.7e308, -1.7e308])  # both sides overflow to inf for the larger probes
@@ -1081,6 +1082,7 @@ def _assert_same_run(reference, call):
         _assert_same_bits(reference, call)
 
 
+@pytest.mark.kernel_pinned
 @PROPERTY
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -1117,6 +1119,7 @@ def _nan_past_abundance(x):
     return np.array([-0.1, 1.0 if x[1] < 2.0 else np.nan, -0.1])
 
 
+@pytest.mark.kernel_pinned
 @pytest.mark.parametrize(
     "kind, start, dt, failure",
     [
@@ -1145,6 +1148,7 @@ def test_blow_ups_truncate_as_before_without_warnings(kind, start, dt, failure):
     assert integrate(kind, start, dt, 100).failure == f"positivity lost at {failure}"
 
 
+@pytest.mark.kernel_pinned
 @pytest.mark.parametrize("log, coupled", [(False, False), (True, False), (True, True)],
                          ids=["False", "True", "coupled"])
 def test_exp_family_blow_ups_truncate_as_before_without_warnings(log, coupled):
@@ -1166,6 +1170,7 @@ def test_exp_family_blow_ups_truncate_as_before_without_warnings(log, coupled):
         assert traj.diagnostics.normalizer.shape == (4, 2)
 
 
+@pytest.mark.kernel_pinned
 @pytest.mark.parametrize("coupled", [False, True])
 def test_an_exp_family_step_charts_four_times_per_population(coupled, monkeypatch):
     # the first stage reads the chart of the row just recorded: four charts per step and
@@ -1308,6 +1313,7 @@ def test_a_payoff_that_keeps_its_inputs_sees_none_of_them_overwritten(run, scale
     assert _state_vector(kind, x0, "start")[0].tobytes() == start.tobytes()
 
 
+@pytest.mark.kernel_pinned
 def test_a_run_of_a_trillion_steps_that_blows_up_holds_only_its_rows():
     # the record grows in chunks: all steps + 1 rows up front asked numpy for 14.6 TiB
     tracemalloc.start()
@@ -1322,6 +1328,7 @@ def test_a_run_of_a_trillion_steps_that_blows_up_holds_only_its_rows():
     assert peak < 2**20
 
 
+@pytest.mark.kernel_pinned
 @pytest.mark.parametrize("run", ["replicator", "coupled", "exp_family", "coupled_exp_family"])
 def test_a_run_one_step_longer_than_the_first_record_chunk_equals_the_loop(run):
     # steps + 1 rows: the record grows once, and the run that completes returns all of it
@@ -1330,6 +1337,7 @@ def test_a_run_one_step_longer_than_the_first_record_chunk_equals_the_loop(run):
     assert len(call()) == _RECORD_CHUNK + 1
 
 
+@pytest.mark.kernel_pinned
 @pytest.mark.parametrize("log", [False, True])
 def test_a_payoff_that_keeps_its_inputs_across_the_records_growth_sees_none_overwritten(log):
     keeper = _Keeper(np.array([0.3, -0.2, 0.1]))
@@ -1341,6 +1349,7 @@ def test_a_payoff_that_keeps_its_inputs_across_the_records_growth_sees_none_over
     assert all(seen.tobytes() == saved.tobytes() for seen, saved in keeper.kept)
 
 
+@pytest.mark.kernel_pinned
 @PROPERTY
 @given(
     seed=st.integers(0, 2**32 - 1),

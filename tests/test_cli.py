@@ -1238,6 +1238,7 @@ def test_a_non_finite_metric_is_null_in_strict_check_output(capsys, monkeypatch)
                        "report": {"residual": None, "tol": 1e-10, "probes": 100}}
 
 
+@pytest.mark.kernel_pinned
 def test_check_gradient_that_overflows_is_quiet_strict_json_and_exits_2(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -1349,6 +1350,7 @@ def _replaced(value, path, new):
     return copy
 
 
+@pytest.mark.kernel_pinned
 @settings(derandomize=True, deadline=None, max_examples=120)
 @given(name=st.sampled_from(sorted(FUZZ_CONFIGS)),
        edits=st.lists(st.tuples(st.integers(0, 99), st.sampled_from(FUZZ_VALUES)),
@@ -1370,6 +1372,37 @@ def test_a_config_with_mutated_leaves_runs_or_refuses_without_raising_or_warning
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(config, fh)
         code = main(["simulate", "--config", path, "--out", os.path.join(tmp, "out"), "--quiet"])
+    assert code in (0, 1, 2)
+
+
+CHECK_OPTIONS = {  # each check subcommand's options, every one given a valid value
+    "ess": {"--point": "0.5,0.5", "--matrix": json.dumps(HAWK_DOVE), "--radius": "0.1",
+            "--samples": "50", "--seed": "0"},
+    "localize": {"--point": "0.2,0.3,0.5", "--h": "0.001", "--tol": "0.0001"},
+    "gradient": {"--point": "0.5,0.5", "--grad": "1,-1", "--probes": "50", "--seed": "0",
+                 "--tol": "1e-10"},
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cmd=st.sampled_from(sorted(CHECK_OPTIONS)),
+       edits=st.lists(st.tuples(st.integers(0, 99), st.sampled_from(FUZZ_VALUES)),
+                      min_size=1, max_size=2))
+def test_a_check_with_mutated_options_runs_or_refuses_without_raising_or_warning(capsys, cmd,
+                                                                                 edits):
+    options = dict(CHECK_OPTIONS[cmd])
+    for where, value in edits:  # a value's text: a string as it is, anything else as JSON
+        option = sorted(options)[where % len(options)]
+        options[option] = value if isinstance(value, str) else json.dumps(value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(["check", cmd, *(text for item in options.items() for text in item)])
+        except SystemExit as exc:  # argparse refuses an option its parser cannot read
+            assert exc.code == 2
+            code = 2
+    capsys.readouterr()
     assert code in (0, 1, 2)
 
 

@@ -561,6 +561,7 @@ def _shifted_run(coupled, shift, steps):
     return exp_family_solver(Linear(RPS + shift), SimplexPoint([0.5, 0.3, 0.2]), 0.01, steps)
 
 
+@pytest.mark.kernel_pinned
 @pytest.mark.parametrize("coupled, shift, step", [(False, 1e6, None), (False, 1e7, 168),
                                                   (True, 1e6, None), (True, 1e7, 170)])
 def test_an_exp_family_run_whose_rows_leave_the_simplex_truncates_naming_the_normalizer(

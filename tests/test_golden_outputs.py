@@ -17,6 +17,8 @@ import pytest
 
 from simplexdyn.cli import main
 
+pytestmark = pytest.mark.kernel_pinned
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 TRAJECTORY_SHA256 = {
