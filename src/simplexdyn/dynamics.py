@@ -190,8 +190,8 @@ class Diagnostics:
 class Trajectory:
     """Recorded integration output: times, states, and diagnostics.
 
-    For coupled kinds the states are concatenated ``[p, q]`` rows and
-    ``split`` holds the first population's dimension.
+    For coupled kinds the states are concatenated ``[p, q]`` rows and ``split`` holds the
+    first population's dimension, a count below the row length; other kinds have no split.
     """
 
     kind: VectorFieldKind
@@ -216,8 +216,11 @@ class Trajectory:
         if not np.all(states > 0.0):
             raise ValueError("all recorded coordinates must be strictly positive")
         if _state_type(self.kind) is CoupledState:
-            if self.split is None or not (0 < self.split < states.shape[1]):
+            if not (_is_count(self.split) and self.split < states.shape[1]):
                 raise ValueError("coupled trajectory requires a valid split index")
+        elif self.split is not None:
+            raise ValueError(f"a {type(self.kind).__name__} trajectory takes no split, "
+                             f"got split = {_shown(self.split, repr)}")
         if _off_simplex(self.kind, states, self.split).size:
             raise ValueError("simplex trajectory rows must sum to 1 within tolerance")
         rows = times.size
@@ -254,7 +257,7 @@ def _rk4_step(field, y: np.ndarray, weights: tuple, work: tuple, out: np.ndarray
     """One RK4 step from ``y`` into ``out``, with the stage fields and sums in ``work``.
 
     ``work`` holds four field buffers and one for ``weight * k``; each stage input is a new
-    array, so a field's argument is never overwritten later.
+    array, so no stage input is overwritten later (``y`` may be: the log chart's ``v``).
     """
     half, whole, sixth = weights
     k1, k2, k3, k4, scratch = work
@@ -317,7 +320,7 @@ def _block_payoffs(kind: VectorFieldKind, rows: np.ndarray, split: Optional[int]
             for own, land, other in _blocks(kind, split)]
 
 
-def _make_field(kind: VectorFieldKind, size: int, split: Optional[int] = None):
+def _make_field(kind: VectorFieldKind, size: int, split: Optional[int]):
     """The field of ``kind`` on states of ``size`` coordinates (``split`` for coupled kinds).
 
     The field is ``field(x, out)``: it writes the field at ``x`` into ``out``, an array the
@@ -353,15 +356,14 @@ def _make_field(kind: VectorFieldKind, size: int, split: Optional[int] = None):
             return multiply(x, subtract(f, mean, out), out)
 
     else:
-        # each payoff goes into a new array's memory, not a view of ``out``: a BLAS dot may
-        # round by its second operand's alignment (OpenBLAS Prescott), and out[split:] moves it
-        p_mean, q_mean, fb, gb = np.empty(()), np.empty(()), np.empty(split), np.empty(size - split)
+        # q's payoff goes into new memory, not out[split:]: a BLAS dot may round by its second
+        # operand's alignment (OpenBLAS Prescott); p's goes into out[:split], aligned as out is
+        p_mean, q_mean, gb = np.empty(()), np.empty(()), np.empty(size - split)
 
         def field(z, out):
-            p, q = z[:split], z[split:]
-            f, g = pay(p, q, fb), rest[0](q, p, gb)
+            p, q, dp, dq = z[:split], z[split:], out[:split], out[split:]
+            f, g = pay(p, q, dp), rest[0](q, p, gb)
             p.dot(f, p_mean), q.dot(g, q_mean)
-            dp, dq = out[:split], out[split:]
             multiply(p, subtract(f, p_mean, dp), dp), multiply(q, subtract(g, q_mean, dq), dq)
             return out
 
@@ -369,13 +371,14 @@ def _make_field(kind: VectorFieldKind, size: int, split: Optional[int] = None):
 
 
 def _direct_coordinates(kind: VectorFieldKind, start, split: Optional[int], blocks: tuple):
-    """(y0, chart, field, None): the chart renormalizes each simplex block of ``y``, its row."""
+    """(y0, chart, field, None): the chart renormalizes its row's simplex blocks in place."""
     total = np.empty(())
 
-    def chart(y, row):
+    def chart(row):
         for block in blocks:
-            view = y[block]
+            view = row[block]
             view /= np.add.reduce(view, out=total)
+        return row
 
     return start, chart, _make_field(kind, start.size, split), None
 
@@ -388,40 +391,42 @@ def _block_chart(v: np.ndarray) -> np.ndarray:
 def _log_coordinates(kind: VectorFieldKind, start, split: Optional[int], blocks: tuple):
     """(v0, chart, field, normalizers) in coordinates x = exp(v - G) with dv = f(x).
 
-    The chart writes exp(v - G) per block into ``row`` and appends G = logsumexp(v), recomputed,
-    never integrated (one G per block for two populations); the start is charted first.  The
-    field, ``field(v, out)`` as in ``_make_field``, reads x from the last chart at its ``v``.
+    The chart copies its row, the step's new v, into the one ``v`` it owns, writes exp(v - G)
+    per block over the row, appends G = logsumexp(v), recomputed, never integrated (one G per
+    block for two populations), and returns ``v``; the start is charted first.  The field,
+    ``field(y, out)`` as in ``_make_field``, reads x from the last chart when ``y is v``.
     """
     pay, *rest = _payoffs(kind, start.size, split)
     exp, subtract = np.exp, np.subtract
-    normalizers, last_v, last_x = [], None, None
+    v, normalizers, last_x = np.empty(start.size), [], None
 
-    def chart(v, row):
-        nonlocal last_v, last_x
-        last_v, last_x = v, [row[block] for block in blocks]
+    def chart(row):
+        nonlocal last_x
+        v[...], last_x = row, [row[block] for block in blocks]
         big_g = [logsumexp(v[block]) for block in blocks]
         for block, g, x in zip(blocks, big_g, last_x):
             exp(subtract(v[block], g, x), x)
         normalizers.append(big_g if len(blocks) > 1 else big_g[0])
+        return v
 
     if not rest:
 
-        def field(v, out):
-            f = pay(last_x[0] if v is last_v else _block_chart(v), out)
+        def field(y, out):
+            f = pay(last_x[0] if y is v else _block_chart(y), out)
             if f is not out:  # a Custom payoff returns its own array
                 out[...] = f
             return out
 
     else:
-        g_pay, fb, gb = rest[0], np.empty(split), np.empty(start.size - split)  # as in _make_field
+        g_pay, fb, gb = rest[0], np.empty(split), np.empty(start.size - split)  # copied into out
 
-        def field(v, out):
-            p, q = last_x if v is last_v else (_block_chart(v[:split]), _block_chart(v[split:]))
+        def field(y, out):
+            p, q = last_x if y is v else (_block_chart(y[:split]), _block_chart(y[split:]))
             out[:split], out[split:] = pay(p, q, fb), g_pay(q, p, gb)
             return out
 
-    chart(np.log(start), np.empty(start.size))  # so last_v is v0, and G0 the first normalizer
-    return last_v, chart, field, normalizers
+    # charting log(x0) in a scratch array sets v to v0 and makes G0 the first normalizer
+    return chart(np.log(start)), chart, field, normalizers
 
 
 def _state_vector(kind: VectorFieldKind, state, role: str) -> tuple[np.ndarray, Optional[int]]:
@@ -484,20 +489,20 @@ def _diagnostics(
 _RECORD_CHUNK = 1024
 
 
-def _run(kind: VectorFieldKind, x0, dt: float, steps: int, target, log: bool) -> Trajectory:
-    """The RK4 loop shared by every integrator, in direct or log coordinates.
+def _run(kind: VectorFieldKind, x0, dt: float, steps: int, target, coordinates) -> Trajectory:
+    """The RK4 loop shared by every integrator, in the ``coordinates`` a factory sets up.
 
-    A chart writes the recorded state of an RK4 result into its row of the record; the
-    direct chart renormalizes the result, which is its row, in place, and the log chart
-    appends its normalizers.  The first recorded row is the start state exactly as given.  A
-    step whose recorded state has a coordinate that is at or below POS_FLOOR,
-    NaN or +inf halts the run (``_positive``); the overflow, invalid-value and
-    divide-by-zero warnings of such a blow-up, in the loop and in the
-    diagnostics of the rows before it, are silenced.  Only log runs record
-    normalizers, and a log run also halts at its first recorded row that is
-    off the simplex, naming the normalizer.  The work buffers hold the stage
-    fields and sums of every step.  No recorded row is written again, and a run
-    that halts keeps a copy of the rows before its failure, not the whole record.
+    Each RK4 step writes its result into its row of the record, and the chart makes that row
+    the recorded state and returns the state the next step starts from: the direct chart
+    renormalizes the row in place and returns it, and the log chart keeps the row's v, writes
+    exp(v - G) over it and appends its normalizers.  The first recorded row is the start state
+    exactly as given.  A step whose recorded state has a coordinate that is at or below
+    POS_FLOOR, NaN or +inf halts the run (``_positive``); the overflow, invalid-value and
+    divide-by-zero warnings of such a blow-up, in the loop and in the diagnostics of the rows
+    before it, are silenced.  A run whose factory returns normalizers records them, and halts
+    at its first recorded row that is off the simplex, naming the normalizer.  The work
+    buffers hold the stage fields and sums of every step.  No row is written after its step,
+    and a run that halts keeps a copy of the rows before its failure, not the whole record.
     """
     _check_steps(dt, steps)
     start, split = _state_vector(kind, x0, "start")
@@ -506,7 +511,6 @@ def _run(kind: VectorFieldKind, x0, dt: float, steps: int, target, log: bool) ->
     simplex = (() if kind.state_type is OrthantPoint
                else tuple(own for own, _, _ in _blocks(kind, split)))
     size, rows = start.size, int(steps) + 1
-    coordinates = _log_coordinates if log else _direct_coordinates
     y, chart, field, normalizers = coordinates(kind, start, split, simplex)
     record, done, failure = np.empty((min(rows, _RECORD_CHUNK), size)), rows, None
     record[0] = start
@@ -520,19 +524,17 @@ def _run(kind: VectorFieldKind, x0, dt: float, steps: int, target, log: bool) ->
                 record, filled = np.empty((min(2 * k, rows), size)), record
                 record[:k] = filled
             row = record[k]
-            # a direct step's result is its row; a log step's is new coordinates v
-            y = _rk4_step(field, y, weights, work, np.empty(size) if log else row)
-            chart(y, row)
+            y = chart(_rk4_step(field, y, weights, work, row))
             if not _positive(row):
                 done, failure = k, f"positivity lost at step {k} (t = {step * k:g})"
                 break
         # a direct run renormalizes every row; exp(v - G) rounds at the size of G
-        off = _off_simplex(kind, record[:done], split) if log else ()
+        off = () if normalizers is None else _off_simplex(kind, record[:done], split)
         if len(off):
             done = int(off[0])
             failure = (f"normalizer G = {normalizers[done]} rounds exp(v - G) off the simplex "
                        f"at step {done} (t = {step * done:g})")
-        normalizer = np.array(normalizers[:done]) if log else None
+        normalizer = None if normalizers is None else np.array(normalizers[:done])
         states = record if done == len(record) else record[:done].copy()
         diagnostics = _diagnostics(kind, states, target, split, normalizer)
     return Trajectory(
@@ -562,7 +564,7 @@ def integrate(
     positivity loss.  The optional target feeds the divergence column of the
     diagnostics and must match the kind's state type.
     """
-    return _run(kind, x0, dt, steps, target, log=False)
+    return _run(kind, x0, dt, steps, target, _direct_coordinates)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +583,7 @@ def exp_family_solver(
     the identity dG/dt = mean fitness can be checked externally by finite
     differences.
     """
-    return _run(Replicator(f), x0, dt, steps, target, log=True)
+    return _run(Replicator(f), x0, dt, steps, target, _log_coordinates)
 
 
 def coupled_exp_family_solver(
@@ -598,7 +600,7 @@ def coupled_exp_family_solver(
     log-coordinates at every step and recorded as the two columns of the
     diagnostics normalizer array.
     """
-    return _run(CoupledReplicator(f, g), state0, dt, steps, target, log=True)
+    return _run(CoupledReplicator(f, g), state0, dt, steps, target, _log_coordinates)
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,14 @@ HALVES = [[0.5, 0.5]]
         (MP_KIND, [0.0], [[0.5] * 4], None, ValueError, "requires a valid split index"),
         (MP_KIND, [0.0], [[0.5] * 4], 0, ValueError, "requires a valid split index"),
         (MP_KIND, [0.0], [[0.5] * 4], 4, ValueError, "requires a valid split index"),
+        (MP_KIND, [0.0], [[0.5] * 4], 1.5, ValueError, "requires a valid split index"),
+        (MP_KIND, [0.0], [[0.5] * 4], 2.0, ValueError, "requires a valid split index"),
+        (MP_KIND, [0.0], [[0.5] * 4], "2", ValueError, "requires a valid split index"),
+        (MP_KIND, [0.0], [[0.5] * 4], True, ValueError, "requires a valid split index"),
+        (HD_KIND, [0.0], HALVES, 1, ValueError,
+         "a Replicator trajectory takes no split, got split = 1"),
+        (LotkaVolterra(Linear(HAWK_DOVE)), [0.0], [[2.0, 1.0]], 0, ValueError,
+         "a LotkaVolterra trajectory takes no split, got split = 0"),
         (HD_KIND, [0.0], [[0.5, 0.6]], None, ValueError, "rows must sum to 1 within tolerance"),
         (MP_KIND, [0.0], [[0.5, 0.5, 0.5, 0.6]], 2, ValueError, "rows must sum to 1"),
         ("replicator", [0.0], HALVES, None, TypeError, "unknown field kind: 'replicator'"),
