@@ -258,15 +258,15 @@ class Custom:
 Landscape = Union[Linear, LogLinear, Scaled, Custom]
 
 
-def _call_custom(f: Custom, *state: np.ndarray) -> np.ndarray:
+def _call_custom(f: Custom, x: np.ndarray, other: Optional[np.ndarray] = None) -> np.ndarray:
+    """``f.evaluator`` on its own copy of each state array, which it may keep or write into."""
     try:
-        out = f.evaluator(*state)
+        out = f.evaluator(x.copy()) if other is None else f.evaluator(x.copy(), other.copy())
     except Exception as exc:  # noqa: BLE001 - black-box evaluator
         raise EvaluationFailure(f"custom landscape evaluator raised: {exc!r}") from exc
     out = np.asarray(out, dtype=float)
-    n = state[0].size
-    if out.shape != (n,):
-        raise EvaluationFailure(f"custom landscape returned shape {out.shape}, expected ({n},)")
+    if out.shape != x.shape:
+        raise EvaluationFailure(f"custom landscape returned shape {out.shape}, expected {x.shape}")
     return out
 
 
@@ -285,7 +285,8 @@ def resolve_payoff(
     ``out`` may follow: a ``Linear``, ``LogLinear`` or ``Scaled`` payoff writes into it and
     returns it, with the bits it returns without one; a ``Custom`` payoff returns its own
     array, which the caller reads and never writes.  A ``Custom`` landscape is evaluated as
-    ``custom(f, *state)`` once per state; ``log`` is the logarithm of ``LogLinear``.
+    ``custom(f, *state)`` once per state, and its evaluator is handed a copy of each state
+    (``_call_custom``); ``log`` is the logarithm of ``LogLinear``.
     """
     if isinstance(f, Scaled):
         base, c, mean = resolve_payoff(f.base, n, m, custom, log), np.array(f.factor), np.empty(())
@@ -332,11 +333,13 @@ def evaluate_landscape(
     ``(own, other)``.
     """
     x = np.asarray(x, dtype=float)
-    state = (x,) if other is None else (x, np.asarray(other, dtype=float))
-    if x.shape[:-1] != state[-1].shape[:-1]:  # one state against rows, or rows of two lengths
+    if other is None:
+        return resolve_payoff(f, x.shape[-1], log=_quiet_log)(x)
+    other = np.asarray(other, dtype=float)
+    if x.shape[:-1] != other.shape[:-1]:  # one state against rows, or rows of two lengths
         raise DimensionMismatchError(f"own states of shape {x.shape} do not pair with other "
-                                     f"states of shape {state[-1].shape}")
-    return resolve_payoff(f, *(s.shape[-1] for s in state), log=_quiet_log)(*state)
+                                     f"states of shape {other.shape}")
+    return resolve_payoff(f, x.shape[-1], other.shape[-1], log=_quiet_log)(x, other)
 
 
 #: Row-wise (T, n) and two-population call sites use these names for the

@@ -1,6 +1,7 @@
 """The verdicts ``tools/bench_pairs.py`` writes per end-to-end metric, on synthetic runs."""
 
 import os
+import subprocess
 import sys
 
 import pytest
@@ -130,3 +131,39 @@ def test_the_lines_line_reads_both_totals_and_their_delta(bench_pairs, parent, c
     lines = {side: {"files": {"core.py": total}, "total": total}
              for side, total in (("parent", parent), ("change", change))}
     assert bench_pairs.lines_line(lines) == line
+
+
+def _git(cwd, *args):
+    subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True)
+
+
+@pytest.fixture
+def one_commit_checkout(tmp_path, monkeypatch):
+    """A git repository of one commit holding ``a.txt``, as the working directory."""
+    _git(tmp_path, "init", "-q")
+    (tmp_path / "a.txt").write_text("a\n", encoding="utf-8")
+    _git(tmp_path, "add", "a.txt")
+    _git(tmp_path, "-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "one")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def test_the_exports_are_removed_when_the_block_ends(bench_pairs, one_commit_checkout):
+    with bench_pairs.exports("HEAD", "HEAD") as made:
+        (sha, path), (same, _) = made
+        with open(os.path.join(path, "a.txt"), encoding="utf-8") as fh:
+            assert sha == same and fh.read() == "a\n"
+    assert not (one_commit_checkout / ".bench_build").exists()
+
+
+def test_the_exports_are_removed_on_an_error(bench_pairs, one_commit_checkout):
+    with pytest.raises(RuntimeError, match="a run failed"):
+        with bench_pairs.exports("HEAD") as [(_, path)]:
+            assert os.path.isdir(path)
+            raise RuntimeError("a run failed")
+    assert not (one_commit_checkout / ".bench_build").exists()
+    # an export that fails removes the exports made before it
+    with pytest.raises(subprocess.CalledProcessError):
+        with bench_pairs.exports("HEAD", "no-such-revision"):
+            pass
+    assert not (one_commit_checkout / ".bench_build").exists()

@@ -1275,42 +1275,84 @@ def test_the_positivity_test_keeps_the_comparison_loops_verdicts(values):
 
 
 class _Keeper:
-    """A black-box payoff that keeps every input it is given and returns one cached array."""
+    """A black-box payoff that keeps every input it is given and returns one cached array.
 
-    def __init__(self, payoff):
-        self.payoff, self.saved, self.kept = payoff, payoff.copy(), []
+    One that ``writes`` halves each input before it keeps it, as its own copy allows.
+    """
+
+    def __init__(self, payoff, writes=False):
+        self.payoff, self.saved, self.kept, self.writes = payoff, payoff.copy(), [], writes
 
     def __call__(self, *state):
+        for s in state if self.writes else ():
+            s *= 0.5
         self.kept.extend((s, s.copy()) for s in state)
         return self.payoff
 
 
+def _keeper_kind(run, keepers, scaled):
+    """``run``'s kind on a ``Custom`` landscape per keeper (``Scaled`` ones if ``scaled``)."""
+    lands = [Scaled(Custom(k), 0.5) if scaled else Custom(k) for k in keepers]
+    if run.startswith("coupled"):
+        return CoupledReplicator(*lands)
+    return {"replicator": Replicator, "ecological": Ecological, "lotka_volterra": LotkaVolterra,
+            "shifted_lotka_volterra": ShiftedLotkaVolterra, "exp_family": Replicator}[run](lands[0])
+
+
+@pytest.mark.parametrize("writes", [False, True])
 @pytest.mark.parametrize("scaled", [False, True])
 @pytest.mark.parametrize("run", KINDS)
-def test_a_payoff_that_keeps_its_inputs_sees_none_of_them_overwritten(run, scaled):
-    keepers = [_Keeper(np.array([0.3, -0.2, 0.1])), _Keeper(np.array([0.4, -0.1]))]
-    lands = [Scaled(Custom(k), 0.5) if scaled else Custom(k) for k in keepers]
+def test_a_payoff_that_keeps_its_inputs_sees_none_of_them_overwritten(run, scaled, writes):
+    # a payoff that writes into its inputs runs as one that only reads them
+    payoffs = [np.array([0.3, -0.2, 0.1]), np.array([0.4, -0.1])]
+    keepers = [_Keeper(payoff, writes) for payoff in payoffs]
+    kind = _keeper_kind(run, keepers, scaled)
+    reader = _keeper_kind(run, [_Keeper(payoff) for payoff in payoffs], scaled) if writes else kind
     log = run.endswith("exp_family")
     if run.startswith("coupled"):
-        kind, x0 = CoupledReplicator(*lands), CoupledState(_TYPED_START, SimplexPoint([0.6, 0.4]))
+        x0 = CoupledState(_TYPED_START, SimplexPoint([0.6, 0.4]))
     else:
-        kind = {"replicator": Replicator, "ecological": Ecological, "lotka_volterra": LotkaVolterra,
-                "shifted_lotka_volterra": ShiftedLotkaVolterra,
-                "exp_family": Replicator}[run](lands[0])
         x0 = OrthantPoint([0.5, 1.0, 1.5]) if kind.state_type is OrthantPoint else _TYPED_START
         keepers = keepers[:1]
     start = _state_vector(kind, x0, "start")[0]
     if run == "exp_family":
-        call = lambda: exp_family_solver(lands[0], x0, 0.05, 30)  # noqa: E731
+        call = lambda: exp_family_solver(kind.f, x0, 0.05, 30)  # noqa: E731
     elif run == "coupled_exp_family":
-        call = lambda: coupled_exp_family_solver(*lands, x0, 0.05, 30)  # noqa: E731
+        call = lambda: coupled_exp_family_solver(kind.f, kind.g, x0, 0.05, 30)  # noqa: E731
     else:
         call = lambda: integrate(kind, x0, 0.05, 30)  # noqa: E731
-    _assert_same_run(lambda: _ref_run(kind, x0, 0.05, 30, None, log), call)
+    # the reference run reads the payoffs from readers and carries the kind of the call
+    _assert_same_run(
+        lambda: dataclasses.replace(_ref_run(reader, x0, 0.05, 30, None, log), kind=kind), call)
     for keeper in keepers:
         assert keeper.kept and keeper.payoff.tobytes() == keeper.saved.tobytes()
         assert all(seen.tobytes() == saved.tobytes() for seen, saved in keeper.kept)
     assert _state_vector(kind, x0, "start")[0].tobytes() == start.tobytes()
+
+
+def test_an_evaluator_that_writes_into_its_input_moves_no_run_bit_and_no_callers_array():
+    a = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]]) - 0.5 * np.eye(3)
+
+    def halving(x, *other):  # the payoff A x of x, or of other; then every input halved
+        payoff = a @ (other[0] if other else x)
+        for s in (x, *other):
+            s *= 0.5
+        return payoff
+
+    x0 = SimplexPoint([0.5, 0.3, 0.2])
+    for solve in (lambda f: integrate(Replicator(f), x0, 0.01, 50),
+                  lambda f: exp_family_solver(f, x0, 0.01, 50)):
+        writes, reads = solve(Custom(halving)), solve(Custom(lambda x: a @ x))
+        assert not writes.truncated and len(writes) == 51
+        for name in ("times", "states", "diagnostics"):
+            assert _bits(getattr(writes, name)) == _bits(getattr(reads, name))
+    y, rows = np.array([0.5, 0.3, 0.2]), np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]])
+    for args in ((y,), (rows,), (y, y[::-1].copy()), (rows, rows[:, ::-1].copy())):
+        saved = [s.copy() for s in args]
+        got = evaluate_landscape(Custom(halving), *args)
+        assert all(s.tobytes() == kept.tobytes() for s, kept in zip(args, saved))
+        expected = [a @ s for s in saved[-1]] if saved[-1].ndim == 2 else a @ saved[-1]
+        assert got.tobytes() == np.array(expected).tobytes()
 
 
 @pytest.mark.kernel_pinned

@@ -5,7 +5,8 @@ Run from the root of a checkout:
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --pairs 10 --out BENCH_17.json
 
 Each revision's committed files are exported with ``git archive`` into the
-ignored ``.bench_build/<sha>``.  For seeds 1..N and each workload,
+ignored ``.bench_build/<sha>``, and both exports are removed when the run ends,
+on an error too.  For seeds 1..N and each workload,
 ``bench/run.py`` runs once in each export, the parent first on odd seeds.
 For every end-to-end metric of ``BENCHMARK.json`` the file holds both
 sides' values, medians, quartiles and extremes, the pairs the change won,
@@ -25,9 +26,11 @@ is rewritten after every pair.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -50,6 +53,25 @@ def export(rev: str) -> tuple[str, str]:
         subprocess.run(["tar", "-x", "-C", path + ".part"], input=archive, check=True)
         os.rename(path + ".part", path)
     return sha, path
+
+
+@contextlib.contextmanager
+def exports(*revs: str):
+    """The (sha, directory) of each of ``revs`` (``export``), each removed when the block ends.
+
+    An error in the block, or in a later export, removes the exports made; ``.bench_build``
+    goes too once it is empty.
+    """
+    made = []
+    try:
+        for rev in revs:
+            made.append(export(rev))
+        yield made
+    finally:
+        for _, path in made:
+            shutil.rmtree(path, ignore_errors=True)
+        with contextlib.suppress(OSError):
+            os.rmdir(".bench_build")
 
 
 def line_counts(path: str) -> dict:
@@ -181,32 +203,33 @@ def main() -> int:
     args = parser.parse_args()
     with open("BENCHMARK.json", encoding="utf-8") as fh:
         spec = json.load(fh)
-    (parent, parent_dir), (change, change_dir) = export(args.parent), export(args.change)
-    record = {"parent": parent, "change": change, "seconds": args.seconds, "pairs": args.pairs,
-              "machine": machine_facts(),
-              "lines": {"parent": line_counts(parent_dir), "change": line_counts(change_dir)},
-              "workloads": {}}
-    for workload in args.workloads or [w["name"] for w in spec["workloads"]]:
-        runs, order = [], [("parent", parent_dir), ("change", change_dir)]
-        for seed in range(1, args.pairs + 1):
-            pair = {side: run_once(path, workload, seed, args.seconds)
-                    for side, path in (order if seed % 2 else order[::-1])}
-            runs.append({"seed": seed, **pair})
-            record["workloads"][workload] = {"summary": summary(runs, spec["end_to_end"]),
-                                             "runs": runs}
+    with exports(args.parent, args.change) as [(parent, parent_dir), (change, change_dir)]:
+        record = {"parent": parent, "change": change, "seconds": args.seconds, "pairs": args.pairs,
+                  "machine": machine_facts(),
+                  "lines": {"parent": line_counts(parent_dir), "change": line_counts(change_dir)},
+                  "workloads": {}}
+        for workload in args.workloads or [w["name"] for w in spec["workloads"]]:
+            runs, order = [], [("parent", parent_dir), ("change", change_dir)]
+            for seed in range(1, args.pairs + 1):
+                pair = {side: run_once(path, workload, seed, args.seconds)
+                        for side, path in (order if seed % 2 else order[::-1])}
+                runs.append({"seed": seed, **pair})
+                record["workloads"][workload] = {"summary": summary(runs, spec["end_to_end"]),
+                                                 "runs": runs}
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    json.dump(record, fh, indent=1)
+                print(workload, seed, {side: (run["values"].get("step_us"), run["correct"])
+                                       for side, run in pair.items()}, file=sys.stderr, flush=True)
+            # one traced run per side: a traced name that no longer binds reads null
+            traced = {side: run_once(path, workload, 3, 0, trace=1) for side, path in order}
+            record["workloads"][workload]["traced"] = {
+                side: {key: run[key]
+                       for key in ("exit", "malformed", "correct", "null", "stderr_tail")
+                       if key in run} for side, run in traced.items()}
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump(record, fh, indent=1)
-            print(workload, seed, {side: (run["values"].get("step_us"), run["correct"])
-                                   for side, run in pair.items()}, file=sys.stderr, flush=True)
-        # one traced run per side: a traced name that no longer binds reads null
-        traced = {side: run_once(path, workload, 3, 0, trace=1) for side, path in order}
-        record["workloads"][workload]["traced"] = {
-            side: {key: run[key] for key in ("exit", "malformed", "correct", "null", "stderr_tail")
-                   if key in run} for side, run in traced.items()}
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=1)
-        print(workload, "traced", record["workloads"][workload]["traced"], file=sys.stderr,
-              flush=True)
+            print(workload, "traced", record["workloads"][workload]["traced"], file=sys.stderr,
+                  flush=True)
     for workload, entry in record["workloads"].items():
         print(verdict_line(workload, entry["summary"]))
     print(lines_line(record["lines"]))
