@@ -106,14 +106,13 @@ class CoupledReplicator:
     g: Landscape
 
 
-#: The five field kinds; an isinstance test takes a tuple faster than the Union.
 _KINDS = (Replicator, Ecological, LotkaVolterra, ShiftedLotkaVolterra, CoupledReplicator)
 VectorFieldKind = Union[_KINDS]
 
 
 def _state_type(kind) -> type:
     """The state type ``kind`` declares: SimplexPoint, OrthantPoint or CoupledState."""
-    if not isinstance(kind, _KINDS):
+    if not isinstance(kind, _KINDS):  # a tuple tests faster than the Union
         raise TypeError(f"unknown field kind: {kind!r}")
     return kind.state_type
 
@@ -371,7 +370,10 @@ def _make_field(kind: VectorFieldKind, size: int, split: Optional[int]):
 
 
 def _direct_coordinates(kind: VectorFieldKind, start, split: Optional[int], blocks: tuple):
-    """(y0, chart, field, None): the chart renormalizes its row's simplex blocks in place."""
+    """(y0, chart, field, None): the chart renormalizes its row's simplex blocks in place.
+
+    One population's chart divides the whole row by its sum, with no block view.
+    """
     total, divide, reduce_add = np.empty(()), np.divide, np.add.reduce
 
     def chart(row):
@@ -380,7 +382,7 @@ def _direct_coordinates(kind: VectorFieldKind, start, split: Optional[int], bloc
             view /= np.add.reduce(view, out=total)
         return row
 
-    if blocks == (slice(None),):  # one population: the whole row, with no block view
+    if blocks == (slice(None),):
         chart = lambda row: divide(row, reduce_add(row, None, None, total), row)  # noqa: E731
     return start, chart, _make_field(kind, start.size, split), None
 
@@ -502,9 +504,9 @@ def _run(kind: VectorFieldKind, x0, dt: float, steps: int, target, coordinates) 
     POS_FLOOR, NaN or +inf halts the run (``_positive``); the overflow, invalid-value and
     divide-by-zero warnings of such a blow-up, in the loop and in the diagnostics of the rows
     before it, are silenced.  A run whose factory returns normalizers records them, and halts
-    at its first recorded row that is off the simplex, naming the normalizer.  The work
-    buffers hold the stage fields and sums of every step.  No row is written after its step,
-    and a run that halts keeps a copy of the rows before its failure, not the whole record.
+    at its first recorded row that is off the simplex, naming the normalizer.  The work buffers
+    hold the stage fields, inputs and sums of every step.  No row is written after its step, and
+    a run that halts keeps a copy of the rows before its failure, not the whole record.
     """
     _check_steps(dt, steps)
     start, split = _state_vector(kind, x0, "start")

@@ -1339,10 +1339,13 @@ def test_an_evaluator_that_writes_into_its_input_moves_no_run_bit_and_no_callers
             s *= 0.5
         return payoff
 
+    def reading(x, *other):
+        return a @ (other[0] if other else x)
+
     x0 = SimplexPoint([0.5, 0.3, 0.2])
     for solve in (lambda f: integrate(Replicator(f), x0, 0.01, 50),
                   lambda f: exp_family_solver(f, x0, 0.01, 50)):
-        writes, reads = solve(Custom(halving)), solve(Custom(lambda x: a @ x))
+        writes, reads = solve(Custom(halving)), solve(Custom(reading))
         assert not writes.truncated and len(writes) == 51
         for name in ("times", "states", "diagnostics"):
             assert _bits(getattr(writes, name)) == _bits(getattr(reads, name))
@@ -1351,8 +1354,7 @@ def test_an_evaluator_that_writes_into_its_input_moves_no_run_bit_and_no_callers
         saved = [s.copy() for s in args]
         got = evaluate_landscape(Custom(halving), *args)
         assert all(s.tobytes() == kept.tobytes() for s, kept in zip(args, saved))
-        expected = [a @ s for s in saved[-1]] if saved[-1].ndim == 2 else a @ saved[-1]
-        assert got.tobytes() == np.array(expected).tobytes()
+        assert got.tobytes() == evaluate_landscape(Custom(reading), *saved).tobytes()
 
 
 @pytest.mark.kernel_pinned
