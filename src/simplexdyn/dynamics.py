@@ -319,14 +319,26 @@ def _block_payoffs(kind: VectorFieldKind, rows: np.ndarray, split: Optional[int]
             for own, land, other in _blocks(kind, split)]
 
 
+def _block_terms(kind: VectorFieldKind, size: int, split: Optional[int]) -> list:
+    """Each block's (own slice, other slice, payoff, payoff buffer), by the fields' one rule.
+
+    The first block's payoff goes into its view of ``out``, aligned as ``out`` is (buffer None);
+    a later block's into an array of its own: OpenBLAS Prescott's dot rounds by operand alignment.
+    """
+    n = range(size)
+    return [(own, other, pay, np.empty(len(n[own])) if k else None) for k, ((own, _, other), pay)
+            in enumerate(zip(_blocks(kind, split), _payoffs(kind, size, split)))]
+
+
 def _make_field(kind: VectorFieldKind, size: int, split: Optional[int]):
     """The field of ``kind`` on states of ``size`` coordinates (``split`` for coupled kinds).
 
     The field is ``field(x, out)``: it writes the field at ``x`` into ``out``, an array the
     package owns and shaped like ``x``, and returns ``out``.  It writes into no other array
-    but its own payoff buffers, and a ``Custom`` payoff's array is only read.
+    but its payoff buffers, by ``_block_terms``' rule, and a ``Custom`` payoff's array is read.
     """
-    pay, *rest = _payoffs(kind, size, split)
+    terms = _block_terms(kind, size, split)
+    pay = terms[0][2]
     multiply, subtract = np.multiply, np.subtract
     if isinstance(kind, LotkaVolterra):
         return lambda x, out: multiply(x, pay(x, out), out)
@@ -355,15 +367,14 @@ def _make_field(kind: VectorFieldKind, size: int, split: Optional[int]):
             return multiply(x, subtract(f, mean, out), out)
 
     else:
-        # q's payoff goes into new memory, not out[split:]: a BLAS dot may round by its second
-        # operand's alignment (OpenBLAS Prescott); p's goes into out[:split], aligned as out is
-        p_mean, q_mean, gb = np.empty(()), np.empty(()), np.empty(size - split)
+        terms = [(*term, np.empty(())) for term in terms]  # each block's 0-d mean
 
         def field(z, out):
-            p, q, dp, dq = z[:split], z[split:], out[:split], out[split:]
-            f, g = pay(p, q, dp), rest[0](q, p, gb)
-            p.dot(f, p_mean), q.dot(g, q_mean)
-            multiply(p, subtract(f, p_mean, dp), dp), multiply(q, subtract(g, q_mean, dq), dq)
+            for own, other, pay, buf, mean in terms:
+                x, dx = z[own], out[own]
+                f = pay(x, z[other], dx if buf is None else buf)
+                x.dot(f, mean)
+                multiply(x, subtract(f, mean, dx), dx)
             return out
 
     return field
@@ -397,10 +408,11 @@ def _log_coordinates(kind: VectorFieldKind, start, split: Optional[int], blocks:
 
     The chart copies its row, the step's new v, into the one ``v`` it owns, writes exp(v - G)
     per block over the row, appends G = logsumexp(v), recomputed, never integrated (one G per
-    block for two populations), and returns ``v``; the start is charted first.  The field,
-    ``field(y, out)`` as in ``_make_field``, reads x from the last chart when ``y is v``.
+    block for two populations), and returns ``v``; the start is charted first.  The field keeps
+    ``_make_field``'s contract and buffer rule, and reads x from the last chart when ``y is v``.
     """
-    pay, *rest = _payoffs(kind, start.size, split)
+    terms = _block_terms(kind, start.size, split)
+    pay = terms[0][2]
     exp, subtract = np.exp, np.subtract
     v, normalizers, last_x = np.empty(start.size), [], None
 
@@ -413,7 +425,7 @@ def _log_coordinates(kind: VectorFieldKind, start, split: Optional[int], blocks:
         normalizers.append(big_g if len(blocks) > 1 else big_g[0])
         return v
 
-    if not rest:
+    if len(terms) == 1:
 
         def field(y, out):
             f = pay(last_x[0] if y is v else _block_chart(y), out)
@@ -421,12 +433,15 @@ def _log_coordinates(kind: VectorFieldKind, start, split: Optional[int], blocks:
                 out[...] = f
             return out
 
-    else:
-        g_pay, fb, gb = rest[0], np.empty(split), np.empty(start.size - split)  # copied into out
+    else:  # each block's x is xs[k] and its other population's x is xs[j]
+        terms = [(own, pay, buf, k, blocks.index(o)) for k, (own, o, pay, buf) in enumerate(terms)]
 
         def field(y, out):
-            p, q = last_x if y is v else (_block_chart(y[:split]), _block_chart(y[split:]))
-            out[:split], out[split:] = pay(p, q, fb), g_pay(q, p, gb)
+            xs = last_x if y is v else [_block_chart(y[own]) for own in blocks]
+            for own, pay, buf, k, j in terms:
+                f = pay(xs[k], xs[j], out[own] if buf is None else buf)
+                if f.base is not out:  # a later block's buffer, or a Custom payoff's own array
+                    out[own] = f
             return out
 
     # charting log(x0) in a scratch array sets v to v0 and makes G0 the first normalizer

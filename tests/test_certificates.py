@@ -1187,6 +1187,26 @@ def test_an_exp_family_step_charts_four_times_per_population(coupled, monkeypatc
     assert len(calls) == (202 if coupled else 101)
 
 
+def test_a_coupled_exp_family_field_computes_the_first_payoff_in_its_part_of_out(monkeypatch):
+    # the first population's payoff goes into its view of the field's array; the second's into
+    # an array of its own, the one payoff a field call copies
+    calls = []
+
+    def recording(land, n, m, *args):
+        pay = resolve_payoff(land, n, m, *args)
+        return lambda own, other, out=None: calls.append((n, out)) or pay(own, other, out)
+
+    monkeypatch.setattr(dynamics, "resolve_payoff", recording)
+    rng = np.random.default_rng(41)
+    start = CoupledState(SimplexPoint([0.5, 0.3, 0.2]), SimplexPoint([0.6, 0.4]))
+    coupled_exp_family_solver(Linear(rng.standard_normal((3, 2))),
+                              Linear(rng.standard_normal((2, 3))), start, 0.01, 5)
+    first, second = ([out for n, out in calls if n == size] for size in (3, 2))
+    assert len(first) == len(second) == 20  # four field calls per step
+    assert all(out.size == 3 and out.base is not None and out.base.size == 5 for out in first)
+    assert all(out.size == 2 and out.base is None and out is second[0] for out in second)
+
+
 _ZEEMAN = Linear(np.array([[0.0, 6.0, -4.0], [-3.0, 0.0, 5.0], [-1.0, 3.0, 0.0]]))
 _COMPETITION = Linear(-np.array([[1.0, 0.5, 0.2], [0.3, 1.0, 0.4], [0.1, 0.6, 1.0]]))
 _TYPED_START = SimplexPoint(np.array([0.2, 0.3, 0.5]))
