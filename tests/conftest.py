@@ -9,7 +9,7 @@ import hashlib
 import numpy as np
 import pytest
 
-#: The SHA-256 of ``blas_fingerprint()`` under each kernel a pin has been recorded for.
+#: ``blas_fingerprint()`` under each kernel pins are recorded for (numpy 2.4.6, OpenBLAS 0.3.31).
 KERNELS = {
     "9a758e6b0daabb00c9a8df0b226e43d0b8114c51efb3e7c8ecf0602f769e8d1a": "SkylakeX",
     "5d3eecde4264e23115bdb1e4a1013fb54e2f45f4bf1ba28bb1e334a451603be5": "Haswell",
