@@ -35,6 +35,7 @@ from .dynamics import (
     LotkaVolterra,
     Replicator,
     Trajectory,
+    _block_kl,
     _block_payoffs,
     _blocks,
     _central_residual,
@@ -325,23 +326,6 @@ def denormalized_ess_check(
 # ---------------------------------------------------------------------------
 
 
-def _divergence_series(traj: Trajectory, target) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Kind-appropriate divergence of every recorded state from the target.
-
-    The divergence is KL between frequencies, summed over population blocks.
-    Returns the series and, for abundance kinds, the per-state sine of the
-    angle to the target ray (None otherwise).
-    """
-    kind = traj.kind
-    t = _target_vector(kind, target, traj.states.shape[1], traj.split)
-    rows, t = _frequencies(kind, traj.states, t)
-    values = [
-        np.maximum(kl_formula(t[own], rows[:, own]), 0.0) for own, _, _ in _blocks(kind, traj.split)
-    ]
-    sines = _sine_to_direction(rows, t) if kind.state_type is OrthantPoint else None
-    return reduce(np.add, values), sines
-
-
 # a frequency that underflows to 0 is an infinite divergence, as in the run's own diagnostics
 @np.errstate(invalid="ignore", divide="ignore")
 def lyapunov_monitor(traj: Trajectory, target) -> LyapunovReport:
@@ -353,14 +337,17 @@ def lyapunov_monitor(traj: Trajectory, target) -> LyapunovReport:
     states parallel to the target ray occurring before the first converged
     step, the blind spot of the denormalized divergence.
     """
-    values, sines = _divergence_series(traj, target)
+    kind = traj.kind
+    t = _target_vector(kind, target, traj.states.shape[1], traj.split)
+    rows, t = _frequencies(kind, traj.states, t)
+    values = _block_kl(kind, rows, t, traj.split, kl_formula)  # kl_formula as bound at call time
     max_increase = float(np.diff(values).max(initial=0.0))
     initial_value, final_value = float(values[0]), float(values[-1])
     converged_idx = np.nonzero(values <= CONV_TOL)[0]
     parallel_count = None
-    if sines is not None:
+    if kind.state_type is OrthantPoint:
         cutoff = int(converged_idx[0]) if converged_idx.size else values.size
-        parallel_count = int(np.sum(sines[:cutoff] <= PARALLEL_TOL))
+        parallel_count = int(np.sum(_sine_to_direction(rows, t)[:cutoff] <= PARALLEL_TOL))
     return LyapunovReport(
         monotone=max_increase <= MONO_SLACK,
         max_increase=max_increase,

@@ -481,6 +481,13 @@ def _kl_rows(target: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.maximum(values, 0.0)
 
 
+def _block_kl(kind: VectorFieldKind, rows: np.ndarray, target: np.ndarray, split, kl) -> np.ndarray:
+    """Each frequency row's ``kl(target block, row block)``, floored at 0, summed over blocks."""
+    # reduce keeps one block's bits (np.sum would turn a -0.0 into 0.0)
+    return reduce(np.add, [np.maximum(kl(target[own], rows[:, own]), 0.0)
+                           for own, _, _ in _blocks(kind, split)])
+
+
 def _diagnostics(
     kind: VectorFieldKind,
     states: np.ndarray,
@@ -490,16 +497,14 @@ def _diagnostics(
 ) -> Diagnostics:
     """Mean fitness, variance and divergence to ``target``, each summed over population blocks."""
     weights, target = _frequencies(kind, states, target)
-    means, variances, divergences = [], [], []
+    means, variances = [], []
     for own, payoff in _block_payoffs(kind, states, split):
         w = weights[:, own]
         mean = np.einsum("ij,ij->i", w, payoff)
         means.append(mean)
         variances.append(np.einsum("ij,ij->i", w, (payoff - mean[:, None]) ** 2))
-        if target is not None:
-            divergences.append(_kl_rows(target[own], w))
-    # reduce keeps one block's bits (np.sum would turn a -0.0 into 0.0)
-    div = reduce(np.add, divergences) if divergences else np.full(states.shape[0], np.nan)
+    div = (np.full(states.shape[0], np.nan) if target is None
+           else _block_kl(kind, weights, target, split, _kl_rows))
     mean, var = reduce(np.add, means), reduce(np.add, variances)
     return Diagnostics(mean, var, div, states.sum(axis=1), normalizer)
 
