@@ -157,6 +157,30 @@ class TangentVector:
         return np.asarray(self.components, dtype=dtype)
 
 
+def _beyond_rounding(total: float, terms: np.ndarray) -> bool:
+    """Whether ``total``, a sum of ``terms`` that is 0 in exact arithmetic, is past its rounding.
+
+    It is when |total| exceeds TANGENT_TOL and TANGENT_TOL * sum |terms|, the size it rounds at,
+    as x . g(x) of a large payoff can; a NaN is not.
+    """
+    return abs(total) > TANGENT_TOL and abs(total) > TANGENT_TOL * np.abs(terms).sum()
+
+
+def _tangent(components: np.ndarray, x: np.ndarray, payoff: Callable) -> TangentVector:
+    """A field x_i (g_i - x . g) the package computed, as a TangentVector held to its terms.
+
+    Its sum must be finite and not ``_beyond_rounding`` the terms x_i g_i; ``payoff()`` gives g,
+    called only past TANGENT_TOL.  ``TangentVector(...)`` holds a caller's array to TANGENT_TOL.
+    """
+    total = float(components.sum())
+    if not np.isfinite(total) or abs(total) > TANGENT_TOL and _beyond_rounding(total, x * payoff()):
+        raise NotTangentError(f"components sum to {total!r}, expected 0 within {TANGENT_TOL} "
+                              "times sum |x_i g_i|")
+    vector = object.__new__(TangentVector)  # past TangentVector's absolute test
+    object.__setattr__(vector, "components", _reals(components, "components"))
+    return vector
+
+
 @dataclass(frozen=True, eq=False)
 class CoupledState:
     """Joint state of two interacting populations."""

@@ -23,7 +23,7 @@ exp(v - G) per population block.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import partial, reduce
 from typing import Optional, Union
 
 import numpy as np
@@ -36,11 +36,13 @@ from .core import (
     OrthantPoint,
     SimplexPoint,
     TangentVector,
+    _beyond_rounding,
     _is_count,
     _is_positive,
     _is_real,
     _per_total,
     _shown,
+    _tangent,
     evaluate_landscape,
     evaluate_landscape_batch,
     resolve_payoff,
@@ -122,38 +124,45 @@ def _state_type(kind) -> type:
 # ---------------------------------------------------------------------------
 
 
-def _field_at(kind: VectorFieldKind, state) -> tuple[np.ndarray, Optional[int]]:
-    """The field of ``kind`` at ``state``, and the state's split: one ``_state_vector`` read."""
+def _field_at(kind: VectorFieldKind, state) -> tuple:
+    """(z, the field of ``kind`` at the state vector z, split): one ``_state_vector`` read."""
     z, split = _state_vector(kind, state, "state")
-    return _make_field(kind, z.size, split)(z, np.empty(z.size)), split
+    return z, _make_field(kind, z.size, split)(z, np.empty(z.size)), split
+
+
+def _tangents(kind: VectorFieldKind, state) -> list:
+    """The field of a simplex ``kind`` at ``state``: one ``core._tangent`` per population block."""
+    z, dz, split = _field_at(kind, state)
+    return [_tangent(dz[own], z[own], partial(evaluate_landscape, land, z[own],
+                                              None if other is None else z[other]))
+            for own, land, other in _blocks(kind, split)]
 
 
 def replicator_field(x: SimplexPoint, f: Landscape) -> TangentVector:
     """Selection field x_i (f_i(x) - x . f(x)); always tangent to the simplex."""
-    return TangentVector(_field_at(Replicator(f), x)[0])
+    return _tangents(Replicator(f), x)[0]
 
 
 def ecological_field(x: SimplexPoint, g: Landscape) -> TangentVector:
     """Field x_i g_i(x); requires the aggregate-neutrality x . g(x) = 0."""
-    return TangentVector(_field_at(Ecological(g), x)[0])
+    return _tangents(Ecological(g), x)[0]
 
 
 def lv_field(x: OrthantPoint, f: Landscape) -> np.ndarray:
     """Abundance growth field x_i f_i(x)."""
-    return _field_at(LotkaVolterra(f), x)[0]
+    return _field_at(LotkaVolterra(f), x)[1]
 
 
 def shifted_lv_field(x: OrthantPoint, f: Landscape) -> np.ndarray:
     """Aggregate-slowed abundance field (x_i / |x|) f_i(x)."""
-    return _field_at(ShiftedLotkaVolterra(f), x)[0]
+    return _field_at(ShiftedLotkaVolterra(f), x)[1]
 
 
 def coupled_replicator_field(
     state: CoupledState, f: Landscape, g: Landscape
 ) -> tuple[TangentVector, TangentVector]:
     """Simultaneous selection fields for two interacting populations."""
-    dz, split = _field_at(CoupledReplicator(f, g), state)
-    return TangentVector(dz[:split]), TangentVector(dz[split:])
+    return tuple(_tangents(CoupledReplicator(f, g), state))
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +360,7 @@ def _make_field(kind: VectorFieldKind, size: int, split: Optional[int]):
         def field(x, out):
             g = pay(x, out)
             residual = float(x.dot(g))
-            # past the absolute test, relative: a blown-up stage rounds x . g at its terms' size
-            if abs(residual) > TANGENT_TOL and abs(residual) > TANGENT_TOL * np.abs(x * g).sum():
+            if abs(residual) > TANGENT_TOL and _beyond_rounding(residual, x * g):  # large payoffs
                 raise NotSimplexPreservingError(
                     f"x . g(x) = {residual!r} violates aggregate neutrality"
                 )

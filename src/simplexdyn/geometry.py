@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (OrthantPoint, SimplexPoint, TangentVector, _is_positive, _per_total, _reals,
-                   _shown)
+                   _shown, _tangent)
 from .divergence import kl_formula
 from .errors import (
     DimensionMismatchError,
@@ -131,7 +131,7 @@ def shahshahani_gradient(x: SimplexPoint, euclidean_grad) -> TangentVector:
             f"gradient shape {grad.shape} does not match point dimension {x.dim}"
         )
     gbar = float(np.dot(x.coords, grad))
-    return TangentVector(x.coords * (grad - gbar))
+    return _tangent(x.coords * (grad - gbar), x.coords, lambda: grad)
 
 
 def exp_map(x: SimplexPoint, v) -> SimplexPoint:

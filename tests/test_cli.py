@@ -555,6 +555,17 @@ def test_check_subcommand_reports_the_metrics_simulate_writes(tmp_path, capsys, 
     assert printed["report"] == _simulated_metrics(tmp_path, check, **overrides)
 
 
+def test_a_large_payoffs_default_gradient_is_a_tangent_vector(tmp_path, capsys):
+    # the gradient x_i (g_i - x . g) of the payoff 1e9 * RPS at the start sums to 7.5e-9: rounding
+    # at the size of x_i g_i, which the package's own tangent vectors are held to
+    big = [[1e9 * a for a in row] for row in RPS]
+    cfg = _write_config(tmp_path / "big.json", landscape={"type": "linear", "matrix": big},
+                        initial_state=[0.5, 0.3, 0.2], target=None, dt=1e-12, steps=10,
+                        checks=[{"name": "gradient_consistency", "tol": 1e-3}])
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_simulate_loads_each_config_once(tmp_path, capsys, monkeypatch):
     a = _write_config(tmp_path / "a.json", name="a", steps=20)
     bad = _write_config(tmp_path / "bad.json", name="bad", steps=0)

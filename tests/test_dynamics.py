@@ -30,6 +30,7 @@ from simplexdyn import (
     LogLinear,
     LotkaVolterra,
     NotSimplexPreservingError,
+    NotTangentError,
     OrthantPoint,
     Replicator,
     Scaled,
@@ -79,6 +80,19 @@ def test_replicator_field_examples():
     np.testing.assert_allclose(
         replicator_field(barycenter(3), Linear(RPS)).components, 0.0, atol=1e-15
     )
+
+
+def test_a_field_the_package_computes_is_held_to_the_size_of_its_terms():
+    # x_i (f_i - x . f) of RPS + 1e8 sums to 1.5e-9, rounding at |x_i f_i| ~ 1e8: a tangent
+    # vector, though a caller's TangentVector of these components would be refused
+    x = SimplexPoint(np.array([0.5, 0.3, 0.2]))
+    field = replicator_field(x, Linear(RPS + 1e8)).components
+    assert abs(field.sum()) > 1e-9 and not field.flags.writeable
+    dp, dq = coupled_replicator_field(CoupledState(x, SimplexPoint(np.array([0.6, 0.4]))),
+                                      Linear(np.ones((3, 2)) + 1e8), Linear(np.ones((2, 3))))
+    assert dp.dim == 3 and dq.dim == 2
+    with pytest.raises(NotTangentError, match="components sum to nan"):  # a NaN sum is no sum
+        replicator_field(x, Custom(lambda y: np.array([np.nan, 0.0, 0.0])))
 
 
 def test_ecological_field_is_scaled_replicator():

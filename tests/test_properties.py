@@ -30,12 +30,16 @@ from simplexdyn import (
     ShiftedLotkaVolterra,
     SimplexPoint,
     coupled_exp_family_solver,
+    coupled_replicator_field,
     ess_check,
     exp_family_solver,
+    gradient_consistency_check,
     integrate,
     lyapunov_monitor,
+    replicator_field,
+    shahshahani_gradient,
 )
-from simplexdyn.dynamics import EXPFAM_TOL, _frequencies, _target_vector
+from simplexdyn.dynamics import EXPFAM_TOL, _frequencies, _make_field, _target_vector
 
 
 @st.composite
@@ -226,7 +230,7 @@ def test_every_population_of_every_recorded_row_sums_to_one(solver, n, m, scale,
 def point_like(draw, start):
     """A target of ``start``'s type and dimensions."""
     if isinstance(start, CoupledState):
-        return CoupledState(draw(simplex_point(start.pop1.dim)), draw(simplex_point(start.pop2.dim)))
+        return CoupledState(*(draw(simplex_point(pop.dim)) for pop in (start.pop1, start.pop2)))
     if isinstance(start, OrthantPoint):
         return OrthantPoint(draw(arrays(float, start.dim, elements=st.floats(0.2, 2.0))))
     return draw(simplex_point(start.dim))
@@ -268,3 +272,31 @@ def test_the_two_divergence_series_of_a_long_rps_orbit_agree_to_rounding():
     assert not np.array_equal(traj.diagnostics.divergence_to_target,
                               lyapunov_monitor(traj, target).values)
     _assert_divergences_agree(traj, target)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(2, 5), st.integers(2, 5), st.floats(1.0, 1e12), st.floats(-1e12, 1e12),
+       st.data())
+def test_the_packages_tangent_vectors_take_any_payoff_scale_and_shift(n, m, scale, shift, data):
+    # a field x_i (g_i - x . g) sums to 0 only up to rounding at the size of x_i g_i, which a
+    # large or shifted payoff raises past TangentVector's absolute 1e-9; the package's own
+    # vectors are held to that size, and keep the bits of the field the RK4 step takes
+    def game(rows, cols):
+        return scale * data.draw(arrays(float, (rows, cols), elements=ENTRIES))
+
+    x, y = data.draw(simplex_point(n)), data.draw(simplex_point(m))
+    a, grad = Linear(game(n, n) + shift), game(n, 1)[:, 0] + shift
+    bimatrix = (Linear(game(n, m) + shift), Linear(game(m, n) + shift))
+    z = np.concatenate([x.coords, y.coords])
+    cases = [
+        (replicator_field(x, a), Replicator(a), x.coords),
+        (np.concatenate(coupled_replicator_field(CoupledState(x, y), *bimatrix)),
+         CoupledReplicator(*bimatrix), z),
+    ]
+    for got, kind, state in cases:
+        split = n if state is z else None
+        field = _make_field(kind, state.size, split)(state.copy(), np.empty(state.size))
+        assert np.asarray(got).tobytes() == field.tobytes()
+    gradient = shahshahani_gradient(x, grad).components
+    assert gradient.tobytes() == (x.coords * (grad - float(np.dot(x.coords, grad)))).tobytes()
+    assert np.isfinite(gradient_consistency_check(x, grad, 5, 0))
