@@ -5,8 +5,13 @@ run, on every change that does not mean to move a number.  Each trajectory
 file and each report is pinned by its SHA-256.  Each report is also compared
 exactly on the values pinned here, so a report whose bytes move names the
 values that moved; keys a report gains pass that comparison.
+
+The bits depend on the OpenBLAS kernel, so each pin is recorded per kernel
+(SkylakeX, Haswell, Prescott; see ``tests/conftest.py``) and a test reads the
+pins of the kernel its process rounds with, the ``blas_kernel`` fixture.
 """
 
+import copy
 import hashlib
 import json
 from fractions import Fraction
@@ -22,23 +27,63 @@ pytestmark = pytest.mark.kernel_pinned
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 TRAJECTORY_SHA256 = {
-    ("csv", "hawk_dove_trajectory.csv"):
-        "c4e65f4e95859c0d3dbcc576ea30ad5f3739416f5c4b8a42f56ca6ea96731e44",
-    ("csv", "rps_trajectory.csv"):
-        "ae1f1c9cb40360b68cdb717489cc726553c827fcd417b64b1399dc793617df61",
-    ("json", "hawk_dove_trajectory.json"):
-        "7a121db28a81062557bf0235423c0952bf94f9948f64b1a2cac0b3c8c71ab1d3",
-    ("json", "rps_trajectory.json"):
-        "f973fe99608d5ae828bfdb0bc37f74ed93309e48393641972fca96b689df06d0",
+    "SkylakeX": {
+        ("csv", "hawk_dove_trajectory.csv"):
+            "c4e65f4e95859c0d3dbcc576ea30ad5f3739416f5c4b8a42f56ca6ea96731e44",
+        ("csv", "rps_trajectory.csv"):
+            "ae1f1c9cb40360b68cdb717489cc726553c827fcd417b64b1399dc793617df61",
+        ("json", "hawk_dove_trajectory.json"):
+            "7a121db28a81062557bf0235423c0952bf94f9948f64b1a2cac0b3c8c71ab1d3",
+        ("json", "rps_trajectory.json"):
+            "f973fe99608d5ae828bfdb0bc37f74ed93309e48393641972fca96b689df06d0",
+    },
+    "Haswell": {
+        ("csv", "hawk_dove_trajectory.csv"):
+            "3f45298cabb6b010398dc41b0e3af2037668977829b71c730f9fcfebfb536a77",
+        ("csv", "rps_trajectory.csv"):
+            "bc5d39da341dfb75fe479e7a7c517273a0108b6b8a201745c85035642cf9951e",
+        ("json", "hawk_dove_trajectory.json"):
+            "85e593470a0f05e2cb357840b436346a3ab6a006fb368c0ffa47ce3ddcb74a88",
+        ("json", "rps_trajectory.json"):
+            "6bdceafcb457f0475c8c9d75156986c553589dc3105d521c2e6eeaaf2a200c72",
+    },
+    "Prescott": {
+        ("csv", "hawk_dove_trajectory.csv"):
+            "3f45298cabb6b010398dc41b0e3af2037668977829b71c730f9fcfebfb536a77",
+        ("csv", "rps_trajectory.csv"):
+            "0387f0dc9d21dfb5470c4d6f2a92dfc5d44a9eb6ce6fc1f3779faa4c71893d44",
+        ("json", "hawk_dove_trajectory.json"):
+            "85e593470a0f05e2cb357840b436346a3ab6a006fb368c0ffa47ce3ddcb74a88",
+        ("json", "rps_trajectory.json"):
+            "42fc535cb9a719944f1a2888a74d8bcc020346ea4d51832fbaed886d0594cfbe",
+    },
 }
 
 # the same bytes under --format csv and json
 REPORT_SHA256 = {
-    "hawk_dove_report.json": "8eb8acfdfca7099ee5978af63e15f752db22ff3ad2cab10262aec8b996e2951d",
-    "rps_report.json": "5e039be159163a2ba9497b9588e4057c6744c5ebd31cdc826245de4441700302",
+    "SkylakeX": {
+        "hawk_dove_report.json":
+            "8eb8acfdfca7099ee5978af63e15f752db22ff3ad2cab10262aec8b996e2951d",
+        "rps_report.json": "5e039be159163a2ba9497b9588e4057c6744c5ebd31cdc826245de4441700302",
+    },
+    "Prescott": {
+        "hawk_dove_report.json":
+            "8eb8acfdfca7099ee5978af63e15f752db22ff3ad2cab10262aec8b996e2951d",
+        "rps_report.json": "51335c3128dee28489a5caf5238a66704566656e026bc360723a63a1652d81e3",
+    },
 }
+REPORT_SHA256["Haswell"] = REPORT_SHA256["SkylakeX"]
 
-REPORTS = {
+
+def _moved(reports: dict, moves: dict) -> dict:
+    """A copy of ``reports``, each (report, check index, metric) of ``moves`` set to its value."""
+    reports = copy.deepcopy(reports)
+    for (name, check, metric), value in moves.items():
+        reports[name]["checks"][check]["metrics"][metric] = value
+    return reports
+
+
+SKYLAKEX_REPORTS = {
     "hawk_dove_report.json": {
         "scenario": "hawk_dove",
         "checks": [
@@ -114,6 +159,12 @@ REPORTS = {
         "truncated": False,
     },
 }
+REPORTS = {
+    "SkylakeX": SKYLAKEX_REPORTS,
+    "Haswell": SKYLAKEX_REPORTS,
+    "Prescott": _moved(SKYLAKEX_REPORTS,
+                       {("rps_report.json", 1, "min_margin"): -8.673617379884035e-18}),
+}
 
 
 def _mismatches(expected, got, path="report"):
@@ -151,22 +202,22 @@ def test_bundled_scenarios_exit_0(simulated):
     assert simulated[2] == 0
 
 
-def test_trajectory_bytes_match_pinned_hashes(simulated):
+def test_trajectory_bytes_match_pinned_hashes(simulated, blas_kernel):
     fmt, out, _ = simulated
-    for (pinned_fmt, name), digest in TRAJECTORY_SHA256.items():
+    for (pinned_fmt, name), digest in TRAJECTORY_SHA256[blas_kernel].items():
         if pinned_fmt == fmt:
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
-def test_report_bytes_match_pinned_hashes(simulated):
+def test_report_bytes_match_pinned_hashes(simulated, blas_kernel):
     _, out, _ = simulated
-    for name, digest in REPORT_SHA256.items():
+    for name, digest in REPORT_SHA256[blas_kernel].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
-def test_reports_match_pinned_values(simulated):
+def test_reports_match_pinned_values(simulated, blas_kernel):
     _, out, _ = simulated
-    for name, expected in REPORTS.items():
+    for name, expected in REPORTS[blas_kernel].items():
         got = json.loads((out / name).read_text())
         assert _mismatches(expected, got) == [], name
 
@@ -231,15 +282,39 @@ SHIFTED_LV_CONFIG = {
 }
 
 INLINE_TRAJECTORY_SHA256 = {
-    ("coupled_blocks", "csv"): "0760759c6d62dc9e44fc8656b35f7fa9b0f22374bfbe4ae67108a82412169d84",
-    ("coupled_blocks", "json"): "8e2cd89f97483dc0a707b3f73173cfb29506e47ea48b6e63059e6c407acafac9",
-    ("lv_log_linear", "csv"): "ac9af31df51759be1a31a399155a1307a03b9c06a37b3149f03ba60d69b75868",
-    ("lv_log_linear", "json"): "c29b00a711c95f6b066f4fafbef143e40d9e2c1f04b1a87c64f21153a3a19458",
-    ("shifted_lv", "csv"): "5061aac0cd80627cbb1821361736523a5c1d29a0c471f32d63618572a32d47b0",
-    ("shifted_lv", "json"): "4ee0073fc9e4760a9b2be77d1aee1cf32ef5fc1412641c8f31d77ad4af2b9f86",
+    "SkylakeX": {
+        ("coupled_blocks", "csv"):
+            "0760759c6d62dc9e44fc8656b35f7fa9b0f22374bfbe4ae67108a82412169d84",
+        ("coupled_blocks", "json"):
+            "8e2cd89f97483dc0a707b3f73173cfb29506e47ea48b6e63059e6c407acafac9",
+        ("lv_log_linear", "csv"):
+            "ac9af31df51759be1a31a399155a1307a03b9c06a37b3149f03ba60d69b75868",
+        ("lv_log_linear", "json"):
+            "c29b00a711c95f6b066f4fafbef143e40d9e2c1f04b1a87c64f21153a3a19458",
+        ("shifted_lv", "csv"): "5061aac0cd80627cbb1821361736523a5c1d29a0c471f32d63618572a32d47b0",
+        ("shifted_lv", "json"): "4ee0073fc9e4760a9b2be77d1aee1cf32ef5fc1412641c8f31d77ad4af2b9f86",
+    },
+    "Prescott": {
+        ("coupled_blocks", "csv"):
+            "2cc997f2d21ec6ada7b9906ecc8d7bc678435c4a50ce3cf1b72d8e5085dc49e6",
+        ("coupled_blocks", "json"):
+            "500cfb3471c88455c70dbd83ee8166ab702703e98c0d2c6ef534fa69d40a9270",
+        ("lv_log_linear", "csv"):
+            "f83009e8527cd1b005b7a96740c588a44acf58e674da3bc11fc5cf214bb47a4d",
+        ("lv_log_linear", "json"):
+            "f1cfc5911ff3b99060157265954591575ed552aaea55484627632b734d8d4adb",
+        ("shifted_lv", "csv"): "90cb575f538c3e11cb0a0a077ed3540a20e804eb8b7d8fc92f81cec9e5cfb1df",
+        ("shifted_lv", "json"): "7568d8e9d33d7bf313cd6991c7662d04e6ba9905b36cd0a7514243fd976e1590",
+    },
+}
+# Haswell keeps SkylakeX's Lotka-Volterra bytes: only its coupled states differ
+INLINE_TRAJECTORY_SHA256["Haswell"] = {
+    **INLINE_TRAJECTORY_SHA256["SkylakeX"],
+    ("coupled_blocks", "csv"): "c2928a2df54fb6c96f6441d704ddb516a7d113a7519b3c0dc49ae0bd54edf863",
+    ("coupled_blocks", "json"): "167da685b03a135f73c4c246674a63e7deb79c12b8563193be9b4cd9b03445eb",
 }
 
-INLINE_REPORTS = {
+SKYLAKEX_INLINE_REPORTS = {
     "coupled_blocks": {
         "scenario": "coupled_blocks",
         "checks": [
@@ -332,12 +407,25 @@ INLINE_REPORTS = {
         "truncated": False,
     },
 }
+# both non-FMA kernels' coupled states differ from SkylakeX's, and so do their Lyapunov values
+COUPLED_LYAPUNOV = {("coupled_blocks", 0, "max_increase"): 9.672818102046676e-14,
+                    ("coupled_blocks", 0, "final_value"): 0.15741703734087065,
+                    ("coupled_blocks", 0, "drift"): -3.402444992417486e-12}
+INLINE_REPORTS = {
+    "SkylakeX": SKYLAKEX_INLINE_REPORTS,
+    "Haswell": _moved(SKYLAKEX_INLINE_REPORTS, COUPLED_LYAPUNOV),
+    "Prescott": _moved(SKYLAKEX_INLINE_REPORTS, {
+        **COUPLED_LYAPUNOV,
+        ("coupled_blocks", 1, "min_margin"): -3.469446951953614e-18,
+        ("shifted_lv", 1, "min_margin"): -2.1127491273448262e-05,
+    }),
+}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("config", [COUPLED_CONFIG, LV_CONFIG, SHIFTED_LV_CONFIG],
                          ids=lambda c: c["name"])
-def test_inline_config_outputs_match_pinned(config, fmt, tmp_path):
+def test_inline_config_outputs_match_pinned(config, fmt, tmp_path, blas_kernel):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -345,9 +433,10 @@ def test_inline_config_outputs_match_pinned(config, fmt, tmp_path):
     assert code == 0
     name = config["name"]
     trajectory = (out / f"{name}_trajectory.{fmt}").read_bytes()
-    assert hashlib.sha256(trajectory).hexdigest() == INLINE_TRAJECTORY_SHA256[(name, fmt)]
+    digest = INLINE_TRAJECTORY_SHA256[blas_kernel][(name, fmt)]
+    assert hashlib.sha256(trajectory).hexdigest() == digest
     report = json.loads((out / f"{name}_report.json").read_text())
-    assert report == INLINE_REPORTS[name]
+    assert report == INLINE_REPORTS[blas_kernel][name]
 
 
 #: 2-vectors (a0, a1) . (b0, b1) whose plain rounding, a0*b0 + a1*b1, differs from the fused
@@ -362,14 +451,22 @@ DOT_CASES = [
 ]
 
 
-def test_the_blas_kernel_rounds_small_dots_as_the_pins_were_recorded():
-    """The pins above and in bench/golden.json hold only where np.dot rounds through an FMA."""
+#: Whether each kernel's np.dot rounds a 2-vector as one fused multiply-add (else twice).
+FUSED_DOT = {"SkylakeX": True, "Haswell": False, "Prescott": False}
+
+
+def test_the_blas_kernel_rounds_small_dots_as_the_pins_were_recorded(blas_kernel):
+    """Each kernel's pins hold only where np.dot rounds small dots as when they were recorded.
+
+    bench/golden.json holds SkylakeX's references only.
+    """
     for a0, a1, b0, b1 in DOT_CASES:
         # Fraction arithmetic is exact and float() of a Fraction rounds once, as an FMA does
         fused = float(Fraction(a1) * Fraction(b1) + Fraction(a0 * b0))
-        assert fused != a0 * b0 + a1 * b1, "the case does not tell the two roundings apart"
-        if float(np.dot([a0, a1], [b0, b1])) != fused:
-            pytest.fail("np.dot does not round 2-vectors as one fused multiply-add on this BLAS "
-                        "kernel. The output hashes pinned here and in bench/golden.json were "
-                        "recorded on an FMA-rounding kernel (OpenBLAS SkylakeX), so the golden "
-                        "tests fail here whatever the code does.")
+        plain = a0 * b0 + a1 * b1
+        assert fused != plain, "the case does not tell the two roundings apart"
+        rounding = "one fused multiply-add" if FUSED_DOT[blas_kernel] else "a0*b0 + a1*b1"
+        if float(np.dot([a0, a1], [b0, b1])) != (fused if FUSED_DOT[blas_kernel] else plain):
+            pytest.fail(f"np.dot does not round 2-vectors as {rounding}, as the {blas_kernel} "
+                        "kernel did when its pins were recorded, so the golden tests fail here "
+                        "whatever the code does.")

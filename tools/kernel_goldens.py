@@ -10,9 +10,9 @@ given tests, or with none every test marked ``kernel_pinned``, in one pytest
 child process, from the root of the checkout with its ``src`` on
 ``PYTHONPATH``.  The variable is set only in that child's environment (and
 removed from the default child's).  It prints one JSON object: per kernel,
-the passed count and the ids of the tests that failed or errored.  It exits
-1 when a child does not finish as pytest does after a run (exit code 0 or
-1), else 0.
+the passed count and the ids of the tests that failed or errored.  It is a
+gate: it exits 1 when a test fails or errors under any kernel, or when a
+child does not finish as pytest does after a run (exit code 0 or 1), else 0.
 """
 
 from __future__ import annotations
@@ -46,8 +46,9 @@ def main() -> int:
     args = sys.argv[1:] or ["-m", "kernel_pinned"]
     report, ok = {}, True
     for kernel in KERNELS:
-        code, report[kernel or "default"] = run_kernel(kernel, args)
-        ok = ok and code in (0, 1)
+        code, result = run_kernel(kernel, args)
+        report[kernel or "default"] = result
+        ok = ok and code == 0 and not result["failed"]
     print(json.dumps(report))
     return 0 if ok else 1
 
