@@ -88,9 +88,6 @@ def test_a_field_the_package_computes_is_held_to_the_size_of_its_terms():
     x = SimplexPoint(np.array([0.5, 0.3, 0.2]))
     field = replicator_field(x, Linear(RPS + 1e8)).components
     assert abs(field.sum()) > 1e-9 and not field.flags.writeable
-    dp, dq = coupled_replicator_field(CoupledState(x, SimplexPoint(np.array([0.6, 0.4]))),
-                                      Linear(np.ones((3, 2)) + 1e8), Linear(np.ones((2, 3))))
-    assert dp.dim == 3 and dq.dim == 2
     with pytest.raises(NotTangentError, match="components sum to nan"):  # a NaN sum is no sum
         replicator_field(x, Custom(lambda y: np.array([np.nan, 0.0, 0.0])))
 

@@ -244,11 +244,11 @@ def _assert_divergences_agree(traj, target):
     """
     recorded = traj.diagnostics.divergence_to_target
     monitored = lyapunov_monitor(traj, target).values
-    assert np.array_equal(np.isfinite(recorded), np.isfinite(monitored))
+    finite = np.isfinite(recorded)
+    assert np.array_equal(finite, np.isfinite(monitored))
     t = _target_vector(traj.kind, target, traj.states.shape[1], traj.split)
     rows, t = _frequencies(traj.kind, traj.states, t)
     scale = np.abs(t * np.log(t)).sum() + (t * np.abs(np.log(rows))).sum(axis=1)
-    finite = np.isfinite(recorded)
     gap = np.abs(recorded - monitored)[finite]
     assert np.all(gap <= 4.0 * np.finfo(float).eps * scale[finite])
 
@@ -286,17 +286,13 @@ def test_the_packages_tangent_vectors_take_any_payoff_scale_and_shift(n, m, scal
 
     x, y = data.draw(simplex_point(n)), data.draw(simplex_point(m))
     a, grad = Linear(game(n, n) + shift), game(n, 1)[:, 0] + shift
-    bimatrix = (Linear(game(n, m) + shift), Linear(game(m, n) + shift))
+    f, g = Linear(game(n, m) + shift), Linear(game(m, n) + shift)
+    field = _make_field(Replicator(a), n, None)(x.coords.copy(), np.empty(n))
+    assert replicator_field(x, a).components.tobytes() == field.tobytes()
     z = np.concatenate([x.coords, y.coords])
-    cases = [
-        (replicator_field(x, a), Replicator(a), x.coords),
-        (np.concatenate(coupled_replicator_field(CoupledState(x, y), *bimatrix)),
-         CoupledReplicator(*bimatrix), z),
-    ]
-    for got, kind, state in cases:
-        split = n if state is z else None
-        field = _make_field(kind, state.size, split)(state.copy(), np.empty(state.size))
-        assert np.asarray(got).tobytes() == field.tobytes()
+    field = _make_field(CoupledReplicator(f, g), n + m, n)(z, np.empty(n + m))
+    coupled = coupled_replicator_field(CoupledState(x, y), f, g)
+    assert np.concatenate(coupled).tobytes() == field.tobytes()
     gradient = shahshahani_gradient(x, grad).components
     assert gradient.tobytes() == (x.coords * (grad - float(np.dot(x.coords, grad)))).tobytes()
     assert np.isfinite(gradient_consistency_check(x, grad, 5, 0))
